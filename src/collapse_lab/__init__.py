@@ -24,7 +24,6 @@ from .analytic import (
     k_fn,
     k_sign_change,
     partial_moment_numeric,
-    scaled_density,
     std_normal_cdf,
     std_normal_pdf,
 )
@@ -128,7 +127,6 @@ __all__ = [
     "report_from_chain",
     "run_training",
     "save_checkpoint",
-    "scaled_density",
     "sgd_trajectory",
     "shuffle_labels",
     "standard_grid",

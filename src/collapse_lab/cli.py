@@ -13,10 +13,12 @@ Configuration precedence: command-line flags override config-file values,
 which override preset values. The config file is INI-style with one
 section per subcommand; unknown keys in a section are rejected.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime error (divergence,
-aborted run). Every command writes byte-identical files for identical
-(config, seed), whatever the thread cap; parallelism is bounded by
-COLLAPSE_LAB_THREADS.
+Exit codes: 0 success, 2 configuration error (including a gamma
+distribution or grid that reaches the 1/gamma^2 singularity at 0), 3
+runtime error (divergence, aborted run). Every command writes
+byte-identical files for identical (config, seed), whatever the thread
+cap; parallelism is bounded by COLLAPSE_LAB_THREADS. Files are written
+atomically, so a failed run never leaves a truncated one.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import analytic, mc, sparsity, svgplot, tables
 from .dists import parse_dist
-from .errors import CollapseLabError, ConfigError, DivergenceError, DomainError
+from .errors import CollapseLabError, ConfigError, DivergenceError, DomainError, SingularityError
 from .net import model as net_model
 from .net import train as net_train
 from .quadrature import QuadratureSpec
@@ -241,6 +243,12 @@ def _emit(path: str) -> None:
     print(path)
 
 
+def _write_svg(path: str, svg: str) -> None:
+    with tables.atomic_write(path) as fh:
+        fh.write(svg)
+    _emit(path)
+
+
 def _write_table(out: str, stem: str, fmt: str, header, rows):
     if fmt == "json":
         path = os.path.join(out, stem + ".json")
@@ -271,17 +279,15 @@ def cmd_analytic(params: dict) -> int:
             ylabel="K(x)",
         )
         path = os.path.join(out, "k_fn.svg")
-        with open(path, "w") as fh:
-            fh.write(svg)
-        _emit(path)
+        _write_svg(path, svg)
     if params["j"]:
         did_anything = True
         if params["beta"] is None:
             raise ConfigError("--j requires --beta")
         beta = params["beta"]
         gammas = parse_grid(params["gamma_grid"])
-        if gammas[0] == 0:
-            raise ConfigError("--gamma-grid must not contain 0")
+        if np.any(gammas == 0):
+            raise ConfigError(f"--gamma-grid must not contain 0, got {params['gamma_grid']!r}")
         jvals = [analytic.j_fn(float(g), beta, quad) for g in gammas]
         path = os.path.join(out, "j_grid.csv")
         tables.write_csv(
@@ -297,9 +303,7 @@ def cmd_analytic(params: dict) -> int:
             ylabel="J(gamma)",
         )
         path = os.path.join(out, "j_fn.svg")
-        with open(path, "w") as fh:
-            fh.write(svg)
-        _emit(path)
+        _write_svg(path, svg)
     if params["drift"]:
         did_anything = True
         if params["gamma"] is None or params["beta"] is None:
@@ -372,9 +376,7 @@ def _mc_svg(out: str, rows: list[mc.TheoremRow]) -> None:
         ylog=positive,
     )
     path = os.path.join(out, "drift_vs_eta.svg")
-    with open(path, "w") as fh:
-        fh.write(svg)
-    _emit(path)
+    _write_svg(path, svg)
 
 
 def cmd_mc(params: dict) -> int:
@@ -443,9 +445,7 @@ def cmd_decay(params: dict) -> int:
         ylabel="C",
     )
     path = os.path.join(out, "decay_c.svg")
-    with open(path, "w") as fh:
-        fh.write(svg)
-    _emit(path)
+    _write_svg(path, svg)
     return 0
 
 
@@ -490,9 +490,7 @@ def _train_svgs(out: str, rows: list[dict], arms: list[str]) -> None:
             continue
         svg = svgplot.line_plot(series, title=stem.replace("_", " "), xlabel="round", ylabel=ylabel)
         path = os.path.join(out, stem + ".svg")
-        with open(path, "w") as fh:
-            fh.write(svg)
-        _emit(path)
+        _write_svg(path, svg)
 
 
 def cmd_train(params: dict) -> int:
@@ -578,9 +576,7 @@ def cmd_report(params: dict) -> int:
             ylabel="C",
         )
         path = os.path.join(out, "decay_c.svg")
-        with open(path, "w") as fh:
-            fh.write(svg)
-        _emit(path)
+        _write_svg(path, svg)
         regenerated += 1
     if regenerated == 0:
         raise ConfigError(f"no known CSV files found in {source}")
@@ -602,7 +598,9 @@ def main(argv=None) -> int:
     try:
         params = merged_params(args, args.command)
         return _COMMANDS[args.command](params)
-    except ConfigError as exc:
+    except (ConfigError, SingularityError) as exc:
+        # a SingularityError only comes from validating user-given
+        # distributions or gammas, so it is a configuration error too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CollapseLabError as exc:

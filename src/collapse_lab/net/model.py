@@ -22,6 +22,7 @@ import numpy as np
 
 from ..errors import ConfigError, DivergenceError
 from ..sparsity import COLLAPSE_THRESHOLD
+from ..tables import atomic_write
 from .layers import BatchNorm, Dense, LeakyReLU, ReLU, accuracy, softmax_cross_entropy
 
 __all__ = ["MLP", "save_checkpoint", "load_checkpoint", "pruned_copy"]
@@ -187,7 +188,7 @@ def save_checkpoint(path, model: MLP, rng: np.random.Generator, extra: dict | No
         "rng_state": rng.bit_generator.state,
         "extra": extra or {},
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
 

@@ -5,16 +5,44 @@ identical double), booleans as lowercase true/false, missing values as the
 empty string. ``read_csv`` inverts the encoding, so write -> read is the
 identity on values, which is what the byte-identical-output contract and
 the re-plotting command rely on.
+
+Every file the package writes (these tables, checkpoints, SVG plots) goes
+through ``atomic_write``: a run that dies mid-write leaves the previous
+file (or none) under the target name, never a truncated one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 
 from .errors import ConfigError
 
-__all__ = ["write_csv", "read_csv", "write_json", "rows_from_dicts"]
+__all__ = ["atomic_write", "write_csv", "read_csv", "write_json", "rows_from_dicts"]
+
+
+@contextlib.contextmanager
+def atomic_write(path, newline=None):
+    """Open a text file that takes the place of ``path`` when the block ends.
+
+    The data goes to a hidden ``.<name>.<pid>.tmp`` file in the target's
+    directory, which ``os.replace`` renames over ``path`` only after the
+    block completes and the file is closed. If the block raises, the
+    temporary file is removed and ``path`` is left as it was. Plain ``open``
+    creates the file, so it gets the usual umask-derived mode.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _encode(value) -> str:
@@ -45,7 +73,7 @@ def _decode(text: str):
 
 
 def write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -72,6 +100,6 @@ def rows_from_dicts(dicts, header):
 
 
 def write_json(path, payload) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")

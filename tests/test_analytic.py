@@ -17,7 +17,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from collapse_lab.analytic import (
+    _J_BLOCK_POINTS,
     GAMMA_MIN,
+    _j_values,
     drift_prediction,
     g_closed,
     h_tail_closed,
@@ -26,7 +28,6 @@ from collapse_lab.analytic import (
     k_sign_change,
     partial_moment_numeric,
     require_gamma_support,
-    scaled_density,
     std_normal_cdf,
     std_normal_pdf,
 )
@@ -159,6 +160,14 @@ class TestKernel:
         want = np.array([k_oracle(float(x)) for x in xs])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
+    def test_matches_erfc_oracle_wide(self):
+        # the drift grid evaluates K at beta/gamma up to |x| ~ 40, far past
+        # the [-8, 8] grid above; the bound is relative where K is not tiny
+        xs = np.linspace(-40.0, 40.0, 160_001)
+        got = k_fn(xs)
+        want = np.array([k_oracle(float(x)) for x in xs])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-15)
+
     def test_spot_value(self):
         # frozen from a 50-digit evaluation of the same two-term formula
         assert abs(k_fn(-0.5) - (-0.2808876274964341)) < 1e-13
@@ -222,6 +231,15 @@ class TestJ:
         value = j_fn(1.0, dist, quad)
         assert math.isfinite(value)
 
+    def test_array_matches_scalar_across_blocks(self, quad):
+        # 200 gamma rows against 1024 beta nodes fill several kernel blocks
+        gammas = np.linspace(0.1, 5.0, 200)
+        assert gammas.size * 4 * quad.panels > 3 * _J_BLOCK_POINTS
+        for beta in (Uniform(-1, 1), Normal(0, 0.5)):
+            got = _j_values(gammas, beta, quad)
+            want = np.array([j_fn(float(g), beta, quad) for g in gammas])
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
     def test_panel_doubling_stability(self, quad):
         a = j_fn(1.0, Uniform(-1, 1), quad)
         b = j_fn(1.0, Uniform(-1, 1), quad.doubled())
@@ -270,6 +288,9 @@ class TestDrift:
         assert abs(a - b) < 1e-12
 
     def test_eta_scaling_exact(self, quad):
+        # 1024 gamma nodes at 64 rows per block: the factor sums 16 blocks
+        nodes = 4 * quad.panels
+        assert nodes // (_J_BLOCK_POINTS // nodes) == 16
         lo = drift_prediction(0.005, 1.0, Uniform(0.5, 1.5), Uniform(-1, 1), quad).value
         hi = drift_prediction(0.01, 1.0, Uniform(0.5, 1.5), Uniform(-1, 1), quad).value
         assert hi / lo == 4.0
@@ -308,32 +329,3 @@ class TestDrift:
         assert (pred.eta, pred.c) == (0.02, 3.0)
         assert pred.gamma_dist is gamma and pred.beta_dist is beta
 
-
-class TestScaledDensity:
-    def test_normal_halved(self):
-        assert math.isclose(scaled_density(Normal(0, 1), 2.0, 0.0), 0.3989422804014327 / 2, rel_tol=1e-14)
-
-    def test_uniform_reflection(self):
-        assert scaled_density(Uniform(-1, 1), -1.0, 0.3) == 0.5
-
-    def test_integrates_to_one(self):
-        spec = QuadratureSpec(truncation_radius=8.0, panels=512)
-        total = integrate(lambda z: scaled_density(Normal(0, 1), 2.0, z), -16.0, 16.0, spec)
-        # manual node evaluation covers [-16, 16] where 2X has all its mass
-        assert abs(total - 1.0) < 1e-12
-
-    def test_sampling_oracle(self):
-        """Histogram of 3X around z = 1.2 against the rescaled density."""
-        rng = np.random.default_rng(42)
-        z, half = 1.2, 0.05
-        samples = 3.0 * rng.standard_normal(2_000_000)
-        density = np.mean(np.abs(samples - z) < half) / (2 * half)
-        assert abs(density - scaled_density(Normal(0, 1), 3.0, z)) < 1e-2
-
-    def test_zero_scale_rejected(self):
-        with pytest.raises(DomainError):
-            scaled_density(Normal(0, 1), 0.0, 0.0)
-
-    def test_point_mass_rejected(self):
-        with pytest.raises(DomainError):
-            scaled_density(PointMass(0.0), 2.0, 0.0)

@@ -81,6 +81,24 @@ class TestAnalytic:
         )
         assert res.returncode == 2, res.stderr
 
+    def test_zero_inside_gamma_grid_rejected(self, tmp_path):
+        res = run_cli(
+            ["analytic", "--j", "--beta", "uniform:-1:1", "--gamma-grid=-1:1:0.5", "--out", "o"],
+            cwd=tmp_path,
+        )
+        assert res.returncode == 2, res.stderr
+        assert "--gamma-grid must not contain 0" in res.stderr
+        assert os.listdir(tmp_path / "o") == []
+
+    def test_gamma_support_through_zero_is_config_error(self, tmp_path):
+        res = run_cli(
+            ["analytic", "--drift", "--gamma", "normal:1:0.1", "--beta", "uniform:-1:1", "--out", "o"],
+            cwd=tmp_path,
+        )
+        assert res.returncode == 2, res.stderr
+        assert "gamma support must lie in" in res.stderr
+        assert os.listdir(tmp_path / "o") == []
+
 
 class TestMc:
     def test_zero_eta_cell_is_exact(self, tmp_path):

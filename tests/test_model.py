@@ -137,6 +137,17 @@ class TestCheckpoint:
             assert np.array_equal(loaded.state_arrays()[key], arr), key
         assert np.array_equal(rng2.standard_normal(5), rng.standard_normal(5))
 
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, small_model(), np.random.default_rng(0))
+        before = path.read_bytes()
+        # the payload streams out until json.dump reaches the bad value
+        with pytest.raises(TypeError):
+            save_checkpoint(path, small_model(), np.random.default_rng(1), extra={"bad": object()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+        load_checkpoint(path)
+
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "ck.json"
         save_checkpoint(path, small_model(), np.random.default_rng(0))

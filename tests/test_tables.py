@@ -1,13 +1,14 @@
 """Exact CSV/JSON round-tripping, the backbone of byte-identical outputs."""
 
 import math
+import os
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from collapse_lab.errors import ConfigError
-from collapse_lab.tables import read_csv, rows_from_dicts, write_csv, write_json
+from collapse_lab.tables import atomic_write, read_csv, rows_from_dicts, write_csv, write_json
 
 CELLS = st.one_of(
     st.none(),
@@ -109,3 +110,34 @@ class TestWriteJson:
         write_csv(p2, ["x", "y", "z"], rows)
         assert p1.read_bytes() == p2.read_bytes()
         assert b"\r" not in p1.read_bytes()
+
+
+class _FailingRow:
+    """A row that yields one cell, then raises: a crash in mid-row."""
+
+    def __iter__(self):
+        yield 1.5
+        raise RuntimeError("crash while writing")
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b"], [[1, 2.5], [3, 4.5]])
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError):
+            write_csv(path, ["a", "b"], [[5, 6.5]] * 10_000 + [_FailingRow()])
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["t.csv"]
+
+    def test_failed_first_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            write_csv(tmp_path / "t.csv", ["a"], [[1], _FailingRow()])
+        assert os.listdir(tmp_path) == []
+
+    def test_mode_matches_plain_open(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x")
+        with atomic_write(tmp_path / "atomic.txt") as fh:
+            fh.write("x")
+        assert os.stat(tmp_path / "atomic.txt").st_mode == os.stat(plain).st_mode
