@@ -1,9 +1,15 @@
 """Command-line front door.
 
 Subcommands: ``analytic`` (kernel/expectation tables and drift
-predictions), ``mc`` (simulation-vs-prediction verification), ``decay``
-(pure-decay reactivation traces), ``train`` (toy collapse experiments),
-``report`` (re-plot SVGs from existing CSV files).
+predictions), ``mc`` (simulation-vs-prediction verification; ``--verify``
+also prints an agreement table), ``decay`` (pure-decay reactivation
+traces), ``train`` (toy collapse experiments), ``report`` (re-plot SVGs
+from existing CSV files).
+
+Every plotted artifact is a table plus a plot function registered in
+``_ARTIFACTS``: a command writes the table and draws the SVG from the rows
+it wrote, and ``report`` draws the same SVG from the table read back, so
+the two files are byte-identical.
 
 Distribution arguments use a kind:param:param mini-grammar:
 ``uniform:-1:1``, ``normal:0:0.5``, ``point:0``. Grids are ``lo:hi:step``
@@ -25,10 +31,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
@@ -40,23 +47,6 @@ from .net import train as net_train
 from .quadrature import QuadratureSpec
 
 __all__ = ["main"]
-
-MC_CSV_HEADER = [
-    "run_id",
-    "eta",
-    "c",
-    "noise",
-    "gamma_dist",
-    "beta_dist",
-    "n",
-    "empirical_mean",
-    "std_error",
-    "predicted",
-    "agree",
-    "ratio_to_half_eta",
-]
-
-DECAY_CSV_HEADER = ["step", "gamma", "beta", "activation_prob", "collapsed", "c_margin"]
 
 
 def parse_grid(text: str) -> np.ndarray:
@@ -96,13 +86,19 @@ def _parse_count(text: str) -> int:
     return int(value)
 
 
+def _parse_format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise ConfigError(f"format must be csv or json, got {text!r}")
+    return text
+
+
 # (dest, converter, default, help) per subcommand; drives both the argparse
 # registration and the config-file validation, so the two never drift.
 _COMMON = [
     ("out", str, "out", "output directory"),
     ("seed", int, 0, "base seed"),
     ("threads", int, None, "worker cap (also capped by COLLAPSE_LAB_THREADS)"),
-    ("format", str, "csv", "table format for single-value outputs: csv or json"),
+    ("format", _parse_format, "csv", "table format for single-value outputs: csv or json"),
 ]
 
 _OPTIONS = {
@@ -164,25 +160,14 @@ _OPTIONS = {
     ],
 }
 
-# fields where the TrainConfig name differs from the flag name
+# train flags that set a TrainConfig field of another name; each train flag
+# but preset, seeds and random_labels sets the field of its own name
 _TRAIN_FIELD_FOR = {
-    "rounds": "rounds",
     "epochs": "epochs_per_round",
-    "batch_size": "batch_size",
-    "eta_max": "eta_max",
-    "eta_min": "eta_min",
     "momentum": "momentum_sgd",
     "wd": "weight_decay",
-    "activation": "activation",
-    "norm": "norm",
-    "alpha": "alpha",
-    "gamma_init": "gamma_init",
     "width": "hidden_width",
     "layers": "hidden_layers",
-    "classes": "classes",
-    "dim": "dim",
-    "n_per_class": "n_per_class",
-    "data_seed": "data_seed",
     "threshold": "collapse_threshold",
 }
 
@@ -233,175 +218,202 @@ def merged_params(args: argparse.Namespace, command: str) -> dict:
     return params
 
 
-def _outdir(params: dict) -> str:
-    out = params["out"]
-    os.makedirs(out, exist_ok=True)
-    return out
+# Plot functions: decoded table rows (dicts keyed by the table's header)
+# -> {svg file name: svg text}.
 
 
-def _emit(path: str) -> None:
-    print(path)
+def _k_plot(rows: list[dict]) -> dict[str, str]:
+    xs = tuple(r["x"] for r in rows)
+    ks = tuple(r["k"] for r in rows)
+    series = [svgplot.Series("K(x)", xs, ks)]
+    x0 = analytic.k_sign_change()
+    if xs[0] <= x0 <= xs[-1]:
+        # K is positive only left of x0: the marker shows how short that window is
+        series.append(svgplot.Series(f"sign change x0={x0:.4f}", (x0, x0), (min(ks), max(ks))))
+    return {"k_fn.svg": svgplot.line_plot(series, title="Drift kernel", xlabel="x", ylabel="K(x)")}
 
 
-def _write_svg(path: str, svg: str) -> None:
-    with tables.atomic_write(path) as fh:
-        fh.write(svg)
-    _emit(path)
-
-
-def _write_table(out: str, stem: str, fmt: str, header, rows):
-    if fmt == "json":
-        path = os.path.join(out, stem + ".json")
-        tables.write_json(path, [dict(zip(header, row)) for row in rows])
-    elif fmt == "csv":
-        path = os.path.join(out, stem + ".csv")
-        tables.write_csv(path, header, rows)
-    else:
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    _emit(path)
-
-
-def cmd_analytic(params: dict) -> int:
-    out = _outdir(params)
-    quad = QuadratureSpec(panels=params["panels"]) if params["panels"] else QuadratureSpec()
-    did_anything = False
-    if params["k_grid"]:
-        did_anything = True
-        xs = parse_grid(params["k_grid"])
-        ks = analytic.k_fn(xs)
-        path = os.path.join(out, "k_grid.csv")
-        tables.write_csv(path, ["x", "k"], list(zip(xs.tolist(), ks.tolist())))
-        _emit(path)
-        svg = svgplot.line_plot(
-            [svgplot.Series("K(x)", tuple(xs.tolist()), tuple(ks.tolist()))],
-            title="Drift kernel",
-            xlabel="x",
-            ylabel="K(x)",
+def _j_plot(rows: list[dict]) -> dict[str, str]:
+    series = svgplot.Series(
+        f"J, beta ~ {rows[0]['beta_dist']}",
+        tuple(r["gamma"] for r in rows),
+        tuple(r["j"] for r in rows),
+    )
+    return {
+        "j_fn.svg": svgplot.line_plot(
+            [series], title="Kernel expectation over beta", xlabel="gamma", ylabel="J(gamma)"
         )
-        path = os.path.join(out, "k_fn.svg")
-        _write_svg(path, svg)
-    if params["j"]:
-        did_anything = True
-        if params["beta"] is None:
-            raise ConfigError("--j requires --beta")
-        beta = params["beta"]
-        gammas = parse_grid(params["gamma_grid"])
-        if np.any(gammas == 0):
-            raise ConfigError(f"--gamma-grid must not contain 0, got {params['gamma_grid']!r}")
-        jvals = [analytic.j_fn(float(g), beta, quad) for g in gammas]
-        path = os.path.join(out, "j_grid.csv")
-        tables.write_csv(
-            path,
-            ["gamma", "j", "beta_dist", "beta_even"],
-            [[float(g), j, str(beta), beta.is_even] for g, j in zip(gammas, jvals)],
-        )
-        _emit(path)
-        svg = svgplot.line_plot(
-            [svgplot.Series(f"J, beta ~ {beta}", tuple(float(g) for g in gammas), tuple(jvals))],
-            title="Kernel expectation over beta",
-            xlabel="gamma",
-            ylabel="J(gamma)",
-        )
-        path = os.path.join(out, "j_fn.svg")
-        _write_svg(path, svg)
-    if params["drift"]:
-        did_anything = True
-        if params["gamma"] is None or params["beta"] is None:
-            raise ConfigError("--drift requires --gamma and --beta")
-        pred = analytic.drift_prediction(params["eta"], params["c"], params["gamma"], params["beta"], quad)
-        header = ["eta", "c", "gamma_dist", "beta_dist", "value"]
-        row = [pred.eta, pred.c, str(pred.gamma_dist), str(pred.beta_dist), pred.value]
-        _write_table(out, "drift", params["format"], header, [row])
-    if not did_anything:
-        raise ConfigError("nothing to do: pass --k-grid, --j, or --drift")
-    return 0
+    }
 
 
-def _mc_rows_csv(out: str, rows: list[mc.TheoremRow], fmt: str) -> None:
-    table = [
-        [
-            r.run_id,
-            r.eta,
-            r.c,
-            r.noise,
-            r.gamma_dist,
-            r.beta_dist,
-            r.n,
-            r.empirical_mean,
-            r.std_error,
-            r.predicted,
-            r.agree,
-            r.ratio_to_half_eta,
-        ]
-        for r in rows
-    ]
-    _write_table(out, "mc_verify", fmt, MC_CSV_HEADER, table)
-
-
-def _mc_svg(out: str, rows: list[mc.TheoremRow]) -> None:
-    by_noise: dict[str, list[mc.TheoremRow]] = {}
-    for r in rows:
-        by_noise.setdefault(r.noise, []).append(r)
+def _mc_plot(rows: list[dict]) -> dict[str, str]:
+    # an all-negative grid is drawn as -drift on log axes
+    positive = not any(r["empirical_mean"] >= 0 or r["predicted"] >= 0 for r in rows)
+    flip = -1.0 if positive else 1.0
     series = []
-    positive = True
-    for noise, group in sorted(by_noise.items()):
-        group = sorted(group, key=lambda r: r.eta)
-        if any(r.empirical_mean >= 0 or r.predicted >= 0 for r in group):
-            positive = False
-    for noise, group in sorted(by_noise.items()):
-        group = sorted(group, key=lambda r: r.eta)
-        flip = -1.0 if positive else 1.0
+    ordered = sorted(rows, key=lambda r: (r["noise"], r["eta"]))
+    for noise, group in itertools.groupby(ordered, key=lambda r: r["noise"]):
+        group = list(group)
+        etas = tuple(r["eta"] for r in group)
         series.append(
             svgplot.Series(
-                f"measured ({noise})",
-                tuple(r.eta for r in group),
-                tuple(flip * r.empirical_mean for r in group),
-                marker=True,
+                f"measured ({noise})", etas, tuple(flip * r["empirical_mean"] for r in group), marker=True
             )
         )
-        series.append(
-            svgplot.Series(
-                f"predicted ({noise})",
-                tuple(r.eta for r in group),
-                tuple(flip * r.predicted for r in group),
-            )
-        )
-    ylabel = "-drift" if positive else "drift"
+        series.append(svgplot.Series(f"predicted ({noise})", etas, tuple(flip * r["predicted"] for r in group)))
     svg = svgplot.line_plot(
         series,
         title="One-step drift: simulation vs prediction",
         xlabel="eta",
-        ylabel=ylabel,
+        ylabel="-drift" if positive else "drift",
         xlog=positive,
         ylog=positive,
     )
-    path = os.path.join(out, "drift_vs_eta.svg")
-    _write_svg(path, svg)
+    return {"drift_vs_eta.svg": svg}
+
+
+def _decay_plot(rows: list[dict]) -> dict[str, str]:
+    series = svgplot.Series(
+        "C = (beta+alpha)/|gamma|",
+        tuple(r["step"] for r in rows),
+        tuple(r["c_margin"] for r in rows),
+    )
+    return {
+        "decay_c.svg": svgplot.line_plot(
+            [series], title="Margin recovery under pure decay", xlabel="step", ylabel="C"
+        )
+    }
+
+
+def _experiment_plot(rows: list[dict]) -> dict[str, str]:
+    # arm -> round -> rows; arms keep the order the table lists them in
+    cells: dict[str, dict[int, list[dict]]] = {}
+    for row in rows:
+        cells.setdefault(row["arm"], {}).setdefault(row["round"], []).append(row)
+    svgs = {}
+    for metric, stem, ylabel in (
+        ("sparsity_ratio", "sparsity_vs_round", "collapsed fraction"),
+        ("val_acc", "accuracy_vs_round", "validation accuracy"),
+    ):
+        series = []
+        for arm, by_round in cells.items():
+            rounds = sorted(by_round)
+            means = tuple(sum(row[metric] for row in by_round[r]) / len(by_round[r]) for r in rounds)
+            series.append(svgplot.Series(arm, tuple(float(r + 1) for r in rounds), means, marker=True))
+        svgs[stem + ".svg"] = svgplot.line_plot(
+            series, title=stem.replace("_", " "), xlabel="round", ylabel=ylabel
+        )
+    return svgs
+
+
+# table stem -> (CSV header, plot function); `report` re-draws each table it finds
+_ARTIFACTS = {
+    "k_grid": (["x", "k"], _k_plot),
+    "j_grid": (["gamma", "j", "beta_dist", "beta_even"], _j_plot),
+    "mc_verify": ([f.name for f in fields(mc.TheoremRow)], _mc_plot),
+    "decay": (["step", "gamma", "beta", "activation_prob", "collapsed", "c_margin"], _decay_plot),
+    "experiment": (net_train.EXPERIMENT_CSV_HEADER, _experiment_plot),
+}
+
+
+def _write_table(out: str, stem: str, fmt: str, header, rows) -> None:
+    path = os.path.join(out, f"{stem}.{fmt}")
+    if fmt == "json":
+        tables.write_json(path, [dict(zip(header, row)) for row in rows])
+    else:
+        tables.write_csv(path, header, rows)
+    print(path)
+
+
+def _draw(out: str, stem: str, rows) -> None:
+    """Write every SVG the plot of table ``stem`` draws from ``rows``."""
+    if not rows:
+        return  # e.g. a train run whose every arm failed: nothing to plot
+    header, plot = _ARTIFACTS[stem]
+    for name, svg in plot([dict(zip(header, row)) for row in rows]).items():
+        path = os.path.join(out, name)
+        with tables.atomic_write(path) as fh:
+            fh.write(svg)
+        print(path)
+
+
+def _save(out: str, stem: str, rows, fmt: str = "csv") -> None:
+    """Write a registered table, then its plots from the rows just written."""
+    _write_table(out, stem, fmt, _ARTIFACTS[stem][0], rows)
+    _draw(out, stem, rows)
+
+
+def cmd_analytic(params: dict) -> int:
+    out = params["out"]
+    quad = QuadratureSpec(panels=params["panels"]) if params["panels"] else QuadratureSpec()
+    beta, gamma = params["beta"], params["gamma"]
+    # every flag is checked, and the drift computed, before the first write,
+    # so a configuration error leaves no file behind
+    if not (params["k_grid"] or params["j"] or params["drift"]):
+        raise ConfigError("nothing to do: pass --k-grid, --j, or --drift")
+    if params["j"] and beta is None:
+        raise ConfigError("--j requires --beta")
+    if params["drift"] and (gamma is None or beta is None):
+        raise ConfigError("--drift requires --gamma and --beta")
+    xs = parse_grid(params["k_grid"]) if params["k_grid"] else None
+    gammas = parse_grid(params["gamma_grid"]) if params["j"] else None
+    if gammas is not None and np.any(gammas == 0):
+        raise ConfigError(f"--gamma-grid must not contain 0, got {params['gamma_grid']!r}")
+    pred = analytic.drift_prediction(params["eta"], params["c"], gamma, beta, quad) if params["drift"] else None
+    if xs is not None:
+        _save(out, "k_grid", list(zip(xs.tolist(), analytic.k_fn(xs).tolist())))
+    if gammas is not None:
+        rows = [[float(g), analytic.j_fn(float(g), beta, quad), str(beta), beta.is_even] for g in gammas]
+        _save(out, "j_grid", rows)
+    if pred is not None:
+        header = ["eta", "c", "gamma_dist", "beta_dist", "value"]
+        row = [pred.eta, pred.c, str(pred.gamma_dist), str(pred.beta_dist), pred.value]
+        _write_table(out, "drift", params["format"], header, [row])
+    return 0
+
+
+def _print_agreement(rows: list[mc.TheoremRow]) -> None:
+    header = f"{'cell':>24} {'empirical':>14} {'predicted':>14} {'se':>10} {'ratio':>8} agree"
+    print(header)
+    print("-" * len(header))
+    for r in rows:
+        ratio = f"{r.ratio_to_half_eta:.4f}" if r.ratio_to_half_eta is not None else "-"
+        print(
+            f"{r.run_id:>24} {r.empirical_mean:14.4e} {r.predicted:14.4e}"
+            f" {r.std_error:10.2e} {ratio:>8} {r.agree}"
+        )
+    bad = sum(not r.agree for r in rows)
+    if bad:
+        print(f"\n{bad} cell(s) disagree", file=sys.stderr)
+    else:
+        print(f"\nall {len(rows)} cells within 3 standard errors")
 
 
 def cmd_mc(params: dict) -> int:
-    out = _outdir(params)
-    threads = params["threads"]
+    out = params["out"]
     if params["verify"]:
         if params["grid"] != "standard":
             raise ConfigError(f"unknown grid {params['grid']!r}; only 'standard' is defined")
-        rows = mc.verify_theorem(count=params["n"], seed=params["seed"], threads=threads)
+        cells = mc.standard_grid()
     else:
-        cell = mc.VerifyCell(
-            eta=params["eta"],
-            c=params["c"],
-            noise=params["noise"],
-            gamma_dist=params["gamma"],
-            beta_dist=params["beta"],
-        )
-        rows = mc.verify_theorem([cell], count=params["n"], seed=params["seed"], threads=threads)
-    _mc_rows_csv(out, rows, params["format"])
-    _mc_svg(out, rows)
+        cells = [
+            mc.VerifyCell(
+                eta=params["eta"],
+                c=params["c"],
+                noise=params["noise"],
+                gamma_dist=params["gamma"],
+                beta_dist=params["beta"],
+            )
+        ]
+    rows = mc.verify_theorem(cells, count=params["n"], seed=params["seed"], threads=params["threads"])
+    _save(out, "mc_verify", [astuple(r) for r in rows], params["format"])
+    if params["verify"]:
+        _print_agreement(rows)
     return 0
 
 
 def cmd_decay(params: dict) -> int:
-    out = _outdir(params)
+    out = params["out"]
     cfg = mc.UpdateConfig(
         eta=params["lr"],
         c=0.0,
@@ -420,32 +432,17 @@ def cmd_decay(params: dict) -> int:
         [r.step, r.gamma, r.beta, r.activation_prob, r.collapsed, (r.beta + result.alpha) / abs(r.gamma)]
         for r in result.records
     ]
-    path = os.path.join(out, "decay.csv")
-    tables.write_csv(path, DECAY_CSV_HEADER, rows)
-    _emit(path)
+    _save(out, "decay", rows)
+    path = os.path.join(out, "decay.json")
     tables.write_json(
-        os.path.join(out, "decay.json"),
+        path,
         {
             "reactivation_step": result.reactivation_step,
             "alpha": result.alpha,
             "steps_recorded": len(result.records),
         },
     )
-    _emit(os.path.join(out, "decay.json"))
-    svg = svgplot.line_plot(
-        [
-            svgplot.Series(
-                "C = (beta+alpha)/|gamma|",
-                tuple(r.step for r in result.records),
-                tuple((r.beta + result.alpha) / abs(r.gamma) for r in result.records),
-            )
-        ],
-        title="Margin recovery under pure decay",
-        xlabel="step",
-        ylabel="C",
-    )
-    path = os.path.join(out, "decay_c.svg")
-    _write_svg(path, svg)
+    print(path)
     return 0
 
 
@@ -455,9 +452,9 @@ def _train_arms(params: dict) -> list[tuple[str, net_train.TrainConfig]]:
     else:
         arms = [("custom", net_train.TrainConfig(weight_decay=0.05, hidden_width=64, n_per_class=200))]
     overrides = {}
-    for flag, field_name in _TRAIN_FIELD_FOR.items():
-        if params[flag] is not None:
-            overrides[field_name] = params[flag]
+    for flag, *_ in _OPTIONS["train"]:
+        if flag not in ("preset", "seeds", "random_labels") and params[flag] is not None:
+            overrides[_TRAIN_FIELD_FOR.get(flag, flag)] = params[flag]
     if params["random_labels"]:
         overrides["label_mode"] = "random"
     if overrides:
@@ -465,118 +462,48 @@ def _train_arms(params: dict) -> list[tuple[str, net_train.TrainConfig]]:
     return arms
 
 
-def _train_svgs(out: str, rows: list[dict], arms: list[str]) -> None:
-    def mean_series(metric: str, arm: str):
-        by_round: dict[int, list[float]] = {}
-        for row in rows:
-            if row["arm"] == arm:
-                by_round.setdefault(row["round"], []).append(row[metric])
-        rounds = sorted(by_round)
-        return (
-            tuple(float(r + 1) for r in rounds),
-            tuple(sum(by_round[r]) / len(by_round[r]) for r in rounds),
-        )
-
-    for metric, stem, ylabel in (
-        ("sparsity_ratio", "sparsity_vs_round", "collapsed fraction"),
-        ("val_acc", "accuracy_vs_round", "validation accuracy"),
-    ):
-        series = []
-        for arm in arms:
-            xs, ys = mean_series(metric, arm)
-            if xs:
-                series.append(svgplot.Series(arm, xs, ys, marker=True))
-        if not series:
-            continue
-        svg = svgplot.line_plot(series, title=stem.replace("_", " "), xlabel="round", ylabel=ylabel)
-        path = os.path.join(out, stem + ".svg")
-        _write_svg(path, svg)
-
-
 def cmd_train(params: dict) -> int:
-    out = _outdir(params)
+    out = params["out"]
     arms = _train_arms(params)
     seeds = [params["seed"] + i for i in range(params["seeds"])]
     result = net_train.multi_round_experiment(arms, seeds)
-    path = os.path.join(out, "experiment.csv")
-    tables.write_csv(
-        path,
-        net_train.EXPERIMENT_CSV_HEADER,
-        tables.rows_from_dicts(result.rows, net_train.EXPERIMENT_CSV_HEADER),
-    )
-    _emit(path)
+    _save(out, "experiment", tables.rows_from_dicts(result.rows, net_train.EXPERIMENT_CSV_HEADER))
     for (arm, seed), model in sorted(result.finals.items()):
         tag = f"{arm}_s{seed}"
         reports = result.reports[(arm, seed)]
-        tables.write_json(
-            os.path.join(out, f"sparsity_{tag}.json"),
-            sparsity.report_to_json(reports[-1].sparsity),
-        )
-        _emit(os.path.join(out, f"sparsity_{tag}.json"))
+        path = os.path.join(out, f"sparsity_{tag}.json")
+        tables.write_json(path, sparsity.report_to_json(reports[-1].sparsity))
+        print(path)
         hist = sparsity.filter_l1_histogram(model.filter_matrix(0))
-        header, hrows = sparsity.histogram_csv_rows(hist)
-        hist_path = os.path.join(out, f"l1_hist_{tag}.csv")
-        tables.write_csv(hist_path, header, hrows)
-        _emit(hist_path)
-        ckpt = os.path.join(out, f"checkpoint_{tag}.json")
+        _write_table(out, f"l1_hist_{tag}", "csv", *sparsity.histogram_csv_rows(hist))
+        path = os.path.join(out, f"checkpoint_{tag}.json")
         net_model.save_checkpoint(
-            ckpt, model, result.rngs[(arm, seed)], extra={"arm": arm, "seed": seed}
+            path, model, result.rngs[(arm, seed)], extra={"arm": arm, "seed": seed}
         )
-        _emit(ckpt)
+        print(path)
     if result.failures:
-        fail_path = os.path.join(out, "failures.csv")
-        tables.write_csv(fail_path, ["arm", "seed", "error"], [list(f) for f in result.failures])
-        _emit(fail_path)
+        _write_table(out, "failures", "csv", ["arm", "seed", "error"], [list(f) for f in result.failures])
         for arm, seed, message in result.failures:
             print(f"arm {arm} seed {seed} failed: {message}", file=sys.stderr)
-    _train_svgs(out, result.rows, [name for name, _ in arms])
     if result.rows:
         return 0
     raise DivergenceError("all arms failed")
 
 
 def cmd_report(params: dict) -> int:
-    out = _outdir(params)
+    out = params["out"]
     source = params["source"] or out
     if not os.path.isdir(source):
         raise ConfigError(f"source directory not found: {source}")
     regenerated = 0
-    exp_path = os.path.join(source, "experiment.csv")
-    if os.path.exists(exp_path):
-        header, raw = tables.read_csv(exp_path)
-        if header != net_train.EXPERIMENT_CSV_HEADER:
-            raise ConfigError(f"{exp_path} has unexpected columns {header}")
-        rows = [dict(zip(header, row)) for row in raw]
-        arm_order = list(dict.fromkeys(row["arm"] for row in rows))
-        _train_svgs(out, rows, arm_order)
-        regenerated += 1
-    mc_path = os.path.join(source, "mc_verify.csv")
-    if os.path.exists(mc_path):
-        header, raw = tables.read_csv(mc_path)
-        if header != MC_CSV_HEADER:
-            raise ConfigError(f"{mc_path} has unexpected columns {header}")
-        rows = [mc.TheoremRow(**dict(zip(header, row))) for row in raw]
-        _mc_svg(out, rows)
-        regenerated += 1
-    decay_path = os.path.join(source, "decay.csv")
-    if os.path.exists(decay_path):
-        header, raw = tables.read_csv(decay_path)
-        if header != DECAY_CSV_HEADER:
-            raise ConfigError(f"{decay_path} has unexpected columns {header}")
-        svg = svgplot.line_plot(
-            [
-                svgplot.Series(
-                    "C = (beta+alpha)/|gamma|",
-                    tuple(row[0] for row in raw),
-                    tuple(row[5] for row in raw),
-                )
-            ],
-            title="Margin recovery under pure decay",
-            xlabel="step",
-            ylabel="C",
-        )
-        path = os.path.join(out, "decay_c.svg")
-        _write_svg(path, svg)
+    for stem, (header, _) in _ARTIFACTS.items():
+        path = os.path.join(source, stem + ".csv")
+        if not os.path.exists(path):
+            continue
+        found, rows = tables.read_csv(path)
+        if found != header:
+            raise ConfigError(f"{path} has unexpected columns {found}")
+        _draw(out, stem, rows)
         regenerated += 1
     if regenerated == 0:
         raise ConfigError(f"no known CSV files found in {source}")
@@ -597,6 +524,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         params = merged_params(args, args.command)
+        os.makedirs(params["out"], exist_ok=True)
         return _COMMANDS[args.command](params)
     except (ConfigError, SingularityError) as exc:
         # a SingularityError only comes from validating user-given

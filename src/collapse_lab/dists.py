@@ -43,10 +43,6 @@ class ScalarDist:
         """True when the distribution is symmetric about zero."""
         raise NotImplementedError
 
-    @property
-    def has_density(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class Uniform(ScalarDist):
@@ -148,10 +144,6 @@ class PointMass(ScalarDist):
     @property
     def is_even(self):
         return self.value == 0.0
-
-    @property
-    def has_density(self):
-        return False
 
     def __str__(self):
         return f"point:{self.value:g}"

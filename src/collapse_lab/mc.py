@@ -49,7 +49,6 @@ from .sparsity import COLLAPSE_THRESHOLD
 
 __all__ = [
     "CHUNK_SIZE",
-    "COLLAPSE_THRESHOLD",
     "EnsembleSpec",
     "UpdateConfig",
     "DriftEstimate",
@@ -126,7 +125,6 @@ class UpdateConfig:
     weight_decay: float = 0.0
     alpha: float = 0.0
     seed: int = 0
-    heaviside_at_zero: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.eta) and self.eta >= 0):
@@ -137,8 +135,6 @@ class UpdateConfig:
             raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0 <= self.alpha <= 1:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.heaviside_at_zero != 0:
-            raise ConfigError("heaviside_at_zero is fixed to 0 in this model")
         if not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2**64:
             raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         if self.noise_dist is None:

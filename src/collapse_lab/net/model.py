@@ -157,23 +157,33 @@ class MLP:
 def pruned_copy(model: MLP, threshold: float = COLLAPSE_THRESHOLD) -> tuple[MLP, int]:
     """Copy with collapsed units removed from the computation.
 
-    A collapsed unit's gamma and beta are zeroed and the rows it feeds in
-    the next dense layer are zeroed, which is the dense-chain equivalent
-    of deleting the unit. Returns (pruned model, units pruned).
+    A collapsed unit still emits a constant: act(beta + alpha) behind a
+    normalization layer, act(b) of its dense layer without one. That
+    constant times the unit's rows of the next dense layer is folded into
+    that layer's bias; then the unit's gamma, beta and outgoing rows are
+    zeroed, which is the dense-chain equivalent of deleting the unit.
+    Returns (pruned model, units pruned).
     """
     pruned = copy.deepcopy(model)
     n_pruned = 0
     dense = pruned.dense_blocks()
+    acts = [b for b in pruned.blocks if isinstance(b, (ReLU, LeakyReLU))]
+    norms = dict(pruned.norm_blocks())
     for boundary, scales in pruned.unit_scales().items():
         idx = np.nonzero(scales < threshold)[0]
         if idx.size == 0:
             continue
         n_pruned += int(idx.size)
-        for b, layer in pruned.norm_blocks():
-            if b == boundary:
-                layer.state.gamma[idx] = 0.0
-                layer.state.beta[idx] = 0.0
-        dense[boundary + 1].w[idx, :] = 0.0
+        layer = norms.get(boundary)
+        if layer is None:
+            level = dense[boundary].b[idx]
+        else:
+            level = layer.state.beta[idx] + layer.state.alpha
+            layer.state.gamma[idx] = 0.0
+            layer.state.beta[idx] = 0.0
+        following = dense[boundary + 1]
+        following.b += acts[boundary].forward(level, "eval") @ following.w[idx, :]
+        following.w[idx, :] = 0.0
     return pruned, n_pruned
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "report_from_chain",
     "filter_l1_histogram",
     "report_to_json",
-    "report_csv_rows",
     "histogram_csv_rows",
 ]
 
@@ -165,34 +164,6 @@ def report_to_json(report: SparsityReport) -> dict:
         "flops_reduction": report.flops_reduction,
         "threshold": report.threshold,
     }
-
-
-def report_csv_rows(report: SparsityReport):
-    """Flat per-boundary rows with the chain totals repeated on each."""
-    header = [
-        "layer_id",
-        "total_channels",
-        "collapsed_channels",
-        "sparsity_ratio",
-        "flops_total",
-        "flops_after_prune",
-        "flops_reduction",
-        "threshold",
-    ]
-    rows = [
-        [
-            k,
-            t,
-            c,
-            report.sparsity_ratio,
-            report.flops_total,
-            report.flops_after_prune,
-            report.flops_reduction,
-            report.threshold,
-        ]
-        for k, t, c in report.per_layer
-    ]
-    return header, rows
 
 
 def histogram_csv_rows(hist: Histogram):

@@ -250,17 +250,20 @@ def test_08_toy_collapse_trends(toy_study):
 def test_09_pruning_collapsed_units_is_neutral(toy_study):
     result, base, _ = toy_study
     t0 = time.perf_counter()
-    for seed in (0, 1, 2):
-        model = result.finals[("bn-relu", seed)]
-        ds = dataset_for(replace(base, seed=seed))
-        _, acc = model.evaluate(ds.x_val, ds.y_val)
-        pruned, n_pruned = pruned_copy(model, threshold=1e-3)
-        _, acc_pruned = pruned.evaluate(ds.x_val, ds.y_val)
-        assert n_pruned > 0, "expected some collapsed units to prune"
-        assert abs(acc - acc_pruned) <= 0.002, (
-            f"seed {seed}: pruning {n_pruned} units moved val acc"
-            f" {acc:.4f} -> {acc_pruned:.4f}"
-        )
+    # psbn too: its collapsed units still emit a constant, which pruning
+    # must carry into the next layer's bias
+    for arm in ("bn-relu", "psbn"):
+        for seed in (0, 1, 2):
+            model = result.finals[(arm, seed)]
+            ds = dataset_for(replace(base, seed=seed))
+            _, acc = model.evaluate(ds.x_val, ds.y_val)
+            pruned, n_pruned = pruned_copy(model, threshold=1e-3)
+            _, acc_pruned = pruned.evaluate(ds.x_val, ds.y_val)
+            assert n_pruned > 0, f"{arm} seed {seed}: expected some collapsed units to prune"
+            assert abs(acc - acc_pruned) <= 0.002, (
+                f"{arm} seed {seed}: pruning {n_pruned} units moved val acc"
+                f" {acc:.4f} -> {acc_pruned:.4f}"
+            )
     check_budget(t0, 60.0)
 
 

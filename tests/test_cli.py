@@ -28,6 +28,12 @@ class TestAnalytic:
         assert at_zero["k"] == -0.3183098861837907  # repr of -1/pi round-trips
         svg = (tmp_path / "o" / "k_fn.svg").read_text()
         assert svg.startswith("<svg ")
+        assert "sign change x0=-1.1533" in svg
+
+    def test_k_plot_marks_sign_change_only_inside_grid(self, tmp_path):
+        res = run_cli(["analytic", "--k-grid", "0:2:0.5", "--out", "o"], cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert "sign change" not in (tmp_path / "o" / "k_fn.svg").read_text()
 
     def test_j_constant_for_point_mass(self, tmp_path):
         res = run_cli(
@@ -90,6 +96,12 @@ class TestAnalytic:
         assert "--gamma-grid must not contain 0" in res.stderr
         assert os.listdir(tmp_path / "o") == []
 
+    def test_flag_error_after_a_valid_table_writes_nothing(self, tmp_path):
+        res = run_cli(["analytic", "--k-grid=-1:1:0.5", "--j", "--out", "o"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "--j requires --beta" in res.stderr
+        assert os.listdir(tmp_path / "o") == []
+
     def test_gamma_support_through_zero_is_config_error(self, tmp_path):
         res = run_cli(
             ["analytic", "--drift", "--gamma", "normal:1:0.1", "--beta", "uniform:-1:1", "--out", "o"],
@@ -124,6 +136,20 @@ class TestMc:
     def test_bad_dist_flag(self, tmp_path):
         res = run_cli(["mc", "--gamma", "uniform:2:1", "--out", "o"], cwd=tmp_path)
         assert res.returncode == 2, res.stderr
+
+    def test_verify_prints_agreement_table(self, tmp_path):
+        res = run_cli(["mc", "--verify", "--n", "20000", "--out", "o"], cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        rows = read_rows(tmp_path / "o" / "mc_verify.csv")
+        lines = res.stdout.splitlines()
+        assert lines[:2] == ["o/mc_verify.csv", "o/drift_vs_eta.svg"]
+        assert lines[2].split() == ["cell", "empirical", "predicted", "se", "ratio", "agree"]
+        assert [line.split()[0] for line in lines[4:10]] == [r["run_id"] for r in rows]
+        bad = sum(not r["agree"] for r in rows)
+        if bad:
+            assert f"{bad} cell(s) disagree" in res.stderr
+        else:
+            assert lines[-1] == "all 6 cells within 3 standard errors"
 
     def test_unknown_grid(self, tmp_path):
         res = run_cli(["mc", "--verify", "--grid", "huge", "--out", "o"], cwd=tmp_path)
@@ -260,18 +286,27 @@ class TestReport:
         assert (tmp_path / "r" / "decay_c.svg").read_bytes() == original
 
     def test_replots_mc_and_experiment(self, tmp_path):
-        res = run_cli(["mc", "--eta", "0.004", "--n", "30000", "--out", "o"], cwd=tmp_path)
-        assert res.returncode == 0, res.stderr
-        res = run_cli(TestTrain.ARGS, cwd=tmp_path)
-        assert res.returncode == 0, res.stderr
-        originals = {
-            name: (tmp_path / "o" / name).read_bytes()
-            for name in ("drift_vs_eta.svg", "sparsity_vs_round.svg", "accuracy_vs_round.svg")
-        }
+        # one source directory holding every plotted table: report re-draws
+        # exactly the SVGs the commands drew, byte for byte
+        for args in (
+            [
+                "analytic", "--k-grid=-2:2:0.25", "--j", "--beta", "uniform:-1:1",
+                "--gamma-grid", "0.5:1.5:0.25", "--out", "o",
+            ],
+            ["mc", "--eta", "0.004", "--n", "30000", "--out", "o"],
+            ["decay", "--steps", "3000", "--stride", "50", "--out", "o"],
+            TestTrain.ARGS,
+        ):
+            res = run_cli(args, cwd=tmp_path)
+            assert res.returncode == 0, res.stderr
+        originals = {p.name: p.read_bytes() for p in (tmp_path / "o").glob("*.svg")}
+        assert sorted(originals) == [
+            "accuracy_vs_round.svg", "decay_c.svg", "drift_vs_eta.svg",
+            "j_fn.svg", "k_fn.svg", "sparsity_vs_round.svg",
+        ]
         res = run_cli(["report", "--source", "o", "--out", "r"], cwd=tmp_path)
         assert res.returncode == 0, res.stderr
-        for name, data in originals.items():
-            assert (tmp_path / "r" / name).read_bytes() == data
+        assert {p.name: p.read_bytes() for p in (tmp_path / "r").glob("*.svg")} == originals
 
 
 class TestArgparseSurface:

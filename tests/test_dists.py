@@ -88,7 +88,6 @@ class TestDensity:
         assert math.isclose(d.density(0.5), expected, rel_tol=1e-14)
 
     def test_point_mass_has_no_density(self):
-        assert not PointMass(0.0).has_density
         with pytest.raises(DomainError):
             PointMass(0.0).density(0.0)
 

@@ -108,7 +108,6 @@ class TestConfigs:
             dict(eta=0.1, c=1.0, alpha=-0.1),
             dict(eta=0.1, c=1.0, seed=-1),
             dict(eta=0.1, c=1.0, seed=2**64),
-            dict(eta=0.1, c=1.0, heaviside_at_zero=1.0),
         ],
     )
     def test_update_config_rejects(self, kw):

@@ -107,6 +107,32 @@ class TestPrunedCopy:
         assert not pruned.dense_blocks()[1].w[2].any()
         assert model.dense_blocks()[1].w[2].any()
 
+    @pytest.mark.parametrize("norm", ["psbn", "none"])
+    def test_constant_dead_unit_is_removable(self, norm):
+        # the dead unit still emits relu(beta + alpha) = 0.75 (psbn) or
+        # relu(b) = 0.5 (no norm); every value here is a small dyadic
+        # rational, so the forward is exact and only a dropped constant
+        # could move a bit
+        model = small_model(norm, hidden_layers=1, **({"alpha": 0.25} if norm == "psbn" else {}))
+        first, last = model.dense_blocks()
+        first.w[:] = np.arange(first.w.size).reshape(first.w.shape) % 5 - 2
+        last.w[:] = (np.arange(last.w.size).reshape(last.w.shape) % 7 - 3) / 4
+        if norm == "psbn":
+            bn = model.norm_blocks()[0][1]
+            bn.state.eps = 0.0  # unit running variance then normalizes exactly
+            bn.state.gamma[:] = 0.5
+            bn.state.gamma[2] = 0.0
+            bn.state.beta[2] = 0.5
+        else:
+            first.w[:, 2] = 0.0
+            first.b[2] = 0.5
+        x = np.arange(30.0).reshape(5, 6) % 4 - 1
+        before = model.forward(x, "eval")
+        pruned, n = pruned_copy(model, threshold=1e-3)
+        assert n == 1
+        assert not pruned.dense_blocks()[1].w[2].any()
+        assert np.array_equal(pruned.forward(x, "eval"), before)
+
     def test_nothing_collapsed_nothing_changes(self):
         model = small_model()
         x = np.random.default_rng(3).standard_normal((4, 6))

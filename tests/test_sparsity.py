@@ -12,7 +12,6 @@ from collapse_lab.sparsity import (
     filter_l1_histogram,
     flops_reduction,
     histogram_csv_rows,
-    report_csv_rows,
     report_from_chain,
     report_to_json,
 )
@@ -194,13 +193,6 @@ class TestSerialization:
             "per_layer", "sparsity_ratio", "flops_total",
             "flops_after_prune", "flops_reduction", "threshold",
         }
-
-    def test_csv_rows(self):
-        header, rows = report_csv_rows(self.REPORT)
-        assert header[:3] == ["layer_id", "total_channels", "collapsed_channels"]
-        assert len(rows) == 1
-        assert rows[0][:3] == [0, 4, 1]
-        assert len(rows[0]) == len(header)
 
     def test_histogram_csv(self):
         header, rows = histogram_csv_rows(filter_l1_histogram(np.zeros((2, 2))))
