@@ -13,7 +13,7 @@ the two files are byte-identical.
 
 Distribution arguments use a kind:param:param mini-grammar:
 ``uniform:-1:1``, ``normal:0:0.5``, ``point:0``. Grids are ``lo:hi:step``
-with both endpoints included.
+with both endpoints included; hi - lo must be a whole number of steps.
 
 Configuration precedence: command-line flags override config-file values,
 which override preset values. The config file is INI-style with one
@@ -61,10 +61,12 @@ def parse_grid(text: str) -> np.ndarray:
         raise ConfigError(f"grid values must be finite, got {text!r}")
     if step <= 0 or hi <= lo:
         raise ConfigError(f"grid needs hi > lo and step > 0, got {text!r}")
-    n = int(round((hi - lo) / step)) + 1
-    if n > 10_000_000:
-        raise ConfigError(f"grid too large ({n} points): {text!r}")
-    return np.linspace(lo, hi, n)
+    spans = (hi - lo) / step
+    if not spans < 10_000_000:
+        raise ConfigError(f"grid too large ({spans:.4g} steps): {text!r}")
+    if round(spans) < 1 or abs(spans - round(spans)) > 1e-9 * spans:
+        raise ConfigError(f"grid span hi - lo must be a whole number of steps, got {text!r}")
+    return np.linspace(lo, hi, round(spans) + 1)
 
 
 def _parse_bool(text: str) -> bool:

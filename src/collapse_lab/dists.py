@@ -38,6 +38,10 @@ class ScalarDist:
     def support(self) -> tuple[float, float]:
         raise NotImplementedError
 
+    def shifted(self, a: float) -> "ScalarDist":
+        """The distribution of z + a."""
+        raise NotImplementedError
+
     @property
     def is_even(self) -> bool:
         """True when the distribution is symmetric about zero."""
@@ -72,6 +76,9 @@ class Uniform(ScalarDist):
 
     def support(self):
         return (self.lo, self.hi)
+
+    def shifted(self, a):
+        return Uniform(self.lo + a, self.hi + a)
 
     @property
     def is_even(self):
@@ -110,6 +117,9 @@ class Normal(ScalarDist):
     def support(self):
         return (-math.inf, math.inf)
 
+    def shifted(self, a):
+        return Normal(self.loc + a, self.scale)
+
     @property
     def is_even(self):
         return self.loc == 0.0
@@ -140,6 +150,9 @@ class PointMass(ScalarDist):
 
     def support(self):
         return (self.value, self.value)
+
+    def shifted(self, a):
+        return PointMass(self.value + a)
 
     @property
     def is_even(self):

@@ -13,16 +13,18 @@ needed for determinism). alpha > 0 is the post-shift variant: it enters
 only through the Heaviside argument, since a constant output shift changes
 no gradient.
 
-``one_step_drift`` estimates E[Phi(beta'/gamma')] - E[Phi(beta/gamma)]
-over a fresh ensemble and compares it with the closed-form prediction.
-The estimator evaluates each neuron at +g and -g and averages the pair.
-Every admissible noise distribution here is symmetric (mean-0 uniform and
-normal, and the point mass at 0), so the pair average has the same
-expectation as a single draw while cancelling the first-order term of the
-Taylor expansion exactly; what remains is the second-order signal plus
-O(eta^4) spread. Without the pairing, the first-order term dominates the
-variance by a factor of about 1/eta^2 and the drift sign is unresolvable
-at any practical sample count for eta below about 0.01.
+``update_step`` is the rule's only copy; the drift estimator and
+``sgd_trajectory`` call it on whole ensembles. ``one_step_drift``
+estimates the one-step change in E[Phi((beta+alpha)/gamma)] over a fresh
+ensemble against the closed form, evaluating each neuron at +g and -g
+and averaging the pair. Every admissible noise distribution here is
+symmetric (mean-0 uniform and normal, and the point mass at 0), so the
+pair average has the same expectation as a single draw while cancelling
+the first-order term of the Taylor expansion exactly; what remains is the
+second-order signal plus O(eta^4) spread. Without the pairing, the
+first-order term dominates the variance by a factor of about 1/eta^2 and
+the drift sign is unresolvable at any practical sample count for eta
+below about 0.01.
 
 Parallel runs are deterministic: work is cut into fixed chunks of 10^6
 neurons, chunk i draws from PCG64 seeded by SeedSequence([seed, i]), and
@@ -176,20 +178,15 @@ class DecayResult:
     alpha: float
 
 
-def update_step(gamma: float, beta: float, x_hat: float, grad: float, cfg: UpdateConfig):
-    """One gradient update of (gamma, beta); decay is applied separately.
+def update_step(gamma, beta, x_hat, grad, cfg: UpdateConfig):
+    """One gradient update of an ensemble of (gamma, beta); decay is applied separately.
 
-    Returns (delta_gamma, delta_beta). Both are exactly 0 when the
-    pre-activation gamma*x_hat + beta + alpha is <= 0, and otherwise
-    satisfy delta_gamma = x_hat * delta_beta exactly (delta_gamma is
-    computed as that product).
+    Elementwise over arrays (or scalars) of one shape, with no finiteness
+    scan (callers validate). Returns (delta_gamma, delta_beta), both 0 where
+    gamma*x_hat + beta + alpha <= 0, tested as gamma*x_hat + beta <= -alpha
+    (a rounded sum keeps its sign); delta_gamma = x_hat * delta_beta exactly.
     """
-    for name, v in (("gamma", gamma), ("beta", beta), ("x_hat", x_hat), ("grad", grad)):
-        if not math.isfinite(v):
-            raise DomainError(f"{name} must be finite, got {v}")
-    if gamma * x_hat + beta + cfg.alpha <= 0:
-        return 0.0, 0.0
-    delta_beta = -cfg.eta * grad
+    delta_beta = np.where(gamma * x_hat + beta > -cfg.alpha, -cfg.eta * grad, 0.0)
     return x_hat * delta_beta, delta_beta
 
 
@@ -200,23 +197,20 @@ def _drift_chunk(spec: EnsembleSpec, cfg: UpdateConfig, index: int, size: int):
     beta = spec.beta_dist.sample(rng, size)
     x_hat = rng.standard_normal(size)
     grad = cfg.noise_dist.sample(rng, size)
-    p0 = ndtr(beta / gamma)
-    active = (gamma * x_hat + beta + cfg.alpha) > 0
-    step = np.where(active, -cfg.eta * grad, 0.0)
-    total = None
+    p0 = ndtr((beta + cfg.alpha) / gamma)
     crossings = 0
-    for sign in (1.0, -1.0):
-        d_beta = sign * step
-        gamma2 = gamma + x_hat * d_beta
-        beta2 = beta + d_beta
+
+    def change(gamma2, beta2):
+        nonlocal crossings
         crossings += int(np.count_nonzero(gamma2 <= 0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = beta2 / gamma2
-        # 0/0 only when beta' = gamma' = 0; treat that ratio as 0
-        ratio = np.where(np.isnan(ratio), 0.0, ratio)
-        delta = ndtr(ratio) - p0
-        total = delta if total is None else total + delta
-    pair = 0.5 * total
+            ratio = (beta2 + cfg.alpha) / gamma2
+        # 0/0 only when beta' + alpha = gamma' = 0; treat that ratio as 0
+        return ndtr(np.where(np.isnan(ratio), 0.0, ratio)) - p0
+
+    # the gate does not depend on g, so the -g twin moves by exactly -delta
+    d_gamma, d_beta = update_step(gamma, beta, x_hat, grad, cfg)
+    pair = 0.5 * (change(gamma + d_gamma, beta + d_beta) + change(gamma - d_gamma, beta - d_beta))
     return float(np.sum(pair)), float(np.dot(pair, pair)), crossings
 
 
@@ -227,15 +221,15 @@ def one_step_drift(
     threads: int | None = None,
     predicted: float | None = None,
 ) -> DriftEstimate:
-    """Estimate the one-step change in E[Phi(beta/gamma)] over an ensemble.
+    """Estimate the one-step change in E[Phi((beta+alpha)/gamma)] over an ensemble.
 
     Samples spec.count neurons, applies one gradient update to each (no
-    decay), and averages Phi(beta'/gamma') - Phi(beta/gamma) with the
-    antithetic +/-g pairing described in the module docstring. The
-    returned estimate carries the closed-form prediction and the 3-sigma
-    agreement flag. Neurons whose gamma crosses <= 0 (step too large for
-    the second-order regime) are counted in gamma_crossings but still
-    included via the cdf's own sign convention.
+    decay), and averages the change over each antithetic +/-g pair. Since
+    (gamma, beta + alpha) follows the unshifted rule, the prediction, with
+    its 3-sigma agreement flag, is the closed form for beta shifted by
+    alpha. Neurons whose gamma crosses <= 0 (step too large for the
+    second-order regime) are counted in gamma_crossings but still included
+    via the cdf's own sign convention.
 
     ``predicted`` short-circuits the quadrature when the caller already
     holds the prediction (grid runs share one quadrature per distribution
@@ -243,8 +237,6 @@ def one_step_drift(
     """
     if spec.count < 10_000:
         raise DomainError(f"count must be >= 10^4 for a meaningful estimate, got {spec.count}")
-    if cfg.alpha != 0:
-        raise DomainError("one_step_drift models the unshifted rule; alpha must be 0")
     require_gamma_support(spec.gamma_dist)
     n = spec.count
     sizes = [CHUNK_SIZE] * (n // CHUNK_SIZE)
@@ -263,7 +255,7 @@ def one_step_drift(
     var = max(s2 - s1 * s1 / n, 0.0) / (n - 1) if n > 1 else 0.0
     se = math.sqrt(var / n)
     if predicted is None:
-        predicted = drift_prediction(cfg.eta, cfg.c, spec.gamma_dist, spec.beta_dist, quad).value
+        predicted = drift_prediction(cfg.eta, cfg.c, spec.gamma_dist, spec.beta_dist.shifted(cfg.alpha), quad).value
     return DriftEstimate(
         empirical_mean=mean,
         std_error=se,
@@ -274,61 +266,49 @@ def one_step_drift(
     )
 
 
-def _record(step: int, gamma: float, beta: float, threshold: float) -> TrajectoryRecord:
-    return TrajectoryRecord(
-        step=step,
-        gamma=gamma,
-        beta=beta,
-        activation_prob=std_normal_cdf(beta / gamma) if gamma != 0 else (0.5 if beta == 0 else float(beta > 0)),
-        collapsed=abs(gamma) < threshold,
-    )
+def sgd_trajectory(gamma, beta, steps: int, cfg: UpdateConfig, stride: int = 1):
+    """Ensemble trace: gradient update then coupled decay, every step.
 
-
-def sgd_trajectory(
-    initial: tuple[float, float],
-    steps: int,
-    cfg: UpdateConfig,
-    stride: int = 1,
-    collapse_threshold: float = COLLAPSE_THRESHOLD,
-) -> list[TrajectoryRecord]:
-    """Multi-step trace: gradient update then coupled decay, every step.
-
-    Records the state at step 0 and at every ``stride`` steps (the final
-    step always included). Raises DivergenceError carrying the records so
-    far if the state leaves the finite range.
+    ``gamma`` and ``beta`` hold N neurons' initial state (1-D arrays of one
+    shape, or scalars for N = 1). Returns (recorded steps, gamma, beta), the
+    last two of shape (records, N): the state at step 0 and every ``stride``
+    steps, the final step always included. Raises DivergenceError carrying
+    that triple for the rows so far if the state leaves the finite range.
     """
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride}")
-    gamma, beta = float(initial[0]), float(initial[1])
     shrink = 1.0 - cfg.eta * cfg.weight_decay
     if shrink <= 0:
         raise ConfigError(f"eta * weight_decay must be < 1, got {cfg.eta * cfg.weight_decay}")
-    records = [_record(0, gamma, beta, collapse_threshold)]
+    gamma, beta = (np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in (gamma, beta))
+    if gamma.ndim != 1 or gamma.shape != beta.shape:
+        raise DomainError(f"gamma and beta must be scalars or 1-D arrays of one shape, got {gamma.shape}, {beta.shape}")
+    if not (np.isfinite(gamma).all() and np.isfinite(beta).all()):
+        raise DomainError("initial gamma and beta must be finite")
+    recorded = np.unique(np.append(np.arange(0, steps, stride), steps))
+    gammas, betas = np.empty((2, recorded.size, gamma.size))
+    gammas[0], betas[0] = gamma, beta
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed])))
-    alpha, eta = cfg.alpha, cfg.eta
-    done = 0
+    done = row = 0
     while done < steps:
-        block = min(8192, steps - done)
-        x_block = rng.standard_normal(block).tolist()
-        g_block = cfg.noise_dist.sample(rng, block).tolist()
-        for i in range(block):
-            x_hat = x_block[i]
-            if gamma * x_hat + beta + alpha > 0:
-                d_beta = -eta * g_block[i]
-                gamma += x_hat * d_beta
-                beta += d_beta
-            gamma *= shrink
-            beta *= shrink
+        block = min(max(1, 8192 // gamma.size), steps - done)
+        x_block = rng.standard_normal((block, gamma.size))
+        g_block = cfg.noise_dist.sample(rng, (block, gamma.size))
+        for x_hat, grad in zip(x_block, g_block):
+            d_gamma, d_beta = update_step(gamma, beta, x_hat, grad, cfg)
+            gamma = (gamma + d_gamma) * shrink
+            beta = (beta + d_beta) * shrink
             done += 1
-            if not (math.isfinite(gamma) and math.isfinite(beta)):
-                raise DivergenceError(
-                    f"non-finite state at step {done}", partial=records
-                )
-            if done % stride == 0 or done == steps:
-                records.append(_record(done, gamma, beta, collapse_threshold))
-    return records
+            if done == recorded[row + 1]:
+                # inf and nan persist, so checking each record catches any divergence
+                if not (np.isfinite(gamma).all() and np.isfinite(beta).all()):
+                    partial = (recorded[: row + 1], gammas[: row + 1], betas[: row + 1])
+                    raise DivergenceError(f"non-finite state by step {done}", partial=partial)
+                row += 1
+                gammas[row], betas[row] = gamma, beta
+    return recorded, gammas, betas
 
 
 def decay_trajectory(
@@ -342,7 +322,7 @@ def decay_trajectory(
 
     The tracked quantity is C = (beta + alpha) / |gamma|, the shifted
     pre-activation margin: the unit can fire for some positive input once
-    C >= 0. Under pure decay C obeys
+    C >= 0, and its firing probability is Phi(C). Under pure decay C obeys
 
         C[t+1] = C[t] + (eta*lambda / (1 - eta*lambda)) * alpha / |gamma[t]|
 
@@ -369,17 +349,21 @@ def decay_trajectory(
         raise DomainError("initial gamma must be nonzero")
     if (beta + cfg.alpha) / abs(gamma) >= 0:
         raise DomainError("initial state must be dead: (beta + alpha) / |gamma| < 0")
-    records = [_record(0, gamma, beta, collapse_threshold)]
+
+    def record(t: int) -> TrajectoryRecord:
+        prob = std_normal_cdf((beta + cfg.alpha) / abs(gamma))
+        return TrajectoryRecord(t, gamma, beta, prob, abs(gamma) < collapse_threshold)
+
+    records = [record(0)]
     reactivation = None
     for t in range(1, steps + 1):
         gamma *= shrink
         beta *= shrink
-        if t % stride == 0 or t == steps:
-            records.append(_record(t, gamma, beta, collapse_threshold))
-        if (beta + cfg.alpha) / abs(gamma) >= 0:
+        revived = (beta + cfg.alpha) / abs(gamma) >= 0
+        if revived or t % stride == 0 or t == steps:
+            records.append(record(t))
+        if revived:
             reactivation = t
-            if records[-1].step != t:
-                records.append(_record(t, gamma, beta, collapse_threshold))
             break
     return DecayResult(records=tuple(records), reactivation_step=reactivation, alpha=cfg.alpha)
 

@@ -102,6 +102,14 @@ class TestAnalytic:
         assert "--j requires --beta" in res.stderr
         assert os.listdir(tmp_path / "o") == []
 
+    @pytest.mark.parametrize("grid", ["0:1:0.3", "0:1:5"])
+    def test_grid_step_must_divide_span(self, tmp_path, grid):
+        # 0.3 does not divide the span 1, and 5 overshoots it
+        res = run_cli(["analytic", "--k-grid", grid, "--out", "o"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "whole number of steps" in res.stderr
+        assert os.listdir(tmp_path / "o") == []
+
     def test_gamma_support_through_zero_is_config_error(self, tmp_path):
         res = run_cli(
             ["analytic", "--drift", "--gamma", "normal:1:0.1", "--beta", "uniform:-1:1", "--out", "o"],
@@ -198,6 +206,17 @@ class TestDecay:
         rows = read_rows(tmp_path / "o" / "decay.csv")
         assert rows[-1]["step"] == 2397
         assert rows[-1]["c_margin"] >= 0
+
+    def test_activation_prob_is_shifted_margin_cdf(self, tmp_path):
+        """At reactivation the margin is just above 0, so the unit fires
+        with probability Phi(C) >= 0.5, alpha included."""
+        res = run_cli(["decay", "--out", "o"], cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        rows = read_rows(tmp_path / "o" / "decay.csv")
+        assert rows[-1]["step"] == 2397
+        for row in rows:
+            assert row["activation_prob"] == analytic.std_normal_cdf(row["c_margin"])
+        assert rows[-1]["activation_prob"] >= 0.5
 
     def test_alpha_zero_is_a_flag_error(self, tmp_path):
         res = run_cli(["decay", "--alpha", "0", "--out", "o"], cwd=tmp_path)

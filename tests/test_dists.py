@@ -69,6 +69,16 @@ class TestMoments:
         assert PointMass(0.0).is_even
         assert not PointMass(1.0).is_even
 
+    @pytest.mark.parametrize("d", [Uniform(-1.0, 1.0), Normal(0.5, 2.0), PointMass(0.25)], ids=str)
+    def test_shifted_moves_location_only(self, d):
+        moved = d.shifted(0.3)
+        assert type(moved) is type(d)
+        assert moved.mean() == pytest.approx(d.mean() + 0.3, abs=1e-15)
+        assert moved.sd() == pytest.approx(d.sd(), rel=1e-15)
+        lo, hi = d.support()
+        assert moved.support() == (lo + 0.3, hi + 0.3)
+        assert d.shifted(0.0) == d
+
 
 class TestDensity:
     def test_uniform_density(self):

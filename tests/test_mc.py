@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from collapse_lab.analytic import drift_prediction
 from collapse_lab.dists import Normal, PointMass, Uniform
 from collapse_lab.errors import ConfigError, DivergenceError, DomainError, SingularityError
 from collapse_lab.mc import (
@@ -22,6 +23,7 @@ from collapse_lab.mc import (
     update_step,
     verify_theorem,
 )
+from collapse_lab.sparsity import COLLAPSE_THRESHOLD
 
 FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -34,45 +36,54 @@ def cfg_with(**kw) -> UpdateConfig:
 
 class TestUpdateStep:
     def test_active_unit(self):
-        # pre-activation 1*0.5 + 0.1 = 0.6 > 0, so the update fires
-        dg, db = update_step(1.0, 0.1, 0.5, 2.0, cfg_with(eta=0.1))
-        assert (dg, db) == (-0.1, -0.2)
+        # pre-activations 1*0.5 + 0.1 = 0.6 and 2*0.25 + 0 = 0.5 are > 0, so both fire
+        dg, db = update_step(
+            np.array([1.0, 2.0]), np.array([0.1, 0.0]), np.array([0.5, 0.25]), np.array([2.0, -1.0]),
+            cfg_with(eta=0.1),
+        )
+        assert db.tolist() == [-0.2, 0.1]
+        assert dg.tolist() == [-0.1, 0.025]
 
     def test_dead_unit(self):
-        dg, db = update_step(1.0, -2.0, 0.5, 2.0, cfg_with(eta=0.1))
-        assert (dg, db) == (0.0, 0.0)
+        dg, db = update_step(
+            np.array([1.0, 0.5]), np.array([-2.0, 0.1]), np.array([0.5, -1.0]), np.array([2.0, 3.0]),
+            cfg_with(eta=0.1),
+        )
+        assert db.tolist() == [0.0, 0.0] and dg.tolist() == [0.0, 0.0]
 
     def test_exactly_zero_pre_activation(self):
-        # 1*0.5 - 0.5 = 0 and H(0) = 0, so no update
-        dg, db = update_step(1.0, -0.5, 0.5, 7.0, cfg_with(eta=0.1))
-        assert (dg, db) == (0.0, 0.0)
+        # 1*0.5 - 0.5 = 0 and H(0) = 0, so no update; the active neighbour still moves
+        dg, db = update_step(
+            np.array([1.0, 1.0]), np.array([-0.5, 0.5]), np.array([0.5, 0.5]), np.array([7.0, 7.0]),
+            cfg_with(eta=0.1),
+        )
+        assert (dg[0], db[0]) == (0.0, 0.0)
+        assert db[1] == pytest.approx(-0.7) and dg[1] == 0.5 * db[1]
 
     def test_shift_enters_heaviside(self):
         # dead without the shift, active with it
-        cfg0 = cfg_with(eta=0.1, alpha=0.0)
-        cfg1 = cfg_with(eta=0.1, alpha=0.2)
-        assert update_step(1.0, -0.1, 0.0, 3.0, cfg0) == (0.0, 0.0)
-        dg, db = update_step(1.0, -0.1, 0.0, 3.0, cfg1)
-        assert db == pytest.approx(-0.3) and dg == 0.0
+        args = (np.array([1.0]), np.array([-0.1]), np.array([0.0]), np.array([3.0]))
+        dg, db = update_step(*args, cfg_with(eta=0.1, alpha=0.0))
+        assert (dg[0], db[0]) == (0.0, 0.0)
+        dg, db = update_step(*args, cfg_with(eta=0.1, alpha=0.2))
+        assert db[0] == pytest.approx(-0.3) and dg[0] == 0.0
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(DomainError):
-            update_step(float("nan"), 0.0, 0.0, 0.0, cfg_with())
-
-    @given(gamma=FINITE, beta=FINITE, x_hat=FINITE, grad=FINITE)
-    def test_coupling_identity(self, gamma, beta, x_hat, grad):
+    @given(cols=st.lists(st.tuples(FINITE, FINITE, FINITE, FINITE), min_size=1, max_size=8),
+           alpha=st.floats(min_value=0.0, max_value=1.0))
+    def test_coupling_identity(self, cols, alpha):
         """delta_gamma = x_hat * delta_beta, exactly, active or not."""
-        dg, db = update_step(gamma, beta, x_hat, grad, cfg_with(eta=0.05))
-        if gamma * x_hat + beta <= 0:
-            assert dg == 0.0 and db == 0.0
-        else:
-            assert db == -0.05 * grad
-            assert dg == x_hat * db
+        gamma, beta, x_hat, grad = (np.array(c) for c in zip(*cols))
+        dg, db = update_step(gamma, beta, x_hat, grad, cfg_with(eta=0.05, alpha=alpha))
+        active = gamma * x_hat + beta + alpha > 0
+        assert np.all(dg[~active] == 0.0) and np.all(db[~active] == 0.0)
+        assert np.array_equal(db[active], -0.05 * grad[active])
+        assert np.array_equal(dg, x_hat * db)
 
-    @given(gamma=FINITE, beta=FINITE, x_hat=FINITE, grad=FINITE)
-    def test_zero_eta_never_moves(self, gamma, beta, x_hat, grad):
+    @given(cols=st.lists(st.tuples(FINITE, FINITE, FINITE, FINITE), min_size=1, max_size=8))
+    def test_zero_eta_never_moves(self, cols):
+        gamma, beta, x_hat, grad = (np.array(c) for c in zip(*cols))
         dg, db = update_step(gamma, beta, x_hat, grad, cfg_with(eta=0.0))
-        assert dg == 0.0 and db == 0.0
+        assert np.all(dg == 0.0) and np.all(db == 0.0)
 
 
 class TestConfigs:
@@ -175,9 +186,15 @@ class TestOneStepDrift:
         with pytest.raises(DomainError):
             one_step_drift(small, cfg_with(eta=0.01))
 
-    def test_rejects_shifted_rule(self):
-        with pytest.raises(DomainError):
-            one_step_drift(SPEC_UU, cfg_with(eta=0.01, alpha=0.1))
+    @pytest.mark.parametrize("alpha", [0.1, 0.3])
+    def test_shifted_rule_agrees(self, alpha):
+        """Post-shift: Phi((beta+alpha)/gamma) drifts as the unshifted closed
+        form with beta shifted by alpha, and not as the unshifted form itself."""
+        spec = EnsembleSpec(Uniform(0.5, 1.5), Uniform(-1, 1), count=4_000_000)
+        est = one_step_drift(spec, cfg_with(eta=0.01, alpha=alpha, seed=0))
+        assert est.agree, (est.empirical_mean, est.predicted, est.std_error)
+        unshifted = drift_prediction(0.01, 1.0, spec.gamma_dist, spec.beta_dist).value
+        assert abs(unshifted - est.predicted) > 10 * est.std_error
 
     def test_rejects_gamma_near_zero(self):
         spec = EnsembleSpec(Uniform(0.01, 1.0), Uniform(-1, 1), count=20_000)
@@ -185,58 +202,103 @@ class TestOneStepDrift:
             one_step_drift(spec, cfg_with(eta=0.01))
 
 
+def scalar_loop(gamma0, beta0, steps, cfg):
+    """The rule one neuron at a time in plain floats, reading the draws in
+    the order sgd_trajectory does: blocks of 8192 // N steps, x then g."""
+    gamma, beta = list(gamma0), list(beta0)
+    n, shrink = len(gamma), 1.0 - cfg.eta * cfg.weight_decay
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed])))
+    done = 0
+    while done < steps:
+        block = min(8192 // n, steps - done)
+        xs = rng.standard_normal((block, n)).tolist()
+        gs = cfg.noise_dist.sample(rng, (block, n)).tolist()
+        for x_row, g_row in zip(xs, gs):
+            for i in range(n):
+                if gamma[i] * x_row[i] + beta[i] + cfg.alpha > 0:
+                    d_beta = -cfg.eta * g_row[i]
+                    gamma[i] += x_row[i] * d_beta
+                    beta[i] += d_beta
+                gamma[i] *= shrink
+                beta[i] *= shrink
+        done += block
+    return gamma, beta
+
+
 class TestSgdTrajectory:
     def test_frozen_when_nothing_acts(self):
-        recs = sgd_trajectory((1.0, 0.3), 100, cfg_with(eta=0.0, weight_decay=0.0, seed=2))
-        assert all(r.gamma == 1.0 and r.beta == 0.3 for r in recs)
+        _, gamma, beta = sgd_trajectory([1.0, 2.0], [0.3, -0.4], 100, cfg_with(eta=0.0, weight_decay=0.0, seed=2))
+        assert np.all(gamma == [1.0, 2.0]) and np.all(beta == [0.3, -0.4])
 
     def test_zero_c_only_decays(self):
         # c = 0 means every gradient is 0; the state shrinks but the ratio holds
-        recs = sgd_trajectory((1.0, 0.3), 50, cfg_with(eta=0.1, c=0.0, weight_decay=0.01, seed=2))
-        assert recs[-1].gamma == pytest.approx((1 - 0.001) ** 50)
-        assert recs[-1].beta / recs[-1].gamma == pytest.approx(0.3, rel=1e-12)
+        _, gamma, beta = sgd_trajectory(1.0, 0.3, 50, cfg_with(eta=0.1, c=0.0, weight_decay=0.01, seed=2))
+        assert gamma[-1, 0] == pytest.approx((1 - 0.001) ** 50)
+        assert beta[-1, 0] / gamma[-1, 0] == pytest.approx(0.3, rel=1e-12)
 
     def test_record_stride(self):
-        recs = sgd_trajectory((1.0, 0.0), 100, cfg_with(seed=0), stride=10)
-        assert [r.step for r in recs] == [0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
+        steps, gamma, beta = sgd_trajectory(np.ones(3), np.zeros(3), 100, cfg_with(seed=0), stride=10)
+        assert steps.tolist() == [0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
+        assert gamma.shape == beta.shape == (11, 3)
 
     def test_final_step_always_recorded(self):
-        recs = sgd_trajectory((1.0, 0.0), 95, cfg_with(seed=0), stride=10)
-        assert recs[-1].step == 95
+        steps, _, _ = sgd_trajectory(1.0, 0.0, 95, cfg_with(seed=0), stride=10)
+        assert steps[-1] == 95
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_matches_scalar_loop(self, n):
+        """Every neuron of the ensemble follows the rule bit for bit, active
+        and dead ones alike, across noise blocks (9000 > 8192 and
+        3000 > 8192 // 3 steps)."""
+        cfg = cfg_with(eta=0.05, c=1.0, weight_decay=0.01, alpha=0.1, seed=4)
+        gamma0, beta0 = [1.0, 0.5, 2.0][:n], [0.2, -3.0, 0.0][:n]
+        steps = 9000 if n == 1 else 3000
+        _, gamma, beta = sgd_trajectory(gamma0, beta0, steps, cfg, stride=steps)
+        assert (gamma[-1].tolist(), beta[-1].tolist()) == scalar_loop(gamma0, beta0, steps, cfg)
 
     def test_dead_zone_ratio_invariance(self):
         """A unit far below the activation edge only feels decay: beta/gamma
         stays put to 1e-12 relative over 1e5 steps."""
         cfg = cfg_with(eta=0.1, c=1.0, weight_decay=0.01, seed=9)
-        recs = sgd_trajectory((1.0, -10.0), 100_000, cfg, stride=1000)
-        r0 = recs[0].beta / recs[0].gamma
-        worst = max(abs(r.beta / r.gamma - r0) / abs(r0) for r in recs)
+        _, gamma, beta = sgd_trajectory(1.0, -10.0, 100_000, cfg, stride=1000)
+        ratio = beta[:, 0] / gamma[:, 0]
+        worst = np.max(np.abs(ratio - ratio[0]) / abs(ratio[0]))
         assert worst < 1e-12
-        assert recs[-1].collapsed  # decay alone took gamma below the threshold
+        assert abs(gamma[-1, 0]) < COLLAPSE_THRESHOLD  # decay alone took gamma below the threshold
 
     def test_determinism(self):
-        a = sgd_trajectory((1.0, 0.1), 500, cfg_with(seed=21))
-        b = sgd_trajectory((1.0, 0.1), 500, cfg_with(seed=21))
-        assert a == b
+        a = sgd_trajectory([1.0, 0.5], [0.1, -0.1], 500, cfg_with(seed=21))
+        b = sgd_trajectory([1.0, 0.5], [0.1, -0.1], 500, cfg_with(seed=21))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_divergence_carries_partial_records(self):
         cfg = cfg_with(eta=1e300, c=1e10, seed=0)
-        with pytest.raises(DivergenceError) as err:
-            sgd_trajectory((1.0, 0.5), 1000, cfg)
-        assert isinstance(err.value.partial, list) and err.value.partial
+        with pytest.raises(DivergenceError) as err, np.errstate(over="ignore", invalid="ignore"):
+            sgd_trajectory([1.0, 1.0], [0.5, 0.5], 1000, cfg)
+        steps, gamma, beta = err.value.partial
+        assert steps.size and gamma.shape == beta.shape == (steps.size, 2)
+        assert np.isfinite(gamma).all() and np.isfinite(beta).all()
 
     def test_shrink_must_stay_positive(self):
         with pytest.raises(ConfigError):
-            sgd_trajectory((1.0, 0.0), 10, cfg_with(eta=1.0, weight_decay=1.0))
+            sgd_trajectory(1.0, 0.0, 10, cfg_with(eta=1.0, weight_decay=1.0))
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            sgd_trajectory((1.0, 0.0), 0, cfg_with())
+            sgd_trajectory(1.0, 0.0, 0, cfg_with())
         with pytest.raises(DomainError):
-            sgd_trajectory((1.0, 0.0), 10, cfg_with(), stride=0)
+            sgd_trajectory(1.0, 0.0, 10, cfg_with(), stride=0)
+        with pytest.raises(DomainError):
+            sgd_trajectory([1.0, 1.0], [0.0, 0.0, 0.0], 10, cfg_with())
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(DomainError):
+            sgd_trajectory([1.0, float("nan")], [0.0, 0.0], 10, cfg_with())
+        with pytest.raises(DomainError):
+            sgd_trajectory(1.0, float("inf"), 10, cfg_with())
 
     def test_two_arm_collapse_fractions(self):
-        """Larger learning rate, more collapsed endpoints (100 seeds per arm).
+        """Larger learning rate, more collapsed endpoints (1000 neurons per arm).
 
         Arms follow the active-start recipe: eta 0.5 vs 0.05, c = 5,
         lambda = 5e-4, 1e4 steps. The collapse cut uses 0.1 rather than the
@@ -245,12 +307,9 @@ class TestSgdTrajectory:
         the cool one, so 0.1 separates the regimes this horizon can reach.
         """
         def fraction(eta: float) -> float:
-            ends = []
-            for seed in range(100):
-                cfg = UpdateConfig(eta=eta, c=5.0, weight_decay=5e-4, seed=seed)
-                recs = sgd_trajectory((1.0, 0.0), 10_000, cfg, stride=10_000, collapse_threshold=0.1)
-                ends.append(recs[-1].collapsed)
-            return sum(ends) / len(ends)
+            cfg = UpdateConfig(eta=eta, c=5.0, weight_decay=5e-4, seed=0)
+            _, gamma, _ = sgd_trajectory(np.ones(1000), np.zeros(1000), 10_000, cfg, stride=10_000)
+            return float(np.mean(np.abs(gamma[-1]) < 0.1))
 
         hot, cool = fraction(0.5), fraction(0.05)
         assert hot > cool
@@ -294,6 +353,7 @@ class TestDecayTrajectory:
         assert result.reactivation_step is not None
         last = result.records[-1]
         assert (last.beta + 0.1) / abs(last.gamma) >= 0
+        assert last.activation_prob >= 0.5  # Phi of the shifted margin
         assert last.step == result.reactivation_step
 
     def test_not_reached_when_horizon_short(self):
