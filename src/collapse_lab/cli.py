@@ -99,7 +99,6 @@ def _parse_format(text: str) -> str:
 _COMMON = [
     ("out", str, "out", "output directory"),
     ("seed", int, 0, "base seed"),
-    ("threads", int, None, "worker cap (also capped by COLLAPSE_LAB_THREADS)"),
     ("format", _parse_format, "csv", "table format for single-value outputs: csv or json"),
 ]
 
@@ -124,6 +123,7 @@ _OPTIONS = {
         ("gamma", parse_dist, parse_dist("uniform:0.5:1.5"), "gamma distribution"),
         ("beta", parse_dist, parse_dist("uniform:-1:1"), "beta distribution"),
         ("n", _parse_count, 1_000_000, "neurons to sample"),
+        ("threads", int, None, "worker cap (also capped by COLLAPSE_LAB_THREADS)"),
     ],
     "decay": [
         ("gamma", float, 1.0, "initial scale"),

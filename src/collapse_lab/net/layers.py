@@ -12,7 +12,9 @@ shift changes only where the following ReLU starts to cut.
 
 Activation derivative at exactly zero input uses the inactive branch
 (mask is x > 0, strictly), matching the step-function convention of the
-simulation code.
+simulation code. ReLU is max(x, 0), so a NaN input stays NaN (and ends
+in a divergence) rather than reading as inactive. Parameter and gradient
+arrays may be views into a model's flat store: they are written in place.
 """
 
 from __future__ import annotations
@@ -73,12 +75,15 @@ def bn_forward(x: np.ndarray, state: BnLayerState, mode: str, cache: dict | None
     if x.ndim != 2 or x.shape[1] != state.gamma.shape[0]:
         raise DomainError(f"expected (batch, {state.gamma.shape[0]}) input, got {x.shape}")
     if mode == "train":
-        if x.shape[0] < 2:
-            raise DomainError(f"train-mode batch must be >= 2, got {x.shape[0]}")
-        mean = x.mean(axis=0)
-        var = x.var(axis=0)
+        n = x.shape[0]
+        if n < 2:
+            raise DomainError(f"train-mode batch must be >= 2, got {n}")
+        # the arithmetic of x.mean(axis=0) and x.var(axis=0), one pass each
+        mean = x.sum(axis=0) / n
+        x_hat = x - mean
+        var = (x_hat * x_hat).sum(axis=0) / n
         inv_std = 1.0 / np.sqrt(var + state.eps)
-        x_hat = (x - mean) * inv_std
+        x_hat *= inv_std
         m = state.momentum
         state.running_mean *= 1.0 - m
         state.running_mean += m * mean
@@ -89,17 +94,18 @@ def bn_forward(x: np.ndarray, state: BnLayerState, mode: str, cache: dict | None
             cache["inv_std"] = inv_std
             cache["gamma"] = state.gamma
     else:
-        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-        x_hat = (x - state.running_mean) * inv_std
+        x_hat = x - state.running_mean
+        x_hat *= 1.0 / np.sqrt(state.running_var + state.eps)
     return state.gamma * x_hat + state.beta + state.alpha
 
 
-def bn_backward(grad_out: np.ndarray, cache: dict):
+def bn_backward(grad_out: np.ndarray, cache: dict, grad_gamma=None, grad_beta=None):
     """Gradients through the train-mode forward.
 
-    Returns (grad_in, grad_gamma, grad_beta). The constant shift alpha has
-    no gradient by construction. The input gradient accounts for the
-    batch-statistic dependence of the normalization.
+    Returns (grad_in, grad_gamma, grad_beta), writing the last two into
+    the given arrays if any. The constant shift alpha has no gradient by
+    construction. The input gradient accounts for the batch-statistic
+    dependence of the normalization.
     """
     if not cache or "x_hat" not in cache:
         raise UsageError("bn_backward needs the cache filled by a train-mode bn_forward")
@@ -107,10 +113,18 @@ def bn_backward(grad_out: np.ndarray, cache: dict):
     inv_std = cache["inv_std"]
     gamma = cache["gamma"]
     n = x_hat.shape[0]
-    grad_gamma = np.sum(grad_out * x_hat, axis=0)
-    grad_beta = np.sum(grad_out, axis=0)
+    tmp = grad_out * x_hat
+    grad_gamma = np.sum(tmp, axis=0, out=grad_gamma)
+    grad_beta = np.sum(grad_out, axis=0, out=grad_beta)
+    # grad_in = (inv_std/n) * (n*g - sum(g) - x_hat*sum(g*x_hat)), in place
     g = grad_out * gamma
-    grad_in = (inv_std / n) * (n * g - np.sum(g, axis=0) - x_hat * np.sum(g * x_hat, axis=0))
+    sum_g = g.sum(axis=0)
+    sum_gx = np.multiply(g, x_hat, out=tmp).sum(axis=0)
+    grad_in = g
+    grad_in *= n
+    grad_in -= sum_g
+    grad_in -= np.multiply(x_hat, sum_gx, out=tmp)
+    grad_in *= inv_std / n
     return grad_in, grad_gamma, grad_beta
 
 
@@ -127,18 +141,16 @@ class Dense:
     def forward(self, x: np.ndarray, mode: str) -> np.ndarray:
         if mode == "train":
             self._x = x
-        return x @ self.w + self.b
+        out = x @ self.w
+        out += self.b
+        return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         if self._x is None:
             raise UsageError("backward before train-mode forward")
-        self.gw = self._x.T @ grad_out
-        self.gb = grad_out.sum(axis=0)
-        return grad_out @ self.w.T
-
-    def param_refs(self, prefix: str):
-        yield f"{prefix}.w", self.w, self.gw
-        yield f"{prefix}.b", self.b, self.gb
+        np.matmul(self._x.T, grad_out, out=self.gw)
+        np.sum(grad_out, axis=0, out=self.gb)
+        return grad_out @ self.w.T if input_grad else None
 
 
 class BatchNorm:
@@ -165,12 +177,7 @@ class BatchNorm:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if not self._cache:
             raise UsageError("backward before train-mode forward")
-        grad_in, self.ggamma, self.gbeta = bn_backward(grad_out, self._cache)
-        return grad_in
-
-    def param_refs(self, prefix: str):
-        yield f"{prefix}.gamma", self.state.gamma, self.ggamma
-        yield f"{prefix}.beta", self.state.beta, self.gbeta
+        return bn_backward(grad_out, self._cache, self.ggamma, self.gbeta)[0]
 
 
 @dataclass
@@ -178,18 +185,14 @@ class ReLU:
     _mask: np.ndarray | None = field(default=None, repr=False)
 
     def forward(self, x: np.ndarray, mode: str) -> np.ndarray:
-        mask = x > 0
         if mode == "train":
-            self._mask = mask
-        return np.where(mask, x, 0.0)
+            self._mask = x > 0
+        return np.maximum(x, 0.0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise UsageError("backward before train-mode forward")
-        return np.where(self._mask, grad_out, 0.0)
-
-    def param_refs(self, prefix: str):
-        return iter(())
+        return grad_out * self._mask
 
 
 @dataclass
@@ -197,19 +200,19 @@ class LeakyReLU:
     slope: float = 0.01
     _mask: np.ndarray | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        if not 0 <= self.slope <= 1:  # forward is max(x, slope*x)
+            raise ConfigError(f"slope must lie in [0, 1], got {self.slope}")
+
     def forward(self, x: np.ndarray, mode: str) -> np.ndarray:
-        mask = x > 0
         if mode == "train":
-            self._mask = mask
-        return np.where(mask, x, self.slope * x)
+            self._mask = x > 0
+        return np.maximum(x, self.slope * x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise UsageError("backward before train-mode forward")
         return np.where(self._mask, grad_out, self.slope * grad_out)
-
-    def param_refs(self, prefix: str):
-        return iter(())
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -220,12 +223,12 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
         raise DomainError(f"shape mismatch: logits {logits.shape}, labels {labels.shape}")
     shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    total = probs.sum(axis=1, keepdims=True)
+    probs /= total
     n = logits.shape[0]
     idx = np.arange(n)
-    log_probs = shifted - np.log(exp.sum(axis=1, keepdims=True))
-    loss = float(-np.mean(log_probs[idx, labels]))
+    loss = float(-np.mean(shifted[idx, labels] - np.log(total[:, 0])))
     grad = probs.copy()
     grad[idx, labels] -= 1.0
     grad /= n

@@ -6,8 +6,13 @@ activation) feeding a final dense classifier. Normalization choices:
 "Boundary" k names the hidden representation produced by block k; collapse
 detection and FLOPS accounting key off boundaries.
 
+Trainable parameters live in one store: every dense w/b and BN gamma/beta
+is a view into the vector ``MLP.params`` (its gradient into ``MLP.grads``),
+so the optimizer updates the model in whole-vector operations.
+
 Checkpoints serialize layer shapes, flat parameter arrays, running stats,
-and the training RNG state; reloading at a round boundary resumes training
+and the training RNG state, one entry per layer array (format version 1,
+unchanged by the store); reloading at a round boundary resumes training
 bit-exactly (momentum buffers start empty each round by design, so they
 are not part of the state).
 """
@@ -35,8 +40,28 @@ CHECKPOINT_VERSION = 1
 
 class MLP:
     def __init__(self, arch: dict, blocks: list):
+        """Move the blocks' parameters and gradients into one flat store."""
         self.arch = arch
         self.blocks = blocks
+        slots = []  # (value owner, value attr, grad owner, grad attr)
+        for block in blocks:
+            if isinstance(block, Dense):
+                slots += [(block, "w", block, "gw"), (block, "b", block, "gb")]
+            elif isinstance(block, BatchNorm):
+                slots += [(block.state, "gamma", block, "ggamma"), (block.state, "beta", block, "gbeta")]
+        size = sum(getattr(owner, attr).size for owner, attr, _, _ in slots)
+        self.params, self.grads = np.empty(size), np.empty(size)
+        at = 0
+        for owner, attr, grad_owner, grad_attr in slots:
+            n = getattr(owner, attr).size
+            for store, obj, name in ((self.params, owner, attr), (self.grads, grad_owner, grad_attr)):
+                view = store[at : at + n].reshape(getattr(obj, name).shape)
+                view[...] = getattr(obj, name)
+                setattr(obj, name, view)
+            at += n
+
+    def __deepcopy__(self, memo):  # a plain deepcopy gives every view its own buffer
+        return MLP(copy.deepcopy(self.arch, memo), copy.deepcopy(self.blocks, memo))
 
     @classmethod
     def build(
@@ -94,8 +119,9 @@ class MLP:
         loss, grad, _ = softmax_cross_entropy(logits, labels)
         if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss {loss}")
-        for block in reversed(self.blocks):
+        for block in reversed(self.blocks[1:]):
             grad = block.backward(grad)
+        self.blocks[0].backward(grad, input_grad=False)  # nothing consumes the input gradient
         return loss, logits
 
     def evaluate(self, x: np.ndarray, labels: np.ndarray):
@@ -103,11 +129,6 @@ class MLP:
         logits = self.forward(x, "eval")
         loss, _, _ = softmax_cross_entropy(logits, labels)
         return loss, accuracy(logits, labels)
-
-    def param_refs(self):
-        """Fresh (key, value_array, grad_array) triples; values update in place."""
-        for i, block in enumerate(self.blocks):
-            yield from block.param_refs(f"b{i}")
 
     # structure accessors for sparsity accounting
 

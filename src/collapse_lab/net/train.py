@@ -155,7 +155,7 @@ def train_round(
     """
     n = len(dataset.y_train)
     total_steps = cfg.epochs_per_round * _steps_per_epoch(n, cfg.batch_size)
-    buffers: dict[str, np.ndarray] = {}
+    velocity = np.zeros_like(model.params)
     t = 0
     for epoch in range(cfg.epochs_per_round):
         perm = rng.permutation(n)
@@ -168,15 +168,10 @@ def train_round(
                     f"round {round_index} diverged at epoch {epoch}, step {t}: {exc}",
                     partial={"round_index": round_index, "epoch": epoch, "step": t},
                 ) from exc
-            shrink = 1.0 - eta * cfg.weight_decay
-            for key, value, grad in model.param_refs():
-                buf = buffers.get(key)
-                if buf is None:
-                    buf = buffers[key] = np.zeros_like(value)
-                buf *= cfg.momentum_sgd
-                buf += grad
-                value -= eta * buf
-                value *= shrink
+            velocity *= cfg.momentum_sgd
+            velocity += model.grads
+            model.params -= eta * velocity
+            model.params *= 1.0 - eta * cfg.weight_decay
             t += 1
     train_loss, train_acc = model.evaluate(dataset.x_train, dataset.y_train)
     _, val_acc = model.evaluate(dataset.x_val, dataset.y_val)

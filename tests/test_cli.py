@@ -338,3 +338,12 @@ class TestArgparseSurface:
         assert res.returncode == 0, res.stderr
         for name in ("analytic", "mc", "decay", "train", "report"):
             assert name in res.stdout
+
+    def test_threads_is_an_mc_flag(self, tmp_path):
+        for command in ("train", "decay"):
+            res = run_cli([command, "--threads", "2", "--out", "o"], cwd=tmp_path)
+            assert res.returncode == 2, res.stderr
+            assert "unrecognized arguments: --threads 2" in res.stderr
+        assert not (tmp_path / "o").exists()
+        res = run_cli(["mc", "--n", "20000", "--threads", "2", "--out", "m"], cwd=tmp_path)
+        assert res.returncode == 0, res.stderr

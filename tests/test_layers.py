@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 from helpers import fd_grad, rel_err
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collapse_lab.errors import ConfigError, DomainError, UsageError
 from collapse_lab.net.layers import (
@@ -22,6 +24,9 @@ from collapse_lab.net.layers import (
 
 SEEDS = range(5)
 TOL = 1e-4
+
+# (batch, channels, seed) for the kernel-equivalence tests
+BATCHES = st.tuples(st.integers(2, 40), st.integers(1, 12), st.integers(0, 2**32 - 1))
 
 
 def fresh_state(channels=4, gamma_init=1.0, alpha=0.0) -> BnLayerState:
@@ -281,9 +286,10 @@ class TestActivations:
         with pytest.raises(UsageError):
             layer.backward(np.ones((2, 2)))
 
-    def test_no_params(self):
-        assert list(ReLU().param_refs("a")) == []
-        assert list(LeakyReLU().param_refs("a")) == []
+    @pytest.mark.parametrize("slope", [-0.1, 1.5])
+    def test_leaky_slope_must_lie_in_unit_interval(self, slope):
+        with pytest.raises(ConfigError):
+            LeakyReLU(slope=slope)
 
 
 class TestSoftmaxCrossEntropy:
@@ -336,3 +342,111 @@ class TestSoftmaxCrossEntropy:
     def test_accuracy(self):
         logits = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.3, 0.7]])
         assert accuracy(logits, np.array([0, 1, 1, 1])) == 0.75
+
+
+def sample(shape, seed):
+    """Shifted, scaled normal draws with one +0.0 and one -0.0 planted."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape) * rng.uniform(0.1, 10.0) + rng.uniform(-3.0, 3.0)
+    x.flat[rng.integers(0, x.size, 2)] = [0.0, -0.0]
+    return x
+
+
+class TestKernelEquivalence:
+    """The layer kernels against the plain formulas they were trimmed from,
+    bit for bit; the formulas are kept here as the reference."""
+
+    @settings(deadline=None)
+    @given(BATCHES)
+    def test_bn_forward(self, case):
+        n, c, seed = case
+        rng = np.random.default_rng(seed)
+        x = sample((n, c), seed)
+        state = fresh_state(c, alpha=0.1)
+        state.gamma[:] = rng.uniform(-2.0, 2.0, c)
+        state.beta[:] = rng.uniform(-1.0, 1.0, c)
+        state.running_mean[:] = rng.standard_normal(c)
+        state.running_var[:] = rng.uniform(0.5, 2.0, c)
+        want_mean, want_var = state.running_mean.copy(), state.running_var.copy()
+        eval_x_hat = (x - want_mean) * (1.0 / np.sqrt(want_var + state.eps))
+        assert np.array_equal(
+            bn_forward(x, state, "eval"), state.gamma * eval_x_hat + state.beta + state.alpha
+        )
+
+        cache = {}
+        out = bn_forward(x, state, "train", cache)
+        mean, var = x.mean(axis=0), x.var(axis=0)
+        inv_std = 1.0 / np.sqrt(var + state.eps)
+        x_hat = (x - mean) * inv_std
+        want_mean *= 0.9
+        want_mean += 0.1 * mean
+        want_var *= 0.9
+        want_var += 0.1 * var
+        assert np.array_equal(cache["x_hat"], x_hat)
+        assert np.array_equal(cache["inv_std"], inv_std)
+        assert np.array_equal(out, state.gamma * x_hat + state.beta + state.alpha)
+        assert np.array_equal(state.running_mean, want_mean)
+        assert np.array_equal(state.running_var, want_var)
+
+    @settings(deadline=None)
+    @given(BATCHES)
+    def test_bn_backward(self, case):
+        n, c, seed = case
+        state = fresh_state(c)
+        state.gamma[:] = np.random.default_rng(seed).uniform(-2.0, 2.0, c)
+        cache = {}
+        bn_forward(sample((n, c), seed), state, "train", cache)
+        grad_out = sample((n, c), seed + 1)
+        x_hat, inv_std, gamma = cache["x_hat"], cache["inv_std"], cache["gamma"]
+        g = grad_out * gamma
+        want_in = (inv_std / n) * (n * g - np.sum(g, axis=0) - x_hat * np.sum(g * x_hat, axis=0))
+        want_gamma, want_beta = np.sum(grad_out * x_hat, axis=0), np.sum(grad_out, axis=0)
+        grad_gamma, grad_beta = np.empty(c), np.empty(c)
+        got = bn_backward(grad_out, cache, grad_gamma, grad_beta)
+        assert got[1] is grad_gamma and got[2] is grad_beta
+        for have, want in zip(got, (want_in, want_gamma, want_beta)):
+            assert np.array_equal(have, want)
+
+    @settings(deadline=None)
+    @given(BATCHES)
+    def test_dense(self, case):
+        n, c, seed = case
+        layer = Dense(c, 5, np.random.default_rng(seed))
+        layer.b[:] = np.arange(5.0) / 3
+        x, grad_out = sample((n, c), seed), sample((n, 5), seed + 1)
+        assert np.array_equal(layer.forward(x, "train"), x @ layer.w + layer.b)
+        assert np.array_equal(layer.backward(grad_out), grad_out @ layer.w.T)
+        assert np.array_equal(layer.gw, x.T @ grad_out)
+        assert np.array_equal(layer.gb, grad_out.sum(axis=0))
+        assert layer.backward(grad_out, input_grad=False) is None
+
+    @settings(deadline=None)
+    @given(BATCHES)
+    def test_activations(self, case):
+        n, c, seed = case
+        x, grad_out = sample((n, c), seed), sample((n, c), seed + 1)
+        relu, leaky = ReLU(), LeakyReLU()
+        out = relu.forward(x, "train")
+        assert np.array_equal(out, np.where(x > 0, x, 0.0))
+        assert not np.signbit(out).any()  # -0.0 comes out as +0.0, as from where
+        assert np.array_equal(relu.backward(grad_out), np.where(x > 0, grad_out, 0.0))
+        assert np.array_equal(leaky.forward(x, "train"), np.where(x > 0, x, leaky.slope * x))
+        assert np.array_equal(leaky.backward(grad_out), np.where(x > 0, grad_out, leaky.slope * grad_out))
+
+    @settings(deadline=None)
+    @given(st.integers(1, 40), st.integers(2, 12), st.integers(0, 2**32 - 1))
+    def test_softmax_cross_entropy(self, n, k, seed):
+        logits = sample((n, k), seed)
+        labels = np.random.default_rng(seed).integers(0, k, size=n)
+        loss, grad, probs = softmax_cross_entropy(logits, labels)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        exp = np.exp(shifted)
+        want_probs = exp / exp.sum(axis=1, keepdims=True)
+        log_probs = shifted - np.log(exp.sum(axis=1, keepdims=True))
+        idx = np.arange(n)
+        want_grad = want_probs.copy()
+        want_grad[idx, labels] -= 1.0
+        want_grad /= n
+        assert loss == float(-np.mean(log_probs[idx, labels]))
+        assert np.array_equal(probs, want_probs)
+        assert np.array_equal(grad, want_grad)

@@ -1,5 +1,6 @@
 """Model assembly, structure accessors, pruning, checkpoints."""
 
+import copy
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from collapse_lab.errors import ConfigError
 from collapse_lab.net.layers import BatchNorm, Dense, LeakyReLU, ReLU
 from collapse_lab.net.model import MLP, load_checkpoint, pruned_copy, save_checkpoint
+from collapse_lab.net.train import TrainConfig, dataset_for, train_round
 
 
 def small_model(norm="bn", **kw) -> MLP:
@@ -81,6 +83,74 @@ class TestStructureAccessors:
             "b1.gamma", "b1.beta", "b1.running_mean", "b1.running_var",
             "b4.gamma", "b4.beta", "b4.running_mean", "b4.running_var",
         }
+
+
+def layer_arrays(model: MLP) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(value, gradient) for every trainable array held by the layers."""
+    out = []
+    for block in model.blocks:
+        if isinstance(block, Dense):
+            out += [(block.w, block.gw), (block.b, block.gb)]
+        elif isinstance(block, BatchNorm):
+            out += [(block.state.gamma, block.ggamma), (block.state.beta, block.gbeta)]
+    return out
+
+
+def assert_bound(model: MLP) -> None:
+    """Every layer array is a view into the flat store, and together the
+    views tile the store exactly: no overlap, no gap."""
+    pairs = layer_arrays(model)
+    for store, arrays in ((model.params, [v for v, _ in pairs]), (model.grads, [g for _, g in pairs])):
+        assert store.ndim == 1 and store.flags.c_contiguous
+        assert all(np.shares_memory(arr, store) for arr in arrays)
+        keep = store.copy()
+        store[:] = np.arange(store.size)
+        assert np.array_equal(np.sort(np.concatenate([a.ravel() for a in arrays])), np.arange(store.size))
+        store[:] = keep
+
+
+class TestFlatStore:
+    @pytest.mark.parametrize("norm", ["bn", "psbn", "none"])
+    def test_build_binds(self, norm):
+        assert_bound(small_model(norm, **({"alpha": 0.1} if norm == "psbn" else {})))
+
+    @pytest.mark.parametrize("norm", ["bn", "none"])
+    def test_only_dense_and_norm_layers_hold_parameters(self, norm):
+        dense = 6 * 8 + 8 + 8 * 8 + 8 + 8 * 3 + 3
+        gamma_beta = 0 if norm == "none" else 2 * (8 + 8)
+        assert small_model(norm).params.size == dense + gamma_beta
+
+    def test_deepcopy_binds_a_new_store(self):
+        model = small_model()
+        model.loss_and_grad(np.random.default_rng(1).standard_normal((5, 6)), np.array([0, 1, 2, 0, 1]))
+        clone = copy.deepcopy(model)
+        assert_bound(clone)
+        assert not np.shares_memory(clone.params, model.params)
+        assert np.array_equal(clone.params, model.params)
+        assert np.array_equal(clone.grads, model.grads)
+
+    def test_pruned_copy_binds(self):
+        model = small_model()
+        model.norm_blocks()[0][1].state.gamma[:2] = 1e-9
+        pruned, n = pruned_copy(model)
+        assert n == 2
+        assert_bound(pruned)
+        assert not np.shares_memory(pruned.params, model.params)
+
+    def test_loaded_model_binds_and_trains(self, tmp_path):
+        cfg = TrainConfig(
+            rounds=1, epochs_per_round=1, batch_size=16, hidden_width=8, hidden_layers=2,
+            classes=3, dim=6, n_per_class=25, weight_decay=0.01,
+        )
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, small_model(), np.random.default_rng(0))
+        loaded, rng, _ = load_checkpoint(path)
+        assert_bound(loaded)
+        before = [value.copy() for value, _ in layer_arrays(loaded)]
+        train_round(loaded, dataset_for(cfg), cfg, 0, rng)
+        assert_bound(loaded)
+        for (value, _), old in zip(layer_arrays(loaded), before):
+            assert not np.array_equal(value, old)
 
 
 class TestEvalMode:

@@ -140,6 +140,19 @@ class TestTrainRound:
         assert err.value.partial["round_index"] == 0
         assert "epoch" in str(err.value)
 
+    @pytest.mark.parametrize("activation", ["relu", "leaky"])
+    def test_nan_pre_activation_diverges(self, activation):
+        # a NaN bias fills one BN channel with NaN; a ReLU that read NaN as
+        # inactive would zero it and report a finite loss
+        cfg = replace(TINY, rounds=1, activation=activation)
+        dataset = dataset_for(cfg)
+        rng = np.random.default_rng(0)
+        model = model_for(cfg, rng)
+        model.dense_blocks()[0].b[0] = np.nan
+        with pytest.raises(DivergenceError) as err:
+            train_round(model, dataset, cfg, 0, rng)
+        assert err.value.partial == {"round_index": 0, "epoch": 0, "step": 0}
+
 
 class TestRunTraining:
     def test_deterministic(self):
