@@ -52,13 +52,10 @@ from .mc import (
     verify_theorem,
 )
 from .net import (
-    BnLayerState,
     Dataset,
     MLP,
     RoundReport,
     TrainConfig,
-    bn_backward,
-    bn_forward,
     load_checkpoint,
     make_synthetic_dataset,
     multi_round_experiment,
@@ -80,7 +77,6 @@ from .sparsity import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BnLayerState",
     "COLLAPSE_THRESHOLD",
     "CollapseLabError",
     "ConfigError",
@@ -106,8 +102,6 @@ __all__ = [
     "UpdateConfig",
     "UsageError",
     "VerifyCell",
-    "bn_backward",
-    "bn_forward",
     "collapsed_channels",
     "decay_trajectory",
     "drift_prediction",

@@ -44,7 +44,6 @@ from .dists import parse_dist
 from .errors import CollapseLabError, ConfigError, DivergenceError, DomainError, SingularityError
 from .net import model as net_model
 from .net import train as net_train
-from .quadrature import QuadratureSpec
 
 __all__ = ["main"]
 
@@ -99,7 +98,6 @@ def _parse_format(text: str) -> str:
 _COMMON = [
     ("out", str, "out", "output directory"),
     ("seed", int, 0, "base seed"),
-    ("format", _parse_format, "csv", "table format for single-value outputs: csv or json"),
 ]
 
 _OPTIONS = {
@@ -112,7 +110,7 @@ _OPTIONS = {
         ("drift", _parse_bool, None, "emit the one-step drift prediction"),
         ("eta", float, 0.01, "learning rate for --drift"),
         ("c", float, 1.0, "gradient noise scale for --drift"),
-        ("panels", int, None, "quadrature panel count override"),
+        ("format", _parse_format, "csv", "table format of the --drift value: csv or json"),
     ],
     "mc": [
         ("verify", _parse_bool, None, "run the verification grid instead of a single cell"),
@@ -123,7 +121,7 @@ _OPTIONS = {
         ("gamma", parse_dist, parse_dist("uniform:0.5:1.5"), "gamma distribution"),
         ("beta", parse_dist, parse_dist("uniform:-1:1"), "beta distribution"),
         ("n", _parse_count, 1_000_000, "neurons to sample"),
-        ("threads", int, None, "worker cap (also capped by COLLAPSE_LAB_THREADS)"),
+        ("threads", _parse_count, None, "worker cap (also capped by COLLAPSE_LAB_THREADS)"),
     ],
     "decay": [
         ("gamma", float, 1.0, "initial scale"),
@@ -339,15 +337,14 @@ def _draw(out: str, stem: str, rows) -> None:
         print(path)
 
 
-def _save(out: str, stem: str, rows, fmt: str = "csv") -> None:
+def _save(out: str, stem: str, rows) -> None:
     """Write a registered table, then its plots from the rows just written."""
-    _write_table(out, stem, fmt, _ARTIFACTS[stem][0], rows)
+    _write_table(out, stem, "csv", _ARTIFACTS[stem][0], rows)
     _draw(out, stem, rows)
 
 
 def cmd_analytic(params: dict) -> int:
     out = params["out"]
-    quad = QuadratureSpec(panels=params["panels"]) if params["panels"] else QuadratureSpec()
     beta, gamma = params["beta"], params["gamma"]
     # every flag is checked, and the drift computed, before the first write,
     # so a configuration error leaves no file behind
@@ -361,11 +358,11 @@ def cmd_analytic(params: dict) -> int:
     gammas = parse_grid(params["gamma_grid"]) if params["j"] else None
     if gammas is not None and np.any(gammas == 0):
         raise ConfigError(f"--gamma-grid must not contain 0, got {params['gamma_grid']!r}")
-    pred = analytic.drift_prediction(params["eta"], params["c"], gamma, beta, quad) if params["drift"] else None
+    pred = analytic.drift_prediction(params["eta"], params["c"], gamma, beta) if params["drift"] else None
     if xs is not None:
         _save(out, "k_grid", list(zip(xs.tolist(), analytic.k_fn(xs).tolist())))
     if gammas is not None:
-        rows = [[float(g), analytic.j_fn(float(g), beta, quad), str(beta), beta.is_even] for g in gammas]
+        rows = [[float(g), analytic.j_fn(float(g), beta), str(beta), beta.is_even] for g in gammas]
         _save(out, "j_grid", rows)
     if pred is not None:
         header = ["eta", "c", "gamma_dist", "beta_dist", "value"]
@@ -408,7 +405,7 @@ def cmd_mc(params: dict) -> int:
             )
         ]
     rows = mc.verify_theorem(cells, count=params["n"], seed=params["seed"], threads=params["threads"])
-    _save(out, "mc_verify", [astuple(r) for r in rows], params["format"])
+    _save(out, "mc_verify", [astuple(r) for r in rows])
     if params["verify"]:
         _print_agreement(rows)
     return 0

@@ -87,16 +87,16 @@ def resolve_threads(requested: int | None = None) -> int:
 
 def noise_for(kind: str, c: float) -> ScalarDist:
     """Mean-zero gradient-noise distribution of standard deviation c."""
+    if kind not in ("normal", "uniform"):
+        raise ConfigError(f"unknown noise kind {kind!r} (expected 'normal' or 'uniform')")
     if c < 0 or not math.isfinite(c):
         raise ConfigError(f"noise scale c must be finite and >= 0, got {c}")
     if c == 0:
         return PointMass(0.0)
     if kind == "normal":
         return Normal(0.0, c)
-    if kind == "uniform":
-        half = c * math.sqrt(3.0)
-        return Uniform(-half, half)
-    raise ConfigError(f"unknown noise kind {kind!r} (expected 'normal' or 'uniform')")
+    half = c * math.sqrt(3.0)
+    return Uniform(-half, half)
 
 
 @dataclass(frozen=True)

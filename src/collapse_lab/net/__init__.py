@@ -3,12 +3,9 @@
 from .data import Dataset, make_synthetic_dataset, shuffle_labels
 from .layers import (
     BatchNorm,
-    BnLayerState,
     Dense,
     LeakyReLU,
     ReLU,
-    bn_backward,
-    bn_forward,
     softmax_cross_entropy,
 )
 from .model import MLP, load_checkpoint, pruned_copy, save_checkpoint
@@ -28,12 +25,9 @@ __all__ = [
     "make_synthetic_dataset",
     "shuffle_labels",
     "BatchNorm",
-    "BnLayerState",
     "Dense",
     "LeakyReLU",
     "ReLU",
-    "bn_backward",
-    "bn_forward",
     "softmax_cross_entropy",
     "MLP",
     "load_checkpoint",

@@ -6,9 +6,10 @@ activation) feeding a final dense classifier. Normalization choices:
 "Boundary" k names the hidden representation produced by block k; collapse
 detection and FLOPS accounting key off boundaries.
 
-Trainable parameters live in one store: every dense w/b and BN gamma/beta
-is a view into the vector ``MLP.params`` (its gradient into ``MLP.grads``),
-so the optimizer updates the model in whole-vector operations.
+Each layer owns its arrays; ``MLP`` moves the trainable ones into one
+store: every dense w/b and BN gamma/beta is a view into the vector
+``MLP.params`` (its gradient into ``MLP.grads``), so the optimizer
+updates the model in whole-vector operations.
 
 Checkpoints serialize layer shapes, flat parameter arrays, running stats,
 and the training RNG state, one entry per layer array (format version 1,
@@ -43,21 +44,21 @@ class MLP:
         """Move the blocks' parameters and gradients into one flat store."""
         self.arch = arch
         self.blocks = blocks
-        slots = []  # (value owner, value attr, grad owner, grad attr)
+        slots = []  # (layer, parameter name); its gradient is the layer's "g" + name
         for block in blocks:
             if isinstance(block, Dense):
-                slots += [(block, "w", block, "gw"), (block, "b", block, "gb")]
+                slots += [(block, "w"), (block, "b")]
             elif isinstance(block, BatchNorm):
-                slots += [(block.state, "gamma", block, "ggamma"), (block.state, "beta", block, "gbeta")]
-        size = sum(getattr(owner, attr).size for owner, attr, _, _ in slots)
+                slots += [(block, "gamma"), (block, "beta")]
+        size = sum(getattr(layer, name).size for layer, name in slots)
         self.params, self.grads = np.empty(size), np.empty(size)
         at = 0
-        for owner, attr, grad_owner, grad_attr in slots:
-            n = getattr(owner, attr).size
-            for store, obj, name in ((self.params, owner, attr), (self.grads, grad_owner, grad_attr)):
-                view = store[at : at + n].reshape(getattr(obj, name).shape)
-                view[...] = getattr(obj, name)
-                setattr(obj, name, view)
+        for layer, name in slots:
+            n = getattr(layer, name).size
+            for store, attr in ((self.params, name), (self.grads, "g" + name)):
+                view = store[at : at + n].reshape(getattr(layer, attr).shape)
+                view[...] = getattr(layer, attr)
+                setattr(layer, attr, view)
             at += n
 
     def __deepcopy__(self, memo):  # a plain deepcopy gives every view its own buffer
@@ -153,7 +154,7 @@ class MLP:
         """Per-boundary collapse scales: BN |gamma|, or incoming-weight L1
         for unnormalized stacks (the only shrinking quantity there)."""
         if self.arch["norm"] != "none":
-            return {k: np.abs(layer.state.gamma) for k, layer in self.norm_blocks()}
+            return {k: np.abs(layer.gamma) for k, layer in self.norm_blocks()}
         dense = self.dense_blocks()
         return {k: np.sum(np.abs(d.w), axis=0) for k, d in enumerate(dense[:-1])}
 
@@ -168,10 +169,10 @@ class MLP:
                 out[f"b{i}.w"] = block.w
                 out[f"b{i}.b"] = block.b
             elif isinstance(block, BatchNorm):
-                out[f"b{i}.gamma"] = block.state.gamma
-                out[f"b{i}.beta"] = block.state.beta
-                out[f"b{i}.running_mean"] = block.state.running_mean
-                out[f"b{i}.running_var"] = block.state.running_var
+                out[f"b{i}.gamma"] = block.gamma
+                out[f"b{i}.beta"] = block.beta
+                out[f"b{i}.running_mean"] = block.running_mean
+                out[f"b{i}.running_var"] = block.running_var
         return out
 
 
@@ -199,9 +200,9 @@ def pruned_copy(model: MLP, threshold: float = COLLAPSE_THRESHOLD) -> tuple[MLP,
         if layer is None:
             level = dense[boundary].b[idx]
         else:
-            level = layer.state.beta[idx] + layer.state.alpha
-            layer.state.gamma[idx] = 0.0
-            layer.state.beta[idx] = 0.0
+            level = layer.beta[idx] + layer.alpha
+            layer.gamma[idx] = 0.0
+            layer.beta[idx] = 0.0
         following = dense[boundary + 1]
         following.b += acts[boundary].forward(level, "eval") @ following.w[idx, :]
         following.w[idx, :] = 0.0

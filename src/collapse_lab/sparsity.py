@@ -59,16 +59,12 @@ class Histogram:
     counts: tuple[int, ...]
 
 
-def collapsed_channels(bn_state, threshold: float = COLLAPSE_THRESHOLD) -> list[int]:
-    """Indices of channels whose |scale| is below the threshold.
-
-    Accepts a BN layer state (anything with a ``gamma`` attribute) or a
-    bare array of per-channel scales.
-    """
+def collapsed_channels(scales, threshold: float = COLLAPSE_THRESHOLD) -> list[int]:
+    """Indices of channels whose |scale| is below the threshold."""
     if not threshold > 0:
         raise DomainError(f"threshold must be > 0, got {threshold}")
-    gamma = np.asarray(getattr(bn_state, "gamma", bn_state), dtype=np.float64)
-    return [int(i) for i in np.nonzero(np.abs(gamma) < threshold)[0]]
+    scales = np.asarray(scales, dtype=np.float64)
+    return [int(i) for i in np.nonzero(np.abs(scales) < threshold)[0]]
 
 
 def flops_reduction(
@@ -129,7 +125,7 @@ def report_from_chain(layer_sizes, unit_scales, threshold: float = COLLAPSE_THRE
     ``unit_scales`` maps boundary index to the array of per-unit scale
     magnitudes there (BN |gamma|, or an analog for unnormalized stacks).
     """
-    collapsed = {k: collapsed_channels(np.asarray(v), threshold) for k, v in unit_scales.items()}
+    collapsed = {k: collapsed_channels(v, threshold) for k, v in unit_scales.items()}
     return flops_reduction(layer_sizes, collapsed, threshold)
 
 

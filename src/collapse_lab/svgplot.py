@@ -53,6 +53,8 @@ def _linear_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     t = first
     while t <= hi + 1e-9 * span:
         ticks.append(0.0 if abs(t) < 1e-12 * span else t)
+        if t + step == t:  # an axis a few ulps wide: t cannot move, so mark its ends
+            return [lo, hi]
         t += step
     return ticks
 

@@ -203,8 +203,8 @@ def test_07_layer_gradients_match_fd():
             grad_in = bn.backward(cb)
             ggamma, gbeta = bn.ggamma.copy(), bn.gbeta.copy()
             loss = lambda: float(np.sum(cb * bn.forward(xb, "train")))
-            worst = max(worst, rel_err(ggamma, fd_grad(loss, bn.state.gamma, FD_STEP)))
-            worst = max(worst, rel_err(gbeta, fd_grad(loss, bn.state.beta, FD_STEP)))
+            worst = max(worst, rel_err(ggamma, fd_grad(loss, bn.gamma, FD_STEP)))
+            worst = max(worst, rel_err(gbeta, fd_grad(loss, bn.beta, FD_STEP)))
             worst = max(worst, rel_err(grad_in, fd_grad(loss, xb, FD_STEP)))
 
         for act in (ReLU(), LeakyReLU(slope=0.1)):

@@ -75,6 +75,12 @@ class TestAnalytic:
         assert isinstance(payload, list) and len(payload) == 1
         assert math.isclose(payload[0]["value"], 0.5 * 0.01**2 * (-1 / math.pi), rel_tol=1e-12)
 
+    def test_k_grid_a_few_ulps_wide(self, tmp_path):
+        # K moves by an ulp or two over this grid, so its axis is that narrow
+        res = run_cli(["analytic", "--k-grid=0:2e-16:1e-16", "--out", "o"], cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / "o" / "k_fn.svg").exists()
+
     def test_no_mode_is_a_usage_error(self, tmp_path):
         res = run_cli(["analytic", "--out", "o"], cwd=tmp_path)
         assert res.returncode == 2, res.stderr
@@ -158,6 +164,18 @@ class TestMc:
             assert f"{bad} cell(s) disagree" in res.stderr
         else:
             assert lines[-1] == "all 6 cells within 3 standard errors"
+
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_threads_must_be_positive(self, tmp_path, threads):
+        res = run_cli(["mc", "--n", "20000", "--threads", threads, "--out", "o"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "--threads" in res.stderr
+
+    def test_unknown_noise_kind_at_zero_c(self, tmp_path):
+        res = run_cli(["mc", "--noise", "bogus", "--c", "0", "--n", "20000", "--out", "o"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "unknown noise kind 'bogus'" in res.stderr
+        assert not (tmp_path / "o" / "mc_verify.csv").exists()
 
     def test_unknown_grid(self, tmp_path):
         res = run_cli(["mc", "--verify", "--grid", "huge", "--out", "o"], cwd=tmp_path)
@@ -347,3 +365,15 @@ class TestArgparseSurface:
         assert not (tmp_path / "o").exists()
         res = run_cli(["mc", "--n", "20000", "--threads", "2", "--out", "m"], cwd=tmp_path)
         assert res.returncode == 0, res.stderr
+
+    def test_format_is_an_analytic_flag(self, tmp_path):
+        for command in ("mc", "train", "decay", "report"):
+            res = run_cli([command, "--format", "json", "--out", "o"], cwd=tmp_path)
+            assert res.returncode == 2, res.stderr
+            assert "unrecognized arguments: --format json" in res.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_panels_flag_is_gone(self, tmp_path):
+        res = run_cli(["analytic", "--k-grid", "0:1:0.5", "--panels", "4", "--out", "o"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "unrecognized arguments: --panels 4" in res.stderr

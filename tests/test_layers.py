@@ -12,13 +12,10 @@ from hypothesis import strategies as st
 from collapse_lab.errors import ConfigError, DomainError, UsageError
 from collapse_lab.net.layers import (
     BatchNorm,
-    BnLayerState,
     Dense,
     LeakyReLU,
     ReLU,
     accuracy,
-    bn_backward,
-    bn_forward,
     softmax_cross_entropy,
 )
 
@@ -27,16 +24,6 @@ TOL = 1e-4
 
 # (batch, channels, seed) for the kernel-equivalence tests
 BATCHES = st.tuples(st.integers(2, 40), st.integers(1, 12), st.integers(0, 2**32 - 1))
-
-
-def fresh_state(channels=4, gamma_init=1.0, alpha=0.0) -> BnLayerState:
-    return BnLayerState(
-        gamma=np.full(channels, gamma_init),
-        beta=np.zeros(channels),
-        running_mean=np.zeros(channels),
-        running_var=np.ones(channels),
-        alpha=alpha,
-    )
 
 
 class TestDense:
@@ -80,79 +67,72 @@ class TestBnForward:
     def test_train_normalizes_batch(self):
         rng = np.random.default_rng(3)
         x = 2.5 * rng.standard_normal((64, 4)) + 1.0
-        cache = {}
-        bn_forward(x, fresh_state(), "train", cache)
-        x_hat = cache["x_hat"]
+        layer = BatchNorm(4)
+        layer.forward(x, "train")
+        x_hat = layer.x_hat
         assert np.abs(x_hat.mean(axis=0)).max() < 1e-12
         # biased variance of x_hat is var/(var+eps), a hair under 1
         assert np.abs(x_hat.var(axis=0) - 1.0).max() < 1e-4
 
     def test_eval_uses_running_stats(self):
         x = np.array([[0.5, -2.0], [1.0, 3.0], [0.25, 0.0]])
-        out = bn_forward(x, fresh_state(channels=2), "eval")
+        out = BatchNorm(2).forward(x, "eval")
         assert np.array_equal(out, x * (1.0 / np.sqrt(1.0 + 1e-5)))
 
     def test_shift_on_zero_input(self):
         x = np.zeros((3, 2))
-        out = bn_forward(x, fresh_state(channels=2, alpha=0.1), "eval")
+        out = BatchNorm(2, alpha=0.1).forward(x, "eval")
         assert np.all(out == 0.1)
 
     def test_running_stats_blend(self):
-        state = fresh_state(channels=2)
-        state.running_mean[:] = [1.0, -1.0]
-        state.running_var[:] = [4.0, 9.0]
+        layer = BatchNorm(2)
+        layer.running_mean[:] = [1.0, -1.0]
+        layer.running_var[:] = [4.0, 9.0]
         x = np.random.default_rng(0).standard_normal((16, 2))
-        bn_forward(x, state, "train")
+        layer.forward(x, "train")
         want_mean = 0.9 * np.array([1.0, -1.0]) + 0.1 * x.mean(axis=0)
         want_var = 0.9 * np.array([4.0, 9.0]) + 0.1 * x.var(axis=0)
-        assert np.allclose(state.running_mean, want_mean, rtol=0, atol=1e-15)
-        assert np.allclose(state.running_var, want_var, rtol=0, atol=1e-15)
+        assert np.allclose(layer.running_mean, want_mean, rtol=0, atol=1e-15)
+        assert np.allclose(layer.running_var, want_var, rtol=0, atol=1e-15)
 
     def test_eval_touches_nothing(self):
-        state = fresh_state()
-        before = (state.running_mean.copy(), state.running_var.copy())
-        bn_forward(np.random.default_rng(1).standard_normal((8, 4)), state, "eval")
-        assert np.array_equal(state.running_mean, before[0])
-        assert np.array_equal(state.running_var, before[1])
+        layer = BatchNorm(4)
+        before = (layer.running_mean.copy(), layer.running_var.copy())
+        layer.forward(np.random.default_rng(1).standard_normal((8, 4)), "eval")
+        assert np.array_equal(layer.running_mean, before[0])
+        assert np.array_equal(layer.running_var, before[1])
 
     def test_train_batch_floor(self):
         with pytest.raises(DomainError):
-            bn_forward(np.ones((1, 4)), fresh_state(), "train")
-        out = bn_forward(np.ones((1, 4)), fresh_state(), "eval")
+            BatchNorm(4).forward(np.ones((1, 4)), "train")
+        out = BatchNorm(4).forward(np.ones((1, 4)), "eval")
         assert out.shape == (1, 4)
 
     def test_shape_and_mode_validation(self):
         with pytest.raises(DomainError):
-            bn_forward(np.ones((4, 3)), fresh_state(channels=4), "train")
+            BatchNorm(4).forward(np.ones((4, 3)), "train")
         with pytest.raises(DomainError):
-            bn_forward(np.ones(4), fresh_state(channels=4), "train")
+            BatchNorm(4).forward(np.ones(4), "train")
         with pytest.raises(ConfigError):
-            bn_forward(np.ones((4, 4)), fresh_state(), "predict")
+            BatchNorm(4).forward(np.ones((4, 4)), "predict")
 
-    def test_state_validation(self):
+    def test_alpha_must_be_nonnegative(self):
         with pytest.raises(ConfigError):
-            BnLayerState(
-                gamma=np.ones(4),
-                beta=np.zeros(3),
-                running_mean=np.zeros(4),
-                running_var=np.ones(4),
-            )
-        with pytest.raises(ConfigError):
-            BnLayerState(
-                gamma=np.ones(2),
-                beta=np.zeros(2),
-                running_mean=np.zeros(2),
-                running_var=np.array([1.0, -0.5]),
-            )
-        with pytest.raises(ConfigError):
-            fresh_state(alpha=-0.2)
+            BatchNorm(4, alpha=-0.2)
 
     def test_shifted_output_is_plain_plus_constant(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((8, 4))
-        plain = bn_forward(x, fresh_state(), "train")
-        shifted = bn_forward(x, fresh_state(alpha=0.3), "train")
+        plain = BatchNorm(4).forward(x, "train")
+        shifted = BatchNorm(4, alpha=0.3).forward(x, "train")
         assert np.array_equal(shifted, plain + 0.3)
+
+
+def bn_grads(layer: BatchNorm, x: np.ndarray, grad_out: np.ndarray):
+    """(grad_in, grad_gamma, grad_beta) of one train-mode step, copied out."""
+    layer.forward(x, "train")
+    grad_in = layer.backward(grad_out)
+    return grad_in, layer.ggamma.copy(), layer.gbeta.copy()
 
 
 class TestBnBackward:
@@ -161,27 +141,24 @@ class TestBnBackward:
     def test_grads_match_fd(self, seed, alpha):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((8, 4))
-        state = fresh_state(alpha=alpha)
-        state.gamma[:] = rng.uniform(0.5, 1.5, 4)
-        state.beta[:] = rng.uniform(-0.5, 0.5, 4)
+        layer = BatchNorm(4, alpha=alpha)
+        layer.gamma[:] = rng.uniform(0.5, 1.5, 4)
+        layer.beta[:] = rng.uniform(-0.5, 0.5, 4)
         c = rng.standard_normal((8, 4))
 
         def loss():
-            return float(np.sum(c * bn_forward(x, state, "train")))
+            return float(np.sum(c * layer.forward(x, "train")))
 
-        cache = {}
-        bn_forward(x, state, "train", cache)
-        grad_in, grad_gamma, grad_beta = bn_backward(c, cache)
-        assert rel_err(grad_gamma, fd_grad(loss, state.gamma)) < TOL
-        assert rel_err(grad_beta, fd_grad(loss, state.beta)) < TOL
+        grad_in, grad_gamma, grad_beta = bn_grads(layer, x, c)
+        assert rel_err(grad_gamma, fd_grad(loss, layer.gamma)) < TOL
+        assert rel_err(grad_beta, fd_grad(loss, layer.beta)) < TOL
         assert rel_err(grad_in, fd_grad(loss, x)) < TOL
 
     def test_grad_beta_is_column_sum(self):
         rng = np.random.default_rng(11)
-        cache = {}
-        bn_forward(rng.standard_normal((8, 4)), fresh_state(), "train", cache)
+        x = rng.standard_normal((8, 4))
         c = rng.standard_normal((8, 4))
-        _, _, grad_beta = bn_backward(c, cache)
+        _, _, grad_beta = bn_grads(BatchNorm(4), x, c)
         assert np.array_equal(grad_beta, c.sum(axis=0))
 
     def test_shift_changes_no_gradient(self):
@@ -190,11 +167,7 @@ class TestBnBackward:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((8, 4))
         c = rng.standard_normal((8, 4))
-        outs = []
-        for alpha in (0.0, 0.25):
-            cache = {}
-            bn_forward(x, fresh_state(alpha=alpha), "train", cache)
-            outs.append(bn_backward(c, cache))
+        outs = [bn_grads(BatchNorm(4, alpha=alpha), x, c) for alpha in (0.0, 0.25)]
         for a, b in zip(*outs):
             assert np.array_equal(a, b)
 
@@ -202,45 +175,22 @@ class TestBnBackward:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((8, 4))
         c = rng.standard_normal((8, 4))
-        state1, state2 = fresh_state(), fresh_state(gamma_init=2.0)
-        cache1, cache2 = {}, {}
-        bn_forward(x, state1, "train", cache1)
-        bn_forward(x, state2, "train", cache2)
-        in1, _, _ = bn_backward(c, cache1)
-        in2, _, _ = bn_backward(c, cache2)
+        in1, _, _ = bn_grads(BatchNorm(4), x, c)
+        in2, _, _ = bn_grads(BatchNorm(4, gamma_init=2.0), x, c)
         assert np.array_equal(in2, 2.0 * in1)
 
     def test_zero_grad_out(self):
-        cache = {}
-        bn_forward(np.random.default_rng(0).standard_normal((8, 4)), fresh_state(), "train", cache)
-        grad_in, grad_gamma, grad_beta = bn_backward(np.zeros((8, 4)), cache)
+        x = np.random.default_rng(0).standard_normal((8, 4))
+        grad_in, grad_gamma, grad_beta = bn_grads(BatchNorm(4), x, np.zeros((8, 4)))
         assert not grad_in.any() and not grad_gamma.any() and not grad_beta.any()
 
-    def test_needs_cache(self):
+    def test_backward_needs_train_forward(self):
+        layer = BatchNorm(4)
         with pytest.raises(UsageError):
-            bn_backward(np.ones((8, 4)), {})
-
-    def test_wrapper_mirrors_functions(self):
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal((8, 3))
-        c = rng.standard_normal((8, 3))
-        layer = BatchNorm(3, gamma_init=0.7, alpha=0.1)
-        state = BnLayerState(
-            gamma=np.full(3, 0.7),
-            beta=np.zeros(3),
-            running_mean=np.zeros(3),
-            running_var=np.ones(3),
-            alpha=0.1,
-        )
-        cache = {}
-        assert np.array_equal(layer.forward(x, "train"), bn_forward(x, state, "train", cache))
-        want = bn_backward(c, cache)
-        got_in = layer.backward(c)
-        assert np.array_equal(got_in, want[0])
-        assert np.array_equal(layer.ggamma, want[1])
-        assert np.array_equal(layer.gbeta, want[2])
+            layer.backward(np.ones((8, 4)))
+        layer.forward(np.ones((8, 4)), "eval")
         with pytest.raises(UsageError):
-            BatchNorm(3).backward(c)
+            layer.backward(np.ones((8, 4)))
 
 
 class TestActivations:
@@ -362,48 +312,46 @@ class TestKernelEquivalence:
         n, c, seed = case
         rng = np.random.default_rng(seed)
         x = sample((n, c), seed)
-        state = fresh_state(c, alpha=0.1)
-        state.gamma[:] = rng.uniform(-2.0, 2.0, c)
-        state.beta[:] = rng.uniform(-1.0, 1.0, c)
-        state.running_mean[:] = rng.standard_normal(c)
-        state.running_var[:] = rng.uniform(0.5, 2.0, c)
-        want_mean, want_var = state.running_mean.copy(), state.running_var.copy()
-        eval_x_hat = (x - want_mean) * (1.0 / np.sqrt(want_var + state.eps))
+        layer = BatchNorm(c, alpha=0.1)
+        layer.gamma[:] = rng.uniform(-2.0, 2.0, c)
+        layer.beta[:] = rng.uniform(-1.0, 1.0, c)
+        layer.running_mean[:] = rng.standard_normal(c)
+        layer.running_var[:] = rng.uniform(0.5, 2.0, c)
+        want_mean, want_var = layer.running_mean.copy(), layer.running_var.copy()
+        eval_x_hat = (x - want_mean) * (1.0 / np.sqrt(want_var + layer.eps))
         assert np.array_equal(
-            bn_forward(x, state, "eval"), state.gamma * eval_x_hat + state.beta + state.alpha
+            layer.forward(x, "eval"), layer.gamma * eval_x_hat + layer.beta + layer.alpha
         )
 
-        cache = {}
-        out = bn_forward(x, state, "train", cache)
+        out = layer.forward(x, "train")
         mean, var = x.mean(axis=0), x.var(axis=0)
-        inv_std = 1.0 / np.sqrt(var + state.eps)
+        inv_std = 1.0 / np.sqrt(var + layer.eps)
         x_hat = (x - mean) * inv_std
         want_mean *= 0.9
         want_mean += 0.1 * mean
         want_var *= 0.9
         want_var += 0.1 * var
-        assert np.array_equal(cache["x_hat"], x_hat)
-        assert np.array_equal(cache["inv_std"], inv_std)
-        assert np.array_equal(out, state.gamma * x_hat + state.beta + state.alpha)
-        assert np.array_equal(state.running_mean, want_mean)
-        assert np.array_equal(state.running_var, want_var)
+        assert np.array_equal(layer.x_hat, x_hat)
+        assert np.array_equal(layer.inv_std, inv_std)
+        assert np.array_equal(out, layer.gamma * x_hat + layer.beta + layer.alpha)
+        assert np.array_equal(layer.running_mean, want_mean)
+        assert np.array_equal(layer.running_var, want_var)
 
     @settings(deadline=None)
     @given(BATCHES)
     def test_bn_backward(self, case):
         n, c, seed = case
-        state = fresh_state(c)
-        state.gamma[:] = np.random.default_rng(seed).uniform(-2.0, 2.0, c)
-        cache = {}
-        bn_forward(sample((n, c), seed), state, "train", cache)
+        layer = BatchNorm(c)
+        layer.gamma[:] = np.random.default_rng(seed).uniform(-2.0, 2.0, c)
+        layer.forward(sample((n, c), seed), "train")
         grad_out = sample((n, c), seed + 1)
-        x_hat, inv_std, gamma = cache["x_hat"], cache["inv_std"], cache["gamma"]
+        x_hat, inv_std, gamma = layer.x_hat, layer.inv_std, layer.gamma
         g = grad_out * gamma
         want_in = (inv_std / n) * (n * g - np.sum(g, axis=0) - x_hat * np.sum(g * x_hat, axis=0))
         want_gamma, want_beta = np.sum(grad_out * x_hat, axis=0), np.sum(grad_out, axis=0)
-        grad_gamma, grad_beta = np.empty(c), np.empty(c)
-        got = bn_backward(grad_out, cache, grad_gamma, grad_beta)
-        assert got[1] is grad_gamma and got[2] is grad_beta
+        grad_gamma, grad_beta = layer.ggamma, layer.gbeta
+        got = (layer.backward(grad_out), layer.ggamma, layer.gbeta)
+        assert got[1] is grad_gamma and got[2] is grad_beta  # written in place
         for have, want in zip(got, (want_in, want_gamma, want_beta)):
             assert np.array_equal(have, want)
 

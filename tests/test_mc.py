@@ -101,6 +101,10 @@ class TestConfigs:
         with pytest.raises(ConfigError):
             noise_for("cauchy", 1.0)
 
+    def test_noise_for_checks_kind_before_zero_scale(self):
+        with pytest.raises(ConfigError):
+            noise_for("cauchy", 0.0)
+
     def test_noise_mean_must_be_zero(self):
         with pytest.raises(ConfigError):
             UpdateConfig(eta=0.01, c=1.0, noise_dist=Normal(0.5, 1.0))

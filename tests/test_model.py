@@ -33,8 +33,8 @@ class TestBuild:
     def test_gamma_and_alpha_reach_layers(self):
         model = small_model(norm="psbn", alpha=0.2, gamma_init=0.5)
         for _, layer in model.norm_blocks():
-            assert np.all(layer.state.gamma == 0.5)
-            assert layer.state.alpha == 0.2
+            assert np.all(layer.gamma == 0.5)
+            assert layer.alpha == 0.2
 
     @pytest.mark.parametrize(
         "kw",
@@ -59,7 +59,7 @@ class TestStructureAccessors:
 
     def test_unit_scales_bn(self):
         model = small_model()
-        model.norm_blocks()[1][1].state.gamma[:] = [-2, 1, 0, 1, 1, 1, 1, 1]
+        model.norm_blocks()[1][1].gamma[:] = [-2, 1, 0, 1, 1, 1, 1, 1]
         scales = model.unit_scales()
         assert set(scales) == {0, 1}
         assert np.array_equal(scales[1], [2, 1, 0, 1, 1, 1, 1, 1])
@@ -92,7 +92,7 @@ def layer_arrays(model: MLP) -> list[tuple[np.ndarray, np.ndarray]]:
         if isinstance(block, Dense):
             out += [(block.w, block.gw), (block.b, block.gb)]
         elif isinstance(block, BatchNorm):
-            out += [(block.state.gamma, block.ggamma), (block.state.beta, block.gbeta)]
+            out += [(block.gamma, block.ggamma), (block.beta, block.gbeta)]
     return out
 
 
@@ -131,7 +131,7 @@ class TestFlatStore:
 
     def test_pruned_copy_binds(self):
         model = small_model()
-        model.norm_blocks()[0][1].state.gamma[:2] = 1e-9
+        model.norm_blocks()[0][1].gamma[:2] = 1e-9
         pruned, n = pruned_copy(model)
         assert n == 2
         assert_bound(pruned)
@@ -166,8 +166,8 @@ class TestPrunedCopy:
     def test_exactly_dead_unit_is_removable(self):
         model = small_model()
         bn = model.norm_blocks()[0][1]
-        bn.state.gamma[2] = 0.0
-        bn.state.beta[2] = 0.0
+        bn.gamma[2] = 0.0
+        bn.beta[2] = 0.0
         x = np.random.default_rng(2).standard_normal((5, 6))
         before = model.forward(x, "eval")
         pruned, n = pruned_copy(model, threshold=1e-3)
@@ -189,10 +189,10 @@ class TestPrunedCopy:
         last.w[:] = (np.arange(last.w.size).reshape(last.w.shape) % 7 - 3) / 4
         if norm == "psbn":
             bn = model.norm_blocks()[0][1]
-            bn.state.eps = 0.0  # unit running variance then normalizes exactly
-            bn.state.gamma[:] = 0.5
-            bn.state.gamma[2] = 0.0
-            bn.state.beta[2] = 0.5
+            bn.eps = 0.0  # unit running variance then normalizes exactly
+            bn.gamma[:] = 0.5
+            bn.gamma[2] = 0.0
+            bn.beta[2] = 0.5
         else:
             first.w[:, 2] = 0.0
             first.b[2] = 0.5
@@ -214,7 +214,7 @@ class TestPrunedCopy:
     def test_counts_all_boundaries(self):
         model = small_model()
         for _, layer in model.norm_blocks():
-            layer.state.gamma[:2] = 1e-9
+            layer.gamma[:2] = 1e-9
         _, n = pruned_copy(model)
         assert n == 4
 

@@ -25,12 +25,6 @@ class TestCollapsedChannels:
     def test_magnitude_not_sign(self):
         assert collapsed_channels(np.array([-2e-4, -1.0, 5e-4])) == [0, 2]
 
-    def test_accepts_layer_state(self):
-        class Holder:
-            gamma = np.array([1.0, 1e-9])
-
-        assert collapsed_channels(Holder()) == [1]
-
     def test_boundary_is_strict(self):
         assert collapsed_channels(np.array([1e-3]), threshold=1e-3) == []
         assert collapsed_channels(np.array([0.999e-3]), threshold=1e-3) == [0]

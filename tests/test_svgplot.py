@@ -3,7 +3,7 @@
 import pytest
 
 from collapse_lab.errors import DomainError
-from collapse_lab.svgplot import Series, line_plot
+from collapse_lab.svgplot import Series, _linear_ticks, line_plot
 
 
 def demo_series():
@@ -79,3 +79,17 @@ class TestLinePlot:
     def test_custom_size(self):
         svg = line_plot(demo_series(), width=300, height=200)
         assert 'viewBox="0 0 300 200"' in svg
+
+
+class TestLinearTicks:
+    def test_ordinary_axes_keep_their_ticks(self):
+        assert _linear_ticks(-0.05, 1.05) == [0.0, 0.5, 1.0]
+        assert _linear_ticks(0.1, 0.35) == [0.1, 0.15000000000000002, 0.2, 0.25, 0.3, 0.35]
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0000000000000002), (1.0, 1.0000000000000004)])
+    def test_axis_a_few_ulps_wide_marks_its_ends(self, lo, hi):
+        assert _linear_ticks(lo, hi) == [lo, hi]
+
+    def test_plot_of_an_ulp_wide_series(self):
+        svg = line_plot([Series("s", (0.0, 1.0), (1.0, 1.0000000000000002))])
+        assert "<polyline" in svg
