@@ -97,7 +97,6 @@ def _parse_format(text: str) -> str:
 # registration and the config-file validation, so the two never drift.
 _COMMON = [
     ("out", str, "out", "output directory"),
-    ("seed", int, 0, "base seed"),
 ]
 
 _OPTIONS = {
@@ -121,6 +120,7 @@ _OPTIONS = {
         ("gamma", parse_dist, parse_dist("uniform:0.5:1.5"), "gamma distribution"),
         ("beta", parse_dist, parse_dist("uniform:-1:1"), "beta distribution"),
         ("n", _parse_count, 1_000_000, "neurons to sample"),
+        ("seed", int, 0, "noise and sampling seed"),
         ("threads", _parse_count, None, "worker cap (also capped by COLLAPSE_LAB_THREADS)"),
     ],
     "decay": [
@@ -134,6 +134,7 @@ _OPTIONS = {
     ],
     "train": [
         ("preset", str, None, "arm set: " + ", ".join(sorted(net_train.PRESETS))),
+        ("seed", int, 0, "first training seed"),
         ("seeds", _parse_count, 1, "seeds per arm (seed, seed+1, ...)"),
         ("rounds", _parse_count, None, "cosine restart rounds"),
         ("epochs", _parse_count, None, "epochs per round"),
@@ -161,7 +162,7 @@ _OPTIONS = {
 }
 
 # train flags that set a TrainConfig field of another name; each train flag
-# but preset, seeds and random_labels sets the field of its own name
+# but preset, seed, seeds and random_labels sets the field of its own name
 _TRAIN_FIELD_FOR = {
     "epochs": "epochs_per_round",
     "momentum": "momentum_sgd",
@@ -311,7 +312,7 @@ _ARTIFACTS = {
     "k_grid": (["x", "k"], _k_plot),
     "j_grid": (["gamma", "j", "beta_dist", "beta_even"], _j_plot),
     "mc_verify": ([f.name for f in fields(mc.TheoremRow)], _mc_plot),
-    "decay": (["step", "gamma", "beta", "activation_prob", "collapsed", "c_margin"], _decay_plot),
+    "decay": (list(mc.TrajectoryRecord._fields), _decay_plot),
     "experiment": (net_train.EXPERIMENT_CSV_HEADER, _experiment_plot),
 }
 
@@ -418,7 +419,6 @@ def cmd_decay(params: dict) -> int:
         c=0.0,
         weight_decay=params["wd"],
         alpha=params["alpha"],
-        seed=params["seed"],
     )
     try:
         result = mc.decay_trajectory(
@@ -427,11 +427,7 @@ def cmd_decay(params: dict) -> int:
     except DomainError as exc:
         # every rejection here is a bad flag value, not a mid-run failure
         raise ConfigError(str(exc))
-    rows = [
-        [r.step, r.gamma, r.beta, r.activation_prob, r.collapsed, (r.beta + result.alpha) / abs(r.gamma)]
-        for r in result.records
-    ]
-    _save(out, "decay", rows)
+    _save(out, "decay", result.records)
     path = os.path.join(out, "decay.json")
     tables.write_json(
         path,
@@ -449,10 +445,10 @@ def _train_arms(params: dict) -> list[tuple[str, net_train.TrainConfig]]:
     if params["preset"]:
         arms = net_train.preset_arms(params["preset"])
     else:
-        arms = [("custom", net_train.TrainConfig(weight_decay=0.05, hidden_width=64, n_per_class=200))]
+        arms = [("custom", net_train.TOY_BASE)]
     overrides = {}
     for flag, *_ in _OPTIONS["train"]:
-        if flag not in ("preset", "seeds", "random_labels") and params[flag] is not None:
+        if flag not in ("preset", "seed", "seeds", "random_labels") and params[flag] is not None:
             overrides[_TRAIN_FIELD_FOR.get(flag, flag)] = params[flag]
     if params["random_labels"]:
         overrides["label_mode"] = "random"

@@ -39,6 +39,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -57,6 +58,7 @@ __all__ = [
     "TrajectoryRecord",
     "DecayResult",
     "TheoremRow",
+    "VerifyCell",
     "noise_for",
     "resolve_threads",
     "update_step",
@@ -160,13 +162,18 @@ class DriftEstimate:
     gamma_crossings: int
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
+    """One row of a decay trace; ``c_margin`` is C = (beta + alpha) / |gamma|.
+
+    A tuple, so a trace is its own table rows, with no per-row copy.
+    """
+
     step: int
     gamma: float
     beta: float
     activation_prob: float
     collapsed: bool
+    c_margin: float
 
 
 @dataclass(frozen=True)
@@ -316,7 +323,6 @@ def decay_trajectory(
     cfg: UpdateConfig,
     steps: int,
     stride: int = 1,
-    collapse_threshold: float = COLLAPSE_THRESHOLD,
 ) -> DecayResult:
     """Pure coupled decay of a dead post-shifted unit, tracked until it can fire.
 
@@ -351,8 +357,8 @@ def decay_trajectory(
         raise DomainError("initial state must be dead: (beta + alpha) / |gamma| < 0")
 
     def record(t: int) -> TrajectoryRecord:
-        prob = std_normal_cdf((beta + cfg.alpha) / abs(gamma))
-        return TrajectoryRecord(t, gamma, beta, prob, abs(gamma) < collapse_threshold)
+        margin = (beta + cfg.alpha) / abs(gamma)
+        return TrajectoryRecord(t, gamma, beta, std_normal_cdf(margin), abs(gamma) < COLLAPSE_THRESHOLD, margin)
 
     records = [record(0)]
     reactivation = None

@@ -31,7 +31,7 @@ from ..sparsity import COLLAPSE_THRESHOLD
 from ..tables import atomic_write
 from .layers import BatchNorm, Dense, LeakyReLU, ReLU, accuracy, softmax_cross_entropy
 
-__all__ = ["MLP", "save_checkpoint", "load_checkpoint", "pruned_copy"]
+__all__ = ["ACTIVATIONS", "NORMS", "MLP", "save_checkpoint", "load_checkpoint", "pruned_copy"]
 
 NORMS = ("bn", "psbn", "none")
 ACTIVATIONS = ("relu", "leaky")

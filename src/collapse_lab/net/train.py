@@ -29,15 +29,18 @@ from .data import Dataset, make_synthetic_dataset, shuffle_labels
 from .model import ACTIVATIONS, MLP, NORMS
 
 __all__ = [
+    "EXPERIMENT_CSV_HEADER",
     "TrainConfig",
     "RoundReport",
     "ExperimentResult",
     "cosine_lr",
+    "dataset_for",
     "train_round",
     "run_training",
     "multi_round_experiment",
     "preset_arms",
     "PRESETS",
+    "TOY_BASE",
 ]
 
 LABEL_MODES = ("true", "random")
@@ -246,26 +249,27 @@ def multi_round_experiment(arms: list[tuple[str, TrainConfig]], seeds: list[int]
     return result
 
 
-# Desk-scale arm sets for the three stock comparisons. The shared base
-# uses the calibrated toy decay (see module docstring).
-_TOY_BASE = TrainConfig(weight_decay=0.05, hidden_width=64, n_per_class=200)
+# Desk-scale arm sets for the three stock comparisons. The shared base,
+# which is also ``train``'s arm without a preset, uses the calibrated toy
+# decay (see module docstring).
+TOY_BASE = TrainConfig(weight_decay=0.05, hidden_width=64, n_per_class=200)
 
 PRESETS = {
     "norm-variants": [
-        ("bn-relu", _TOY_BASE),
-        ("bn-leaky", replace(_TOY_BASE, activation="leaky")),
-        ("psbn-relu", replace(_TOY_BASE, norm="psbn", alpha=0.1)),
-        ("no-norm", replace(_TOY_BASE, norm="none")),
+        ("bn-relu", TOY_BASE),
+        ("bn-leaky", replace(TOY_BASE, activation="leaky")),
+        ("psbn-relu", replace(TOY_BASE, norm="psbn", alpha=0.1)),
+        ("no-norm", replace(TOY_BASE, norm="none")),
     ],
     "lr-sweep": [
-        ("eta-0.1", _TOY_BASE),
-        ("eta-0.25", replace(_TOY_BASE, eta_max=0.25)),
-        ("eta-0.5", replace(_TOY_BASE, eta_max=0.5)),
+        ("eta-0.1", TOY_BASE),
+        ("eta-0.25", replace(TOY_BASE, eta_max=0.25)),
+        ("eta-0.5", replace(TOY_BASE, eta_max=0.5)),
     ],
     "gamma-init-sweep": [
-        ("gamma-1.0", _TOY_BASE),
-        ("gamma-0.5", replace(_TOY_BASE, gamma_init=0.5)),
-        ("gamma-0.2", replace(_TOY_BASE, gamma_init=0.2)),
+        ("gamma-1.0", TOY_BASE),
+        ("gamma-0.5", replace(TOY_BASE, gamma_init=0.5)),
+        ("gamma-0.2", replace(TOY_BASE, gamma_init=0.2)),
     ],
 }
 

@@ -46,8 +46,11 @@ def _label(v: float) -> str:
 def _linear_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     span = hi - lo
     raw = span / target
-    mag = 10.0 ** math.floor(math.log10(raw))
-    step = next(s * mag for s in (1.0, 2.0, 5.0, 10.0) if s * mag >= raw)
+    # a subnormal span can underflow raw or mag to 0 and leave no usable step
+    mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 0.0
+    step = next((s * mag for s in (1.0, 2.0, 5.0, 10.0) if s * mag >= raw), 0.0)
+    if step == 0:
+        return [lo, hi]
     first = math.ceil(lo / step) * step
     ticks = []
     t = first

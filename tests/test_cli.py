@@ -81,6 +81,13 @@ class TestAnalytic:
         assert res.returncode == 0, res.stderr
         assert (tmp_path / "o" / "k_fn.svg").exists()
 
+    def test_k_grid_a_subnormal_span_wide(self, tmp_path):
+        # the x axis is so narrow that span / 5 underflows to 0
+        res = run_cli(["analytic", "--k-grid=0:1e-323:5e-324", "--out", "o"], cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / "o" / "k_grid.csv").exists()
+        assert (tmp_path / "o" / "k_fn.svg").exists()
+
     def test_no_mode_is_a_usage_error(self, tmp_path):
         res = run_cli(["analytic", "--out", "o"], cwd=tmp_path)
         assert res.returncode == 2, res.stderr
@@ -365,6 +372,18 @@ class TestArgparseSurface:
         assert not (tmp_path / "o").exists()
         res = run_cli(["mc", "--n", "20000", "--threads", "2", "--out", "m"], cwd=tmp_path)
         assert res.returncode == 0, res.stderr
+
+    def test_seed_is_an_mc_and_train_flag(self, tmp_path):
+        for command in ("analytic", "decay", "report"):
+            res = run_cli([command, "--seed", "1", "--out", "o"], cwd=tmp_path)
+            assert res.returncode == 2, res.stderr
+            assert "unrecognized arguments: --seed 1" in res.stderr
+        assert not (tmp_path / "o").exists()
+        res = run_cli(["mc", "--n", "20000", "--seed", "1", "--out", "m"], cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        res = run_cli(TestTrain.ARGS[:-2] + ["--seed", "1", "--out", "t"], cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / "t" / "checkpoint_custom_s1.json").exists()
 
     def test_format_is_an_analytic_flag(self, tmp_path):
         for command in ("mc", "train", "decay", "report"):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from collapse_lab.analytic import drift_prediction
+from collapse_lab.analytic import drift_prediction, std_normal_cdf
 from collapse_lab.dists import Normal, PointMass, Uniform
 from collapse_lab.errors import ConfigError, DivergenceError, DomainError, SingularityError
 from collapse_lab.mc import (
@@ -329,6 +329,12 @@ class TestDecayTrajectory:
         c1 = (result.records[1].beta + 0.1) / abs(result.records[1].gamma)
         assert c0 == -1.0
         assert abs((c1 - c0) - (0.001 / 0.999) * 0.1) < 1e-12
+
+    def test_record_carries_its_margin(self):
+        result = decay_trajectory((1.0, -1.1), self.CFG, steps=50, stride=7)
+        for r in result.records:
+            assert r.c_margin == (r.beta + 0.1) / abs(r.gamma)
+            assert r.activation_prob == std_normal_cdf(r.c_margin)
 
     def test_recurrence_every_step(self):
         """Each recorded increment matches the closed form to 1e-12."""

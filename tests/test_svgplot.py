@@ -86,7 +86,10 @@ class TestLinearTicks:
         assert _linear_ticks(-0.05, 1.05) == [0.0, 0.5, 1.0]
         assert _linear_ticks(0.1, 0.35) == [0.1, 0.15000000000000002, 0.2, 0.25, 0.3, 0.35]
 
-    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0000000000000002), (1.0, 1.0000000000000004)])
+    # the subnormal spans underflow span / 5, or its power of ten, to 0
+    @pytest.mark.parametrize(
+        "lo, hi", [(1.0, 1.0000000000000002), (1.0, 1.0000000000000004), (0.0, 1e-323), (0.0, 1.5e-323)]
+    )
     def test_axis_a_few_ulps_wide_marks_its_ends(self, lo, hi):
         assert _linear_ticks(lo, hi) == [lo, hi]
 
