@@ -114,11 +114,11 @@ _OPTIONS = {
     "mc": [
         ("verify", _parse_bool, None, "run the verification grid instead of a single cell"),
         ("grid", str, "standard", "verification grid name"),
-        ("eta", float, 0.005, "learning rate"),
-        ("c", float, 1.0, "gradient noise scale"),
-        ("noise", str, "normal", "gradient noise kind: normal or uniform"),
-        ("gamma", parse_dist, parse_dist("uniform:0.5:1.5"), "gamma distribution"),
-        ("beta", parse_dist, parse_dist("uniform:-1:1"), "beta distribution"),
+        ("eta", float, None, "learning rate"),
+        ("c", float, None, "gradient noise scale"),
+        ("noise", str, None, "gradient noise kind: normal or uniform"),
+        ("gamma", parse_dist, None, "gamma distribution"),
+        ("beta", parse_dist, None, "beta distribution"),
         ("n", _parse_count, 1_000_000, "neurons to sample"),
         ("seed", int, 0, "noise and sampling seed"),
         ("threads", _parse_count, None, "worker cap (also capped by COLLAPSE_LAB_THREADS)"),
@@ -160,6 +160,10 @@ _OPTIONS = {
         ("source", str, None, "directory holding CSV files to re-plot (defaults to --out)"),
     ],
 }
+
+# mc flags that describe the single cell, and the VerifyCell field each
+# sets; a field left unset takes VerifyCell's default
+_MC_CELL_FIELD = {"eta": "eta", "c": "c", "noise": "noise", "gamma": "gamma_dist", "beta": "beta_dist"}
 
 # train flags that set a TrainConfig field of another name; each train flag
 # but preset, seed, seeds and random_labels sets the field of its own name
@@ -391,20 +395,16 @@ def _print_agreement(rows: list[mc.TheoremRow]) -> None:
 
 def cmd_mc(params: dict) -> int:
     out = params["out"]
+    given = [flag for flag in _MC_CELL_FIELD if params[flag] is not None]
     if params["verify"]:
         if params["grid"] != "standard":
             raise ConfigError(f"unknown grid {params['grid']!r}; only 'standard' is defined")
+        if given:
+            flags = ", ".join("--" + flag for flag in given)
+            raise ConfigError(f"--verify runs the standard grid, which sets every cell: drop {flags} (flag or [mc] key)")
         cells = mc.standard_grid()
     else:
-        cells = [
-            mc.VerifyCell(
-                eta=params["eta"],
-                c=params["c"],
-                noise=params["noise"],
-                gamma_dist=params["gamma"],
-                beta_dist=params["beta"],
-            )
-        ]
+        cells = [mc.VerifyCell(**{_MC_CELL_FIELD[flag]: params[flag] for flag in given})]
     rows = mc.verify_theorem(cells, count=params["n"], seed=params["seed"], threads=params["threads"])
     _save(out, "mc_verify", [astuple(r) for r in rows])
     if params["verify"]:

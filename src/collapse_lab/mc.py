@@ -31,12 +31,21 @@ neurons, chunk i draws from PCG64 seeded by SeedSequence([seed, i]), and
 per-chunk partial sums are combined in chunk order with compensated
 summation. The result is a function of (seed, n) only, never of the
 thread count.
+
+``one_step_drift`` estimates a group of configs at once (common random
+numbers): each chunk draws (gamma, beta, x_hat) and the baseline
+Phi((beta+alpha)/gamma) once per group, and each noise distribution's
+draw once for the configs that use it, from the generator state that
+follows (gamma, beta, x_hat). Every config therefore sees the exact
+stream a chunk of its own would draw, so grouping changes no bit of any
+estimate.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -70,6 +79,8 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1_000_000
+# a cell's elementwise work runs in slices this long, so its temporaries stay in cache
+_BLOCK = 1 << 16
 
 
 def resolve_threads(requested: int | None = None) -> int:
@@ -197,51 +208,80 @@ def update_step(gamma, beta, x_hat, grad, cfg: UpdateConfig):
     return x_hat * delta_beta, delta_beta
 
 
-def _drift_chunk(spec: EnsembleSpec, cfg: UpdateConfig, index: int, size: int):
-    """Partial sums for one seeded chunk: (sum d, sum d^2, gamma crossings)."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, index])))
+def _drift_chunk(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig], index: int, size: int):
+    """Partial sums for one seeded chunk: one (sum d, sum d^2, gamma crossings) per config.
+
+    The configs share seed and alpha. gamma, beta and x_hat are drawn once;
+    each noise distribution is drawn from the generator state that follows
+    them, so every config sees the stream a chunk of its own would see.
+    """
+    alpha = cfgs[0].alpha
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfgs[0].seed, index])))
     gamma = spec.gamma_dist.sample(rng, size)
     beta = spec.beta_dist.sample(rng, size)
     x_hat = rng.standard_normal(size)
-    grad = cfg.noise_dist.sample(rng, size)
-    p0 = ndtr((beta + cfg.alpha) / gamma)
+    drawn = rng.bit_generator.state
+    p0 = ndtr((beta + alpha) / gamma)
     crossings = 0
 
-    def change(gamma2, beta2):
+    def change(b, gamma2, beta2):
         nonlocal crossings
         crossings += int(np.count_nonzero(gamma2 <= 0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (beta2 + cfg.alpha) / gamma2
+            ratio = (beta2 + alpha) / gamma2
         # 0/0 only when beta' + alpha = gamma' = 0; treat that ratio as 0
-        return ndtr(np.where(np.isnan(ratio), 0.0, ratio)) - p0
+        return ndtr(np.where(np.isnan(ratio), 0.0, ratio)) - p0[b]
 
-    # the gate does not depend on g, so the -g twin moves by exactly -delta
-    d_gamma, d_beta = update_step(gamma, beta, x_hat, grad, cfg)
-    pair = 0.5 * (change(gamma + d_gamma, beta + d_beta) + change(gamma - d_gamma, beta - d_beta))
-    return float(np.sum(pair)), float(np.dot(pair, pair)), crossings
+    sums = [None] * len(cfgs)
+    pair = np.empty(size)
+    for noise in dict.fromkeys(cfg.noise_dist for cfg in cfgs):
+        rng.bit_generator.state = drawn
+        grad = noise.sample(rng, size)
+        for k, cfg in enumerate(cfgs):
+            if cfg.noise_dist != noise:
+                continue
+            crossings = 0
+            for lo in range(0, size, _BLOCK):
+                b = slice(lo, lo + _BLOCK)
+                g, bt = gamma[b], beta[b]
+                # the gate does not depend on g, so the -g twin moves by exactly -delta
+                d_gamma, d_beta = update_step(g, bt, x_hat[b], grad[b], cfg)
+                pair[b] = 0.5 * (change(b, g + d_gamma, bt + d_beta) + change(b, g - d_gamma, bt - d_beta))
+            # reduced over the whole chunk, so no sum depends on _BLOCK
+            sums[k] = (float(np.sum(pair)), float(np.dot(pair, pair)), crossings)
+        del grad  # before the next kind's draw, so one noise array is live at a time
+    return sums
 
 
 def one_step_drift(
     spec: EnsembleSpec,
-    cfg: UpdateConfig,
+    cfgs: Sequence[UpdateConfig],
     quad: QuadratureSpec | None = None,
     threads: int | None = None,
-    predicted: float | None = None,
-) -> DriftEstimate:
-    """Estimate the one-step change in E[Phi((beta+alpha)/gamma)] over an ensemble.
+) -> list[DriftEstimate]:
+    """Estimate the one-step change in E[Phi((beta+alpha)/gamma)], one estimate per config.
 
     Samples spec.count neurons, applies one gradient update to each (no
-    decay), and averages the change over each antithetic +/-g pair. Since
-    (gamma, beta + alpha) follows the unshifted rule, the prediction, with
-    its 3-sigma agreement flag, is the closed form for beta shifted by
-    alpha. Neurons whose gamma crosses <= 0 (step too large for the
+    decay), and averages the change over each antithetic +/-g pair. The
+    configs must share seed and alpha: every config is estimated on the
+    same (gamma, beta, x_hat) draws, and configs with one noise
+    distribution on the same noise draws, each chunk drawn once for all of
+    them. A config's estimate is the one a call with that config alone
+    returns, bit for bit.
+
+    Since (gamma, beta + alpha) follows the unshifted rule, the prediction,
+    with its 3-sigma agreement flag, is the closed form for beta shifted by
+    alpha: computed once at unit eta and c and scaled by eta^2 c^2, which
+    is exact. Neurons whose gamma crosses <= 0 (step too large for the
     second-order regime) are counted in gamma_crossings but still included
     via the cdf's own sign convention.
-
-    ``predicted`` short-circuits the quadrature when the caller already
-    holds the prediction (grid runs share one quadrature per distribution
-    pair and scale it by eta^2 c^2, which is exact).
     """
+    cfgs = list(cfgs)
+    if not cfgs:
+        raise ConfigError("one_step_drift needs at least one UpdateConfig")
+    shared = {(cfg.seed, cfg.alpha) for cfg in cfgs}
+    if len(shared) > 1:
+        raise ConfigError(f"configs of one drift estimate must share seed and alpha, got (seed, alpha) in {sorted(shared)}")
     if spec.count < 10_000:
         raise DomainError(f"count must be >= 10^4 for a meaningful estimate, got {spec.count}")
     require_gamma_support(spec.gamma_dist)
@@ -252,25 +292,29 @@ def one_step_drift(
     workers = min(resolve_threads(threads), len(sizes))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda i: _drift_chunk(spec, cfg, i, sizes[i]), range(len(sizes))))
+            parts = list(pool.map(lambda i: _drift_chunk(spec, cfgs, i, sizes[i]), range(len(sizes))))
     else:
-        parts = [_drift_chunk(spec, cfg, i, sizes[i]) for i in range(len(sizes))]
-    s1 = math.fsum(p[0] for p in parts)
-    s2 = math.fsum(p[1] for p in parts)
-    crossings = sum(p[2] for p in parts)
-    mean = s1 / n
-    var = max(s2 - s1 * s1 / n, 0.0) / (n - 1) if n > 1 else 0.0
-    se = math.sqrt(var / n)
-    if predicted is None:
-        predicted = drift_prediction(cfg.eta, cfg.c, spec.gamma_dist, spec.beta_dist.shifted(cfg.alpha), quad).value
-    return DriftEstimate(
-        empirical_mean=mean,
-        std_error=se,
-        n=n,
-        predicted=predicted,
-        agree=abs(mean - predicted) <= 3.0 * se,
-        gamma_crossings=crossings,
-    )
+        parts = [_drift_chunk(spec, cfgs, i, sizes[i]) for i in range(len(sizes))]
+    unit = drift_prediction(1.0, 1.0, spec.gamma_dist, spec.beta_dist.shifted(cfgs[0].alpha), quad).value
+    estimates = []
+    for k, cfg in enumerate(cfgs):
+        s1 = math.fsum(p[k][0] for p in parts)
+        s2 = math.fsum(p[k][1] for p in parts)
+        mean = s1 / n
+        var = max(s2 - s1 * s1 / n, 0.0) / (n - 1) if n > 1 else 0.0
+        se = math.sqrt(var / n)
+        predicted = unit * cfg.eta**2 * cfg.c**2
+        estimates.append(
+            DriftEstimate(
+                empirical_mean=mean,
+                std_error=se,
+                n=n,
+                predicted=predicted,
+                agree=abs(mean - predicted) <= 3.0 * se,
+                gamma_crossings=sum(p[k][2] for p in parts),
+            )
+        )
+    return estimates
 
 
 def sgd_trajectory(gamma, beta, steps: int, cfg: UpdateConfig, stride: int = 1):
@@ -394,7 +438,9 @@ class TheoremRow:
 
 @dataclass(frozen=True)
 class VerifyCell:
-    eta: float
+    """One verification cell; the defaults are ``collapse-lab mc``'s single cell."""
+
+    eta: float = 0.005
     c: float = 1.0
     noise: str = "normal"
     gamma_dist: ScalarDist = field(default_factory=lambda: Uniform(0.5, 1.5))
@@ -417,27 +463,35 @@ def verify_theorem(
     threads: int | None = None,
     quad: QuadratureSpec | None = None,
 ) -> list[TheoremRow]:
-    """Run the drift estimate over a grid and tabulate agreement.
+    """Run the drift estimate over a grid and tabulate agreement, one row per cell in order.
 
     All cells share the same seed, so cells differing only in eta reuse
     the same draws (common random numbers); their empirical ratio then
-    isolates the eta scaling with almost no Monte Carlo spread. For each
-    cell whose halved eta also appears in the grid (same noise, c, and
-    distributions), ratio_to_half_eta reports empirical(eta)/empirical(eta/2),
-    which the second-order form predicts to be 4.
+    isolates the eta scaling with almost no Monte Carlo spread. The
+    common draws are made once per chunk per group: cells with one
+    (gamma, beta) distribution pair run as one ``one_step_drift`` call,
+    which draws each chunk's (gamma, beta, x_hat) once for all of them
+    and each noise kind's draw once for its cells. For each cell whose
+    halved eta also appears in the grid (same noise, c, and
+    distributions), ratio_to_half_eta reports
+    empirical(eta)/empirical(eta/2), which the second-order form predicts
+    to be 4.
     """
     cells = standard_grid() if cells is None else list(cells)
-    factors: dict[tuple[str, str], float] = {}
+    cfgs = [UpdateConfig(eta=cell.eta, c=cell.c, noise_dist=noise_for(cell.noise, cell.c), seed=seed) for cell in cells]
+    groups: dict[tuple[ScalarDist, ScalarDist], list[int]] = {}
+    for i, cell in enumerate(cells):
+        groups.setdefault((cell.gamma_dist, cell.beta_dist), []).append(i)
+    estimates: list[DriftEstimate | None] = [None] * len(cells)
+    for (gamma_dist, beta_dist), members in groups.items():
+        spec = EnsembleSpec(gamma_dist=gamma_dist, beta_dist=beta_dist, count=count)
+        for i, est in zip(members, one_step_drift(spec, [cfgs[i] for i in members], quad=quad, threads=threads)):
+            estimates[i] = est
+    # eta-doubling ratios within cells of one noise, c and distribution pair
+    mean_of = {cell: est.empirical_mean for cell, est in zip(cells, estimates)}
     rows: list[TheoremRow] = []
-    for cell in cells:
-        key = (str(cell.gamma_dist), str(cell.beta_dist))
-        if key not in factors:
-            # unit-eta, unit-c prediction; exact eta^2 c^2 scaling gives the rest
-            factors[key] = drift_prediction(1.0, 1.0, cell.gamma_dist, cell.beta_dist, quad).value
-        spec = EnsembleSpec(gamma_dist=cell.gamma_dist, beta_dist=cell.beta_dist, count=count)
-        cfg = UpdateConfig(eta=cell.eta, c=cell.c, noise_dist=noise_for(cell.noise, cell.c), seed=seed)
-        predicted = factors[key] * cell.eta**2 * cell.c**2
-        est = one_step_drift(spec, cfg, quad=quad, threads=threads, predicted=predicted)
+    for cell, est in zip(cells, estimates):
+        half = mean_of.get(replace(cell, eta=cell.eta / 2.0))
         rows.append(
             TheoremRow(
                 run_id=f"eta{cell.eta:g}-c{cell.c:g}-{cell.noise}",
@@ -449,17 +503,9 @@ def verify_theorem(
                 n=count,
                 empirical_mean=est.empirical_mean,
                 std_error=est.std_error,
-                predicted=predicted,
+                predicted=est.predicted,
                 agree=est.agree,
+                ratio_to_half_eta=est.empirical_mean / half if half not in (None, 0.0) else None,
             )
         )
-    # second pass: eta-doubling ratios within matching cells
-    by_key = {
-        (r.eta, r.c, r.noise, r.gamma_dist, r.beta_dist): r.empirical_mean for r in rows
-    }
-    out: list[TheoremRow] = []
-    for r in rows:
-        half = by_key.get((r.eta / 2.0, r.c, r.noise, r.gamma_dist, r.beta_dist))
-        ratio = (r.empirical_mean / half) if half not in (None, 0.0) else None
-        out.append(replace(r, ratio_to_half_eta=ratio))
-    return out
+    return rows

@@ -184,6 +184,24 @@ class TestMc:
         assert "unknown noise kind 'bogus'" in res.stderr
         assert not (tmp_path / "o" / "mc_verify.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--gamma", "uniform:1:2", "--eta", "0.3"], ["--c", "2"], ["--noise", "uniform"], ["--beta", "uniform:-2:2"]],
+    )
+    def test_verify_rejects_cell_flags(self, tmp_path, flags):
+        res = run_cli(["mc", "--verify", *flags, "--n", "20000", "--out", "o"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        for flag in flags[::2]:
+            assert flag in res.stderr
+        assert not (tmp_path / "o" / "mc_verify.csv").exists()
+
+    def test_verify_rejects_cell_keys_in_config(self, tmp_path):
+        (tmp_path / "lab.ini").write_text("[mc]\neta = 0.3\n")
+        res = run_cli(["--config", "lab.ini", "mc", "--verify", "--n", "20000", "--out", "o"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "--eta" in res.stderr
+        assert not (tmp_path / "o" / "mc_verify.csv").exists()
+
     def test_unknown_grid(self, tmp_path):
         res = run_cli(["mc", "--verify", "--grid", "huge", "--out", "o"], cwd=tmp_path)
         assert res.returncode == 2, res.stderr

@@ -11,6 +11,7 @@ from collapse_lab.analytic import drift_prediction, std_normal_cdf
 from collapse_lab.dists import Normal, PointMass, Uniform
 from collapse_lab.errors import ConfigError, DivergenceError, DomainError, SingularityError
 from collapse_lab.mc import (
+    CHUNK_SIZE,
     EnsembleSpec,
     UpdateConfig,
     VerifyCell,
@@ -153,12 +154,12 @@ SPEC_UU = EnsembleSpec(Uniform(0.5, 1.5), Uniform(-1, 1), count=200_000)
 
 class TestOneStepDrift:
     def test_zero_eta_is_exactly_zero(self):
-        est = one_step_drift(SPEC_UU, cfg_with(eta=0.0, c=1.0, seed=5))
+        (est,) = one_step_drift(SPEC_UU, [cfg_with(eta=0.0, c=1.0, seed=5)])
         assert est.empirical_mean == 0.0
         assert est.agree
 
     def test_agrees_with_prediction(self):
-        est = one_step_drift(SPEC_UU, cfg_with(eta=0.005, seed=0))
+        (est,) = one_step_drift(SPEC_UU, [cfg_with(eta=0.005, seed=0)])
         assert est.empirical_mean < 0
         assert est.agree
         assert abs(est.empirical_mean - est.predicted) <= 3 * est.std_error
@@ -168,34 +169,34 @@ class TestOneStepDrift:
     def test_point_point_cell(self):
         # n chosen so the 3-sigma band sits ~10x tighter than the check needs
         spec = EnsembleSpec(PointMass(1.0), PointMass(0.0), count=1_000_000)
-        est = one_step_drift(spec, cfg_with(eta=0.005, seed=0))
+        (est,) = one_step_drift(spec, [cfg_with(eta=0.005, seed=0)])
         want = 0.5 * 0.005**2 * (-1.0 / math.pi)
         assert abs(est.empirical_mean - want) <= 3 * est.std_error
         assert math.isclose(est.predicted, want, rel_tol=1e-10)
 
     def test_deterministic_across_threads(self):
-        a = one_step_drift(SPEC_UU, cfg_with(eta=0.01, seed=3), threads=1)
-        b = one_step_drift(SPEC_UU, cfg_with(eta=0.01, seed=3), threads=4)
+        (a,) = one_step_drift(SPEC_UU, [cfg_with(eta=0.01, seed=3)], threads=1)
+        (b,) = one_step_drift(SPEC_UU, [cfg_with(eta=0.01, seed=3)], threads=4)
         assert a.empirical_mean == b.empirical_mean
         assert a.std_error == b.std_error
 
     def test_respects_thread_env(self, monkeypatch):
-        baseline = one_step_drift(SPEC_UU, cfg_with(eta=0.01, seed=3))
+        (baseline,) = one_step_drift(SPEC_UU, [cfg_with(eta=0.01, seed=3)])
         monkeypatch.setenv("COLLAPSE_LAB_THREADS", "1")
-        capped = one_step_drift(SPEC_UU, cfg_with(eta=0.01, seed=3))
+        (capped,) = one_step_drift(SPEC_UU, [cfg_with(eta=0.01, seed=3)])
         assert capped.empirical_mean == baseline.empirical_mean
 
     def test_count_floor(self):
         small = EnsembleSpec(Uniform(0.5, 1.5), Uniform(-1, 1), count=100)
         with pytest.raises(DomainError):
-            one_step_drift(small, cfg_with(eta=0.01))
+            one_step_drift(small, [cfg_with(eta=0.01)])
 
     @pytest.mark.parametrize("alpha", [0.1, 0.3])
     def test_shifted_rule_agrees(self, alpha):
         """Post-shift: Phi((beta+alpha)/gamma) drifts as the unshifted closed
         form with beta shifted by alpha, and not as the unshifted form itself."""
         spec = EnsembleSpec(Uniform(0.5, 1.5), Uniform(-1, 1), count=4_000_000)
-        est = one_step_drift(spec, cfg_with(eta=0.01, alpha=alpha, seed=0))
+        (est,) = one_step_drift(spec, [cfg_with(eta=0.01, alpha=alpha, seed=0)])
         assert est.agree, (est.empirical_mean, est.predicted, est.std_error)
         unshifted = drift_prediction(0.01, 1.0, spec.gamma_dist, spec.beta_dist).value
         assert abs(unshifted - est.predicted) > 10 * est.std_error
@@ -203,7 +204,16 @@ class TestOneStepDrift:
     def test_rejects_gamma_near_zero(self):
         spec = EnsembleSpec(Uniform(0.01, 1.0), Uniform(-1, 1), count=20_000)
         with pytest.raises(SingularityError):
-            one_step_drift(spec, cfg_with(eta=0.01))
+            one_step_drift(spec, [cfg_with(eta=0.01)])
+
+    @pytest.mark.parametrize("other", [{"seed": 1}, {"alpha": 0.1}])
+    def test_group_must_share_seed_and_alpha(self, other):
+        with pytest.raises(ConfigError, match="share seed and alpha"):
+            one_step_drift(SPEC_UU, [cfg_with(eta=0.01), cfg_with(eta=0.005, **other)])
+
+    def test_empty_group_rejected(self):
+        with pytest.raises(ConfigError):
+            one_step_drift(SPEC_UU, [])
 
 
 def scalar_loop(gamma0, beta0, steps, cfg):
@@ -402,11 +412,45 @@ class TestVerifyTheorem:
         half = next(r for r in rows if r.eta == 0.002)
         assert half.ratio_to_half_eta is None
 
+    def test_ratio_only_within_one_distribution_pair(self):
+        # both gamma distributions print as uniform:0.5:1.5, but they differ
+        cells = [VerifyCell(eta=0.01), VerifyCell(eta=0.005, gamma_dist=Uniform(0.5000001, 1.5))]
+        rows = verify_theorem(cells, count=20_000, seed=0)
+        assert rows[0].gamma_dist == rows[1].gamma_dist
+        assert [r.ratio_to_half_eta for r in rows] == [None, None]
+
     def test_zero_eta_row(self):
         rows = verify_theorem([VerifyCell(eta=0.0)], count=20_000, seed=0)
         assert rows[0].empirical_mean == 0.0
         assert rows[0].predicted == 0.0
         assert rows[0].agree
+
+    def test_grouped_equals_per_cell(self):
+        """One call over interleaved noise kinds, etas and distribution pairs
+        gives rows in input order, each bit-equal to its cell estimated alone,
+        over two chunks of which the last is partial."""
+        other = dict(gamma_dist=Uniform(0.8, 1.6), beta_dist=Normal(0.1, 0.5))
+        cells = [
+            VerifyCell(eta=0.01, noise="uniform"),
+            VerifyCell(eta=0.005, noise="normal", **other),
+            VerifyCell(eta=0.005, noise="normal"),
+            VerifyCell(eta=0.01, noise="uniform", **other),
+            VerifyCell(eta=0.01, noise="normal"),
+            VerifyCell(eta=0.005, noise="uniform", **other),
+        ]
+        count = CHUNK_SIZE + 20_000
+        rows = verify_theorem(cells, count=count, seed=11, threads=1)
+        assert [(r.eta, r.noise, r.gamma_dist, r.beta_dist) for r in rows] == [
+            (c.eta, c.noise, str(c.gamma_dist), str(c.beta_dist)) for c in cells
+        ]
+        for cell, row in zip(cells, rows):
+            spec = EnsembleSpec(cell.gamma_dist, cell.beta_dist, count=count)
+            cfg = UpdateConfig(eta=cell.eta, c=cell.c, noise_dist=noise_for(cell.noise, cell.c), seed=11)
+            (alone,) = one_step_drift(spec, [cfg], threads=1)
+            assert row.empirical_mean == alone.empirical_mean
+            assert row.std_error == alone.std_error
+            assert row.predicted == alone.predicted
+        assert verify_theorem(cells, count=count, seed=11, threads=4) == rows
 
     def test_deterministic(self):
         cells = [VerifyCell(eta=0.005)]
