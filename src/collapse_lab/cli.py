@@ -518,9 +518,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        params = merged_params(args, args.command)
-        os.makedirs(params["out"], exist_ok=True)
-        return _COMMANDS[args.command](params)
+        return _COMMANDS[args.command](merged_params(args, args.command))
     except (ConfigError, SingularityError) as exc:
         # a SingularityError only comes from validating user-given
         # distributions or gammas, so it is a configuration error too

@@ -61,8 +61,8 @@ class MLP:
                 setattr(layer, attr, view)
             at += n
 
-    def __deepcopy__(self, memo):  # a plain deepcopy gives every view its own buffer
-        return MLP(copy.deepcopy(self.arch, memo), copy.deepcopy(self.blocks, memo))
+    def __reduce__(self):  # pickle and deepcopy copy the blocks; __init__ binds them to a new store
+        return MLP, (self.arch, self.blocks)
 
     @classmethod
     def build(

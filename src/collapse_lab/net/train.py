@@ -14,16 +14,21 @@ sum(eta_t * lambda) to reach roughly ln(gamma_init / threshold) ~ 7 within
 the epoch budget; a desk-scale run has orders of magnitude fewer steps
 than a full image run, so lambda carries the difference. TrainConfig keeps
 5e-4 as its field default; the presets override it.
+
+``multi_round_experiment`` runs its (arm, seed) cells in spawned worker
+processes with one BLAS thread each, one per core up to COLLAPSE_LAB_THREADS.
+Results come back in cell order, so no output depends on the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..errors import ConfigError, DivergenceError
+from ..errors import CollapseLabError, ConfigError, DivergenceError
 from ..sparsity import COLLAPSE_THRESHOLD, SparsityReport, report_from_chain
 from .data import Dataset, make_synthetic_dataset, shuffle_labels
 from .model import ACTIVATIONS, MLP, NORMS
@@ -214,38 +219,109 @@ def run_training(cfg: TrainConfig, dataset: Dataset | None = None):
     return model, reports, rng
 
 
+def _run_cell(cfg: TrainConfig):
+    """One (arm, seed) cell: run_training's (model, reports, rng), or the exception it raised."""
+    try:
+        return run_training(cfg)
+    except Exception as exc:  # returned, so that a worker's error reaches the caller with its type
+        return exc
+
+
+def _serve(conn) -> None:
+    """Worker process: run each (cell function, config) it receives, until stopped."""
+    while True:
+        fn, cfg = conn.recv()
+        conn.send(fn(cfg))
+
+
+def _map_cells(cells: list[tuple[str, TrainConfig]], workers: int) -> list:
+    """_run_cell over the (arm, config) cells, in order: here at one worker, else in spawned workers."""
+    if workers <= 1:
+        return [_run_cell(cfg) for _, cfg in cells]
+    import multiprocessing.connection
+    ctx = multiprocessing.get_context("spawn")
+    procs = {}  # parent end of a worker's pipe -> the worker
+    try:
+        # one BLAS thread per worker: a child reads these once, when NumPy loads
+        caps = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+        saved = {name: os.environ[name] for name in caps if name in os.environ}
+        os.environ.update(caps)
+        try:
+            for _ in range(workers):
+                conn, child_end = ctx.Pipe()
+                proc = ctx.Process(target=_serve, args=(child_end,), daemon=True)
+                proc.start()
+                procs[conn] = proc
+                child_end.close()
+        finally:  # back to the caller's values
+            for name in caps:
+                del os.environ[name]
+            os.environ.update(saved)
+        results = [None] * len(cells)  # a cell's output, once its worker has sent it
+        todo = iter(range(len(cells)))
+        running = {}  # parent end of a busy worker's pipe -> the index of its cell
+        idle = list(procs)
+        while True:
+            for conn, i in zip(idle, todo):
+                conn.send((_run_cell, cells[i][1]))
+                running[conn] = i
+            if not running:
+                return results
+            idle = multiprocessing.connection.wait(list(running))
+            for conn in idle:
+                i = running.pop(conn)
+                try:
+                    results[i] = conn.recv()
+                except (EOFError, ConnectionResetError):  # the worker is gone
+                    procs[conn].join()
+                    arm, cfg = cells[i]
+                    died = f"arm {arm} seed {cfg.seed}: its worker process died (exit code {procs[conn].exitcode})"
+                    raise CollapseLabError(died) from None
+    finally:
+        for conn, proc in procs.items():  # each worker is idle, or its result is no longer wanted
+            proc.terminate()
+            proc.join()
+            conn.close()
+
+
 def multi_round_experiment(arms: list[tuple[str, TrainConfig]], seeds: list[int]) -> ExperimentResult:
     """Run every (arm, seed) cell; a diverged cell is recorded, not fatal.
 
+    Any other error a cell raises is raised here once every cell has run,
+    the first in (arm, seed) order, so the worker count does not change it.
+
     Rows follow EXPERIMENT_CSV_HEADER. All arms sharing a data_seed see the
     identical dataset, so arm differences are architectural/hyperparameter
-    effects, not data resampling.
+    effects, not data resampling. The cells run in min(resolve_threads(),
+    cells) one-BLAS-thread worker processes (in this one at 1); results keep
+    (arm, seed) order, so they do not depend on the worker count.
     """
+    from ..mc import resolve_threads  # not at the top: mc loads SciPy, which a worker does not need
+    cells = [(arm_name, replace(arm_cfg, seed=seed)) for arm_name, arm_cfg in arms for seed in seeds]
     result = ExperimentResult()
-    for arm_name, arm_cfg in arms:
-        for seed in seeds:
-            cfg = replace(arm_cfg, seed=seed)
-            try:
-                model, reports, rng = run_training(cfg)
-            except DivergenceError as exc:
-                result.failures.append((arm_name, seed, str(exc)))
-                continue
-            result.finals[(arm_name, seed)] = model
-            result.reports[(arm_name, seed)] = reports
-            result.rngs[(arm_name, seed)] = rng
-            for rep in reports:
-                result.rows.append(
-                    {
-                        "arm": arm_name,
-                        "seed": seed,
-                        "round": rep.round_index,
-                        "train_loss": rep.train_loss,
-                        "train_acc": rep.train_acc,
-                        "val_acc": rep.val_acc,
-                        "sparsity_ratio": rep.sparsity.sparsity_ratio,
-                        "flops_reduction": rep.sparsity.flops_reduction,
-                    }
-                )
+    for (arm_name, cfg), out in zip(cells, _map_cells(cells, min(resolve_threads(), len(cells)))):
+        if isinstance(out, DivergenceError):
+            result.failures.append((arm_name, cfg.seed, str(out)))
+            continue
+        if isinstance(out, Exception):
+            raise out
+        model, reports, rng = out
+        result.finals[(arm_name, cfg.seed)] = model
+        result.reports[(arm_name, cfg.seed)] = reports
+        result.rngs[(arm_name, cfg.seed)] = rng
+        for rep in reports:
+            result.rows.append(
+                {
+                    "arm": arm_name,
+                    "seed": cfg.seed,
+                    "round": rep.round_index,
+                    "train_loss": rep.train_loss,
+                    "train_acc": rep.train_acc,
+                    "val_acc": rep.val_acc,
+                    "sparsity_ratio": rep.sparsity.sparsity_ratio,
+                    "flops_reduction": rep.sparsity.flops_reduction,
+                }
+            )
     return result
 
 

@@ -30,10 +30,12 @@ def atomic_write(path, newline=None):
     The data goes to a hidden ``.<name>.<pid>.tmp`` file in the target's
     directory, which ``os.replace`` renames over ``path`` only after the
     block completes and the file is closed. If the block raises, the
-    temporary file is removed and ``path`` is left as it was. Plain ``open``
-    creates the file, so it gets the usual umask-derived mode.
+    temporary file is removed and ``path`` is left as it was. A missing
+    directory is made first, so a run that writes nothing makes none. Plain
+    ``open`` creates the file, so it gets the usual umask-derived mode.
     """
     directory, name = os.path.split(os.fspath(path))
+    os.makedirs(directory or ".", exist_ok=True)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline=newline) as fh:

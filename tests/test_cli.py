@@ -107,13 +107,13 @@ class TestAnalytic:
         )
         assert res.returncode == 2, res.stderr
         assert "--gamma-grid must not contain 0" in res.stderr
-        assert os.listdir(tmp_path / "o") == []
+        assert not (tmp_path / "o").exists()  # nothing written, not even the directory
 
     def test_flag_error_after_a_valid_table_writes_nothing(self, tmp_path):
         res = run_cli(["analytic", "--k-grid=-1:1:0.5", "--j", "--out", "o"], cwd=tmp_path)
         assert res.returncode == 2, res.stderr
         assert "--j requires --beta" in res.stderr
-        assert os.listdir(tmp_path / "o") == []
+        assert not (tmp_path / "o").exists()  # nothing written, not even the directory
 
     @pytest.mark.parametrize("grid", ["0:1:0.3", "0:1:5"])
     def test_grid_step_must_divide_span(self, tmp_path, grid):
@@ -121,7 +121,7 @@ class TestAnalytic:
         res = run_cli(["analytic", "--k-grid", grid, "--out", "o"], cwd=tmp_path)
         assert res.returncode == 2, res.stderr
         assert "whole number of steps" in res.stderr
-        assert os.listdir(tmp_path / "o") == []
+        assert not (tmp_path / "o").exists()  # nothing written, not even the directory
 
     def test_gamma_support_through_zero_is_config_error(self, tmp_path):
         res = run_cli(
@@ -130,7 +130,7 @@ class TestAnalytic:
         )
         assert res.returncode == 2, res.stderr
         assert "gamma support must lie in" in res.stderr
-        assert os.listdir(tmp_path / "o") == []
+        assert not (tmp_path / "o").exists()  # nothing written, not even the directory
 
 
 class TestMc:
@@ -201,6 +201,11 @@ class TestMc:
         assert res.returncode == 2, res.stderr
         assert "--eta" in res.stderr
         assert not (tmp_path / "o" / "mc_verify.csv").exists()
+
+    def test_rejected_run_makes_no_out_directory(self, tmp_path):
+        res = run_cli(["mc", "--verify", "--gamma", "uniform:1:2", "--out", "xo"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert not (tmp_path / "xo").exists()
 
     def test_unknown_grid(self, tmp_path):
         res = run_cli(["mc", "--verify", "--grid", "huge", "--out", "o"], cwd=tmp_path)
@@ -322,6 +327,25 @@ class TestTrain:
         assert model.arch["hidden_width"] == 8
         assert (out / "sparsity_vs_round.svg").exists()
         assert (out / "accuracy_vs_round.svg").exists()
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a cap of 2 needs two cores to start worker processes")
+    def test_deterministic_across_worker_caps(self, tmp_path):
+        args = ["train", "--preset", "norm-variants", "--seeds", "2", "--rounds", "1", "--epochs", "2"]
+        for out, cap in (("a", "1"), ("b", "2")):
+            res = run_cli(args + ["--out", out], cwd=tmp_path, env={"COLLAPSE_LAB_THREADS": cap})
+            assert res.returncode == 0, res.stderr
+        base = tree_bytes(tmp_path / "a")
+        assert len(base) == 1 + 3 * 8 + 2  # experiment.csv, 3 files per cell, 2 SVGs
+        assert tree_bytes(tmp_path / "b") == base
+
+    @pytest.mark.parametrize("cap", ["1", "2"])
+    def test_dataset_error_is_config_error_under_any_cap(self, tmp_path, cap):
+        args = ["train", "--seeds", "2", "--n-per-class", "3", "--out", "o"]
+        res = run_cli(args, cwd=tmp_path, env={"COLLAPSE_LAB_THREADS": cap})
+        assert res.returncode == 2, res.stderr
+        assert "n_per_class must be >= 5" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_preset(self, tmp_path):
         res = run_cli(["train", "--preset", "wide-resnet", "--out", "o"], cwd=tmp_path)

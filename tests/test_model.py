@@ -2,6 +2,7 @@
 
 import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -128,6 +129,21 @@ class TestFlatStore:
         assert not np.shares_memory(clone.params, model.params)
         assert np.array_equal(clone.params, model.params)
         assert np.array_equal(clone.grads, model.grads)
+
+    @pytest.mark.parametrize("norm", ["bn", "psbn", "none"])
+    def test_pickle_binds_a_new_store(self, norm):
+        model = small_model(norm, **({"alpha": 0.1} if norm == "psbn" else {}))
+        model.loss_and_grad(np.random.default_rng(1).standard_normal((5, 6)), np.array([0, 1, 2, 0, 1]))
+        clone = pickle.loads(pickle.dumps(model))
+        assert_bound(clone)
+        for store, old in ((clone.params, model.params), (clone.grads, model.grads)):
+            assert not np.shares_memory(store, old)
+            assert np.array_equal(store, old)
+        for value, grad in layer_arrays(clone):
+            assert not np.shares_memory(value, model.params)
+            assert not np.shares_memory(grad, model.grads)
+        for key, arr in model.state_arrays().items():
+            assert np.array_equal(clone.state_arrays()[key], arr), key
 
     def test_pruned_copy_binds(self):
         model = small_model()

@@ -1,5 +1,6 @@
 """Exact CSV/JSON round-tripping, the backbone of byte-identical outputs."""
 
+import json
 import math
 import os
 
@@ -141,3 +142,7 @@ class TestAtomicWrite:
         with atomic_write(tmp_path / "atomic.txt") as fh:
             fh.write("x")
         assert os.stat(tmp_path / "atomic.txt").st_mode == os.stat(plain).st_mode
+
+    def test_first_write_makes_the_directory(self, tmp_path):
+        write_json(tmp_path / "new" / "deeper" / "t.json", {"a": 1})
+        assert json.loads((tmp_path / "new" / "deeper" / "t.json").read_text()) == {"a": 1}

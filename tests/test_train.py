@@ -1,12 +1,17 @@
 """Training loop: schedule, determinism, resume, divergence handling, presets."""
 
 import math
+import multiprocessing
+import os
+import signal
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from collapse_lab.errors import ConfigError, DivergenceError
+from collapse_lab import cli
+from collapse_lab.errors import CollapseLabError, ConfigError, DivergenceError
+from collapse_lab.net import train as net_train
 from collapse_lab.net.model import MLP, load_checkpoint, save_checkpoint
 from collapse_lab.net.train import (
     EXPERIMENT_CSV_HEADER,
@@ -31,6 +36,9 @@ TINY = TrainConfig(
     n_per_class=25,
     weight_decay=0.01,
 )
+
+# a cap of 2 starts worker processes only where there are two cores (resolve_threads caps by cpu_count)
+needs_two_cores = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two worker processes")
 
 
 def model_for(cfg: TrainConfig, rng) -> MLP:
@@ -231,6 +239,68 @@ class TestExperiment:
         result = multi_round_experiment([("a", TINY)], seeds=[0, 1])
         got = {(r["arm"], r["seed"], r["round"]) for r in result.rows}
         assert got == {("a", s, r) for s in (0, 1) for r in range(TINY.rounds)}
+
+    @needs_two_cores
+    def test_worker_count_never_changes_results(self, monkeypatch):
+        bad = replace(
+            TINY, eta_max=1e150, eta_min=1e150, norm="none",
+            activation="leaky", weight_decay=0.0,
+        )
+        arms = [("bn", TINY), ("psbn", replace(TINY, norm="psbn", alpha=0.1)), ("bad", bad)]
+        results = []
+        for cap in ("1", "2"):
+            monkeypatch.setenv("COLLAPSE_LAB_THREADS", cap)
+            env = dict(os.environ)
+            with np.errstate(over="ignore", invalid="ignore"):
+                results.append(multi_round_experiment(arms, seeds=[0, 1]))
+            assert multiprocessing.active_children() == []
+            assert dict(os.environ) == env
+        one, two = results
+        assert one.rows == two.rows
+        assert one.failures == two.failures
+        assert [f[:2] for f in one.failures] == [("bad", 0), ("bad", 1)]
+        assert set(one.finals) == set(two.finals) == {(a, s) for a in ("bn", "psbn") for s in (0, 1)}
+        for cell, model in one.finals.items():
+            other = two.finals[cell]
+            assert other.params.tobytes() == model.params.tobytes(), cell
+            for key, arr in model.state_arrays().items():
+                assert other.state_arrays()[key].tobytes() == arr.tobytes(), (cell, key)
+            assert two.rngs[cell].bit_generator.state == one.rngs[cell].bit_generator.state, cell
+
+    @pytest.mark.parametrize("cap", ["1", "2"])
+    def test_cell_error_keeps_its_type_under_any_cap(self, monkeypatch, cap):
+        monkeypatch.setenv("COLLAPSE_LAB_THREADS", cap)
+        with pytest.raises(ConfigError, match="n_per_class must be >= 5"):
+            multi_round_experiment([("a", TINY), ("small", replace(TINY, n_per_class=3))], seeds=[0, 1])
+        assert multiprocessing.active_children() == []
+
+
+def _killed_on_seed_1(cfg):
+    """Cell function for a worker process: the worker is killed on seed 1."""
+    assert multiprocessing.parent_process() is not None, "ran in the test process, not in a worker"
+    if cfg.seed == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return net_train._run_cell(cfg)
+
+
+@needs_two_cores
+class TestDeadWorker:
+    def test_names_its_cell(self, monkeypatch):
+        monkeypatch.setenv("COLLAPSE_LAB_THREADS", "2")
+        monkeypatch.setattr(net_train, "_run_cell", _killed_on_seed_1)
+        with pytest.raises(CollapseLabError, match=r"arm a seed 1: .*died \(exit code -9\)"):
+            multi_round_experiment([("a", TINY)], seeds=[0, 1])
+        assert multiprocessing.active_children() == []
+
+    def test_train_exits_3(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setenv("COLLAPSE_LAB_THREADS", "2")
+        monkeypatch.setattr(net_train, "_run_cell", _killed_on_seed_1)
+        argv = ["train", "--seeds", "2", "--rounds", "1", "--epochs", "1", "--width", "8", "--layers", "2",
+                "--classes", "3", "--dim", "6", "--n-per-class", "10", "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 3
+        assert "arm custom seed 1" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "o").exists()
 
 
 class TestPresets:
