@@ -21,6 +21,23 @@ Partial-moment closed forms used in the derivation:
     g(y) = int_{-inf}^{y} x phi(x) dx = -phi(y)
     int_{-y}^{inf} x^2 phi(x) dx = -y phi(y) + Phi(y)
 
+J is exact in closed form, so the drift is one gamma quadrature. For
+beta ~ U(lo, hi), J(gamma) = gamma/(hi - lo) [F(hi/gamma) - F(lo/gamma)],
+where the antiderivative of K follows from (x - x^3) phi = d/dx[(1 + x^2) phi]
+and integration by parts:
+
+    F(x) = -(x^3/2 + x/4) phi(x)^2 + (1 + x^2) phi(x) Phi(x) - 11/(16 sqrt(pi)) erf(x)
+
+The erf difference goes through erfc on the side of zero where the ends
+lie, so two ends deep in one tail do not cancel; a narrow interval does:
+J's absolute error is about 2e-16 |gamma| / (hi - lo), 2e-11 for a width
+of 1e-5 at gamma = 1. For beta ~ N(mu, s), X = beta/gamma is normal, phi^2
+is N(0, 1/2)/(2 sqrt(pi)), and a product of normal densities is a constant
+times a normal density, so E[K(X)] reduces to moments E[Y^k] and
+E[Y^k Phi(Y)], k <= 3, of some Y ~ N(a, u^2). Stein's identity
+E[(Y - a) h(Y)] = u^2 E[h'(Y)] gives those from E[Phi(Y)] = Phi(a/r) and
+E[phi(Y)] = phi(a/r)/r, r = sqrt(1 + u^2).
+
 Phi is evaluated with ``scipy.special.ndtr`` (the Cephes rational erf/erfc
 approximation, relative error of a few ulp across the real line). The test
 suite pins it against a quadrature-of-phi oracle to 1e-12 on [-8, 8] and
@@ -33,9 +50,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import erfc, ndtr
 
-from .dists import Normal, PointMass, ScalarDist, Uniform
+from .dists import PointMass, ScalarDist, Uniform
 from .errors import DomainError, SingularityError
 from .quadrature import QuadratureSpec, integrate, panel_nodes
 
@@ -56,12 +73,8 @@ __all__ = [
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# Kernel evaluations per block of the (gamma, beta) grid in ``_j_values``:
-# 64 gamma rows at the default 1024 beta nodes. Each temporary array of a
-# block is 512 KiB, so the kernel's passes stay close to the CPU caches and
-# peak memory does not grow with the grid. The size is a constant, never
-# derived from the thread count, so output bytes depend on the inputs only.
-_J_BLOCK_POINTS = 65_536
+# F(x) + _ERF_COEF * erf(x), for F the antiderivative of K, vanishes in both tails
+_ERF_COEF = 11.0 / (16.0 * math.sqrt(math.pi))
 
 # Smallest admissible lower edge for a gamma distribution's support. The
 # drift integrand carries 1/gamma^2, which is not integrable across 0, and
@@ -160,35 +173,53 @@ def require_gamma_support(gamma_dist: ScalarDist, minimum: float = GAMMA_MIN) ->
         )
 
 
-def _j_values(gammas: np.ndarray, beta_dist: ScalarDist, quad: QuadratureSpec) -> np.ndarray:
-    """J(gamma) on an array of gammas, sharing one set of beta nodes."""
+def _normal_pdf(z, var):
+    return np.exp(-0.5 * z * z / var) / np.sqrt(2.0 * math.pi * var)
+
+
+def _f_smooth(x):
+    """F(x) + _ERF_COEF * erf(x): the part of K's antiderivative F that vanishes in both tails."""
+    x2 = x * x
+    p = _INV_SQRT_2PI * np.exp(-0.5 * x2)
+    return (1.0 + x2) * p * ndtr(x) - (0.5 * x2 + 0.25) * x * p * p
+
+
+def _j_values(gammas: np.ndarray, beta_dist: ScalarDist) -> np.ndarray:
+    """J(gamma) on an array of gammas, in closed form (see the module docstring)."""
     gammas = np.asarray(gammas, dtype=np.float64)
     if isinstance(beta_dist, PointMass):
         return k_fn(beta_dist.value / gammas)
     if isinstance(beta_dist, Uniform):
-        lo, hi = beta_dist.lo, beta_dist.hi
-    else:  # Normal
-        lo = beta_dist.loc - quad.truncation_radius * beta_dist.scale
-        hi = beta_dist.loc + quad.truncation_radius * beta_dist.scale
-    nodes, weights = panel_nodes(lo, hi, quad.panels)
-    wdens = beta_dist.density(nodes) * weights
-    out = np.empty(gammas.shape, dtype=np.float64)
-    # the (gamma, beta) grid goes through the kernel one fixed-size block of
-    # gamma rows at a time (_J_BLOCK_POINTS), never whole
-    rows = max(1, _J_BLOCK_POINTS // nodes.size)
-    flat_g = gammas.ravel()
-    flat_o = out.ravel()
-    for start in range(0, flat_g.size, rows):
-        gs = flat_g[start : start + rows]
-        flat_o[start : start + rows] = k_fn(nodes[None, :] / gs[:, None]) @ wdens
-    return out
+        a, b = beta_dist.lo / gammas, beta_dist.hi / gammas
+        side = np.where(a + b >= 0.0, 1.0, -1.0)
+        d_erf = side * (erfc(side * a) - erfc(side * b))  # erf(b) - erf(a)
+        return gammas / (beta_dist.hi - beta_dist.lo) * (_f_smooth(b) - _f_smooth(a) - _ERF_COEF * d_erf)
+    # Normal: X = beta/gamma ~ N(m, v2)
+    m, v2 = beta_dist.loc / gammas, (beta_dist.scale / gammas) ** 2
+    # (X^4 - 2) phi(X)^2, with phi^2 = N(0, 1/2) / (2 sqrt(pi)): Y ~ N(a, u2)
+    w = v2 + 0.5
+    a, u2 = 0.5 * m / w, 0.5 * v2 / w
+    even = _normal_pdf(m, w) / (2.0 * math.sqrt(math.pi)) * (a**4 + 6.0 * a * a * u2 + 3.0 * u2 * u2 - 2.0)
+    # (X - X^3) phi(X) Phi(X): Y ~ N(a, u2) again, then p_k = E[Y^k phi(Y)]
+    # and m_k = E[Y^k Phi(Y)] by Stein's identity
+    w = 1.0 + v2
+    a, u2 = m / w, v2 / w
+    r2 = 1.0 + u2
+    p0 = _normal_pdf(a, r2)
+    p1 = a * p0 / r2
+    p2 = (a * p1 + u2 * p0) / r2
+    m0 = ndtr(a / np.sqrt(r2))
+    m1 = a * m0 + u2 * p0
+    m2 = a * m1 + u2 * (m0 + p1)
+    m3 = a * m2 + u2 * (2.0 * m1 + p2)
+    return even + _normal_pdf(m, w) * (m1 - m3)
 
 
-def j_fn(gamma: float, beta_dist: ScalarDist, quad: QuadratureSpec | None = None) -> float:
+def j_fn(gamma: float, beta_dist: ScalarDist) -> float:
     """J(gamma) = E_beta[K(beta/gamma)].
 
-    A PointMass beta collapses the expectation to a single kernel
-    evaluation (no quadrature), so beta identically 0 gives the constant
+    In closed form (see the module docstring); a PointMass beta is a
+    single kernel evaluation, so beta identically 0 gives the constant
     K(0) = -1/pi for every gamma. Whether the negativity guarantee applies
     is a property of the beta distribution: check ``beta_dist.is_even``
     when consuming the value (the J < 0 statement holds only then).
@@ -197,10 +228,9 @@ def j_fn(gamma: float, beta_dist: ScalarDist, quad: QuadratureSpec | None = None
         raise SingularityError("J(gamma) is undefined at gamma = 0")
     if not math.isfinite(gamma):
         raise DomainError("gamma must be finite")
-    quad = quad or QuadratureSpec()
-    value = float(_j_values(np.asarray([gamma]), beta_dist, quad)[0])
+    value = float(_j_values(np.asarray([gamma]), beta_dist)[0])
     # mathematically guaranteed for symmetric beta; a violation means the
-    # quadrature itself is broken, so fail loudly rather than return junk
+    # closed form itself is broken, so fail loudly rather than return junk
     if beta_dist.is_even and not value < 0:
         raise AssertionError(f"J({gamma}) = {value} >= 0 for even beta {beta_dist}")
     return value
@@ -226,9 +256,10 @@ def drift_prediction(
 ) -> DriftPrediction:
     """(eta^2 c^2 / 2) * E_gamma[gamma^-2 J(gamma)].
 
-    Scales exactly with eta^2 c^2: the expectation factor is computed once
-    from the distributions, so doubling eta multiplies the value by
-    exactly 4.
+    One panel quadrature over gamma (``quad.panels`` sets its panels) of
+    closed-form J values. Scales exactly with eta^2 c^2: the expectation
+    factor is computed once from the distributions, so doubling eta
+    multiplies the value by exactly 4.
     """
     if eta < 0 or c < 0:
         raise DomainError("eta and c must be nonnegative")
@@ -238,11 +269,11 @@ def drift_prediction(
     require_gamma_support(gamma_dist)
     if isinstance(gamma_dist, PointMass):
         g0 = gamma_dist.value
-        factor = _j_values(np.asarray([g0]), beta_dist, quad)[0] / (g0 * g0)
+        factor = _j_values(np.asarray([g0]), beta_dist)[0] / (g0 * g0)
     else:
         lo, hi = gamma_dist.support()
         nodes, weights = panel_nodes(lo, hi, quad.panels)
-        jvals = _j_values(nodes, beta_dist, quad)
+        jvals = _j_values(nodes, beta_dist)
         factor = float(np.dot(jvals * gamma_dist.density(nodes) / (nodes * nodes), weights))
     value = float(0.5 * eta * eta * c * c * factor)
     return DriftPrediction(value=value, eta=eta, c=c, gamma_dist=gamma_dist, beta_dist=beta_dist)

@@ -53,10 +53,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtr
 
-from .analytic import drift_prediction, require_gamma_support, std_normal_cdf
+from .analytic import drift_prediction, require_gamma_support
 from .dists import Normal, PointMass, ScalarDist, Uniform
 from .errors import ConfigError, DivergenceError, DomainError
-from .quadrature import QuadratureSpec
 from .sparsity import COLLAPSE_THRESHOLD
 
 __all__ = [
@@ -256,7 +255,6 @@ def _drift_chunk(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig], index: int, s
 def one_step_drift(
     spec: EnsembleSpec,
     cfgs: Sequence[UpdateConfig],
-    quad: QuadratureSpec | None = None,
     threads: int | None = None,
 ) -> list[DriftEstimate]:
     """Estimate the one-step change in E[Phi((beta+alpha)/gamma)], one estimate per config.
@@ -295,7 +293,7 @@ def one_step_drift(
             parts = list(pool.map(lambda i: _drift_chunk(spec, cfgs, i, sizes[i]), range(len(sizes))))
     else:
         parts = [_drift_chunk(spec, cfgs, i, sizes[i]) for i in range(len(sizes))]
-    unit = drift_prediction(1.0, 1.0, spec.gamma_dist, spec.beta_dist.shifted(cfgs[0].alpha), quad).value
+    unit = drift_prediction(1.0, 1.0, spec.gamma_dist, spec.beta_dist.shifted(cfgs[0].alpha)).value
     estimates = []
     for k, cfg in enumerate(cfgs):
         s1 = math.fsum(p[k][0] for p in parts)
@@ -397,24 +395,25 @@ def decay_trajectory(
     gamma, beta = float(initial[0]), float(initial[1])
     if gamma == 0:
         raise DomainError("initial gamma must be nonzero")
-    if (beta + cfg.alpha) / abs(gamma) >= 0:
+    margin = (beta + cfg.alpha) / abs(gamma)
+    if margin >= 0:
         raise DomainError("initial state must be dead: (beta + alpha) / |gamma| < 0")
-
-    def record(t: int) -> TrajectoryRecord:
-        margin = (beta + cfg.alpha) / abs(gamma)
-        return TrajectoryRecord(t, gamma, beta, std_normal_cdf(margin), abs(gamma) < COLLAPSE_THRESHOLD, margin)
-
-    records = [record(0)]
+    states = [(0, gamma, beta, margin)]
     reactivation = None
     for t in range(1, steps + 1):
         gamma *= shrink
         beta *= shrink
-        revived = (beta + cfg.alpha) / abs(gamma) >= 0
-        if revived or t % stride == 0 or t == steps:
-            records.append(record(t))
-        if revived:
+        margin = (beta + cfg.alpha) / abs(gamma)
+        if margin >= 0 or t % stride == 0 or t == steps:
+            states.append((t, gamma, beta, margin))
+        if margin >= 0:
             reactivation = t
             break
+    # Phi of every recorded margin in one call, after the scalar recurrence
+    probs = ndtr(np.array([state[3] for state in states])).tolist()
+    records = [
+        TrajectoryRecord(t, g, b, p, abs(g) < COLLAPSE_THRESHOLD, c) for (t, g, b, c), p in zip(states, probs)
+    ]
     return DecayResult(records=tuple(records), reactivation_step=reactivation, alpha=cfg.alpha)
 
 
@@ -461,7 +460,6 @@ def verify_theorem(
     count: int = 10_000_000,
     seed: int = 0,
     threads: int | None = None,
-    quad: QuadratureSpec | None = None,
 ) -> list[TheoremRow]:
     """Run the drift estimate over a grid and tabulate agreement, one row per cell in order.
 
@@ -485,7 +483,7 @@ def verify_theorem(
     estimates: list[DriftEstimate | None] = [None] * len(cells)
     for (gamma_dist, beta_dist), members in groups.items():
         spec = EnsembleSpec(gamma_dist=gamma_dist, beta_dist=beta_dist, count=count)
-        for i, est in zip(members, one_step_drift(spec, [cfgs[i] for i in members], quad=quad, threads=threads)):
+        for i, est in zip(members, one_step_drift(spec, [cfgs[i] for i in members], threads=threads)):
             estimates[i] = est
     # eta-doubling ratios within cells of one noise, c and distribution pair
     mean_of = {cell: est.empirical_mean for cell, est in zip(cells, estimates)}

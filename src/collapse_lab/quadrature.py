@@ -4,12 +4,7 @@ A fixed-order panel rule keeps every integral deterministic: no adaptive
 recursion, no tolerance-driven early exit. With the default 256 panels and
 an order-4 rule per panel, any smooth integrand used in this package is
 resolved far below 1e-12; doubling the panel count moves results by less
-than 1e-9 (asserted in the test suite). The modest default matters because
-the drift formula nests two integrals, so its cost is quadratic in the
-node count: 1024 x 1024 kernel evaluations at the default. ``analytic``
-walks that (gamma, beta) grid in fixed blocks of 65,536 points (64 gamma
-rows), so its time grows with the node count squared while its memory
-stays at one block.
+than 1e-9 (asserted in the test suite).
 """
 
 from __future__ import annotations

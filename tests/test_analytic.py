@@ -13,13 +13,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from collapse_lab.analytic import (
-    _J_BLOCK_POINTS,
+    _ERF_COEF,
     GAMMA_MIN,
-    _j_values,
+    _f_smooth,
     drift_prediction,
     g_closed,
     h_tail_closed,
@@ -199,51 +200,102 @@ class TestJ:
         for gamma in (0.5, 1.0, 2.0, 5.0):
             assert abs(j_fn(gamma, PointMass(0.0)) - k_fn(0.0)) < 1e-15
 
-    def test_uniform_beta_value(self, quad):
+    def test_uniform_beta_value(self):
         # frozen from a 50-digit evaluation of the expectation integral
-        assert abs(j_fn(1.0, Uniform(-1, 1), quad) - (-0.20558857159211642)) < 1e-10
-        assert abs(j_fn(0.5, Uniform(-1, 1), quad) - (-0.13517381956545829)) < 1e-10
+        assert abs(j_fn(1.0, Uniform(-1, 1)) - (-0.20558857159211642)) < 1e-10
+        assert abs(j_fn(0.5, Uniform(-1, 1)) - (-0.13517381956545829)) < 1e-10
 
-    def test_normal_beta_value(self, quad):
-        assert abs(j_fn(1.0, Normal(0, 0.5), quad) - (-0.23780752437627121)) < 1e-10
+    def test_normal_beta_value(self):
+        assert abs(j_fn(1.0, Normal(0, 0.5)) - (-0.23780752437627121)) < 1e-10
 
-    def test_uniform_beta_vs_trapezoid_oracle(self, quad):
+    def test_uniform_beta_vs_trapezoid_oracle(self):
         """Brute-force route: dense trapezoid instead of panel Gauss."""
         betas = np.linspace(-1.0, 1.0, 2_000_001)
         want = float(np.trapezoid(k_fn(betas) * 0.5, betas))
-        assert abs(j_fn(1.0, Uniform(-1, 1), quad) - want) < 1e-10
+        assert abs(j_fn(1.0, Uniform(-1, 1)) - want) < 1e-10
 
-    def test_negative_for_even_beta(self, quad):
+    def test_negative_for_even_beta(self):
         gammas = [0.1, 0.3, 0.7, 1.0, 2.0, 5.0]
         dists = [Uniform(-a, a) for a in (0.5, 1, 2)] + [Normal(0, s) for s in (0.1, 0.5, 1)]
         for dist in dists:
             for gamma in gammas:
-                assert j_fn(gamma, dist, quad) < 0
+                assert j_fn(gamma, dist) < 0
 
     def test_gamma_zero_rejected(self):
         with pytest.raises(SingularityError):
             j_fn(0.0, Uniform(-1, 1))
 
-    def test_non_even_beta_computes(self, quad):
+    def test_non_even_beta_computes(self):
         # no negativity guarantee, but the value exists; consumers check is_even
         dist = Uniform(0.0, 1.0)
         assert not dist.is_even
-        value = j_fn(1.0, dist, quad)
+        value = j_fn(1.0, dist)
         assert math.isfinite(value)
 
-    def test_array_matches_scalar_across_blocks(self, quad):
-        # 200 gamma rows against 1024 beta nodes fill several kernel blocks
-        gammas = np.linspace(0.1, 5.0, 200)
-        assert gammas.size * 4 * quad.panels > 3 * _J_BLOCK_POINTS
-        for beta in (Uniform(-1, 1), Normal(0, 0.5)):
-            got = _j_values(gammas, beta, quad)
-            want = np.array([j_fn(float(g), beta, quad) for g in gammas])
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["symmetric", "asymmetric", "shifted", "normal"]),
+        u=st.floats(0.1, 2.0),
+        v=st.floats(0.05, 1.5),
+        gamma=st.floats(GAMMA_MIN, 5.0),
+        negative=st.booleans(),
+        flip=st.booleans(),
+    )
+    def test_closed_form_vs_panel_oracle(self, kind, u, v, gamma, negative, flip):
+        """J against a high-panel rule on the defining integral of K(beta/gamma) * density."""
+        dist = {
+            "symmetric": Uniform(-u, u),
+            "asymmetric": Uniform(-u, v),
+            "shifted": Uniform(-u, u).shifted(v / 1.5),
+            "normal": Normal(-v if flip else v, u),
+        }[kind]
+        g = -gamma if negative else gamma
+        if kind == "normal":
+            lo, hi = dist.loc - 12 * dist.scale, dist.loc + 12 * dist.scale
+        else:
+            lo, hi = dist.support()
+        want = integrate(lambda b: k_fn(b / g) * dist.density(b), lo, hi, QuadratureSpec(panels=8192))
+        got = j_fn(g, dist)
+        assert abs(got - want) <= 1e-13 * abs(want) + 1e-16
 
-    def test_panel_doubling_stability(self, quad):
-        a = j_fn(1.0, Uniform(-1, 1), quad)
-        b = j_fn(1.0, Uniform(-1, 1), quad.doubled())
-        assert abs(a - b) < 1e-9
+    def test_antiderivative_derivative_is_k(self):
+        # F' = K by central differences: step 1e-5 leaves an O(h^2) error near 1e-11
+        def f(x):
+            return _f_smooth(x) - _ERF_COEF * erf(x)
+
+        h = 1e-5
+        xs = np.arange(-8.0, 8.0 + 1e-9, 0.01)
+        slope = (f(xs + h) - f(xs - h)) / (2 * h)
+        np.testing.assert_allclose(slope, k_fn(xs), rtol=0, atol=2e-10)
+
+    def test_wide_normal_at_small_gamma(self):
+        # N(0, 1.5) at gamma = 0.1: K(beta/gamma) spans |x| up to 120 inside
+        # 8 sd; a 1024-node panel rule on beta was 8.2e-7 off here
+        from scipy.integrate import quad as scipy_quad
+
+        def integrand(b):
+            return k_oracle(b / 0.1) * phi_oracle(b / 1.5) / 1.5
+
+        want, _err = scipy_quad(integrand, -18.0, 18.0, points=[0.0], epsabs=1e-17, epsrel=1e-13, limit=400)
+        assert abs(j_fn(0.1, Normal(0.0, 1.5)) - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("lo, hi", [(6.0, 7.0), (8.0, 9.0), (-8.0, -7.0), (-12.0, -10.0)])
+    def test_both_ends_deep_in_one_tail(self, lo, hi):
+        # J is tiny here, so differencing erf(hi) - erf(lo) near +-1 would lose
+        # every digit; the erfc route keeps the relative error near rounding
+        want = integrate(k_fn, lo, hi, QuadratureSpec(panels=1024)) / (hi - lo)
+        assert abs(j_fn(1.0, Uniform(lo, hi)) - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("width", [1e-2, 1e-4, 1e-5, 1e-6])
+    def test_narrow_interval_precision_bound(self, width):
+        # the documented bound: F(hi/gamma) - F(lo/gamma) cancels to an
+        # absolute error of about 2e-16 |gamma| / (hi - lo)
+        for gamma in (0.3, 1.0, 5.0):
+            for centre in np.linspace(-2.5, 2.5, 11):
+                lo, hi = centre - width / 2, centre + width / 2
+                want = integrate(lambda b: k_fn(b / gamma), lo, hi, QuadratureSpec(panels=16)) / (hi - lo)
+                got = j_fn(gamma, Uniform(lo, hi))
+                assert abs(got - want) <= 3e-16 * gamma / (hi - lo) + 1e-15 * abs(want)
 
 
 class TestDrift:
@@ -288,9 +340,6 @@ class TestDrift:
         assert abs(a - b) < 1e-12
 
     def test_eta_scaling_exact(self, quad):
-        # 1024 gamma nodes at 64 rows per block: the factor sums 16 blocks
-        nodes = 4 * quad.panels
-        assert nodes // (_J_BLOCK_POINTS // nodes) == 16
         lo = drift_prediction(0.005, 1.0, Uniform(0.5, 1.5), Uniform(-1, 1), quad).value
         hi = drift_prediction(0.01, 1.0, Uniform(0.5, 1.5), Uniform(-1, 1), quad).value
         assert hi / lo == 4.0
