@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import itertools
 import math
 import os
@@ -177,6 +178,7 @@ _TRAIN_FIELD_FOR = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="collapse-lab",

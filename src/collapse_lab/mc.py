@@ -13,8 +13,8 @@ needed for determinism). alpha > 0 is the post-shift variant: it enters
 only through the Heaviside argument, since a constant output shift changes
 no gradient.
 
-``update_step`` is the rule's only copy; the drift estimator and
-``sgd_trajectory`` call it on whole ensembles. ``one_step_drift``
+``update_step`` is the rule's only copy, with its gate in ``_fires``;
+the drift estimator and ``sgd_trajectory`` call it. ``one_step_drift``
 estimates the one-step change in E[Phi((beta+alpha)/gamma)] over a fresh
 ensemble against the closed form, evaluating each neuron at +g and -g
 and averaging the pair. Every admissible noise distribution here is
@@ -38,7 +38,11 @@ Phi((beta+alpha)/gamma) once per group, and each noise distribution's
 draw once for the configs that use it, from the generator state that
 follows (gamma, beta, x_hat). Every config therefore sees the exact
 stream a chunk of its own would draw, so grouping changes no bit of any
-estimate.
+estimate. The gate depends on neither eta nor g, so a chunk evaluates it
+once and moves only the neurons that fire. The rest keep their ratio (x
++- 0.0 == x up to a zero's sign, and ndtr(+0.0) == ndtr(-0.0)), so their
+pair terms are exactly +0.0. Left as zeros in the full-length pair array
+the sums run over, they keep NumPy's pairwise-summation order unchanged.
 """
 
 from __future__ import annotations
@@ -195,15 +199,19 @@ class DecayResult:
     alpha: float
 
 
+def _fires(gamma, beta, x_hat, alpha):
+    """The ReLU gate H(gamma*x_hat + beta + alpha), its one copy; a rounded sum keeps its sign, so > -alpha is exact."""
+    return gamma * x_hat + beta > -alpha
+
+
 def update_step(gamma, beta, x_hat, grad, cfg: UpdateConfig):
     """One gradient update of an ensemble of (gamma, beta); decay is applied separately.
 
     Elementwise over arrays (or scalars) of one shape, with no finiteness
     scan (callers validate). Returns (delta_gamma, delta_beta), both 0 where
-    gamma*x_hat + beta + alpha <= 0, tested as gamma*x_hat + beta <= -alpha
-    (a rounded sum keeps its sign); delta_gamma = x_hat * delta_beta exactly.
+    ``_fires`` is False; delta_gamma = x_hat * delta_beta exactly.
     """
-    delta_beta = np.where(gamma * x_hat + beta > -cfg.alpha, -cfg.eta * grad, 0.0)
+    delta_beta = np.where(_fires(gamma, beta, x_hat, cfg.alpha), -cfg.eta * grad, 0.0)
     return x_hat * delta_beta, delta_beta
 
 
@@ -220,33 +228,37 @@ def _drift_chunk(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig], index: int, s
     beta = spec.beta_dist.sample(rng, size)
     x_hat = rng.standard_normal(size)
     drawn = rng.bit_generator.state
+    fires = np.flatnonzero(_fires(gamma, beta, x_hat, alpha))
+    gamma, beta, x_hat = gamma[fires], beta[fires], x_hat[fires]
     p0 = ndtr((beta + alpha) / gamma)
     crossings = 0
 
     def change(b, gamma2, beta2):
         nonlocal crossings
-        crossings += int(np.count_nonzero(gamma2 <= 0))
+        crossed = int(np.count_nonzero(gamma2 <= 0))
+        crossings += crossed
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = (beta2 + alpha) / gamma2
-        # 0/0 only when beta' + alpha = gamma' = 0; treat that ratio as 0
-        return ndtr(np.where(np.isnan(ratio), 0.0, ratio)) - p0[b]
+        if crossed:  # 0/0 only when beta' + alpha = gamma' = 0; treat that ratio as 0
+            ratio = np.where(np.isnan(ratio), 0.0, ratio)
+        return ndtr(ratio) - p0[b]
 
     sums = [None] * len(cfgs)
-    pair = np.empty(size)
+    pair = np.zeros(size)  # a neuron that does not fire keeps pair term +0.0
     for noise in dict.fromkeys(cfg.noise_dist for cfg in cfgs):
         rng.bit_generator.state = drawn
-        grad = noise.sample(rng, size)
+        grad = noise.sample(rng, size)[fires]
         for k, cfg in enumerate(cfgs):
             if cfg.noise_dist != noise:
                 continue
             crossings = 0
-            for lo in range(0, size, _BLOCK):
+            for lo in range(0, fires.size, _BLOCK):
                 b = slice(lo, lo + _BLOCK)
                 g, bt = gamma[b], beta[b]
                 # the gate does not depend on g, so the -g twin moves by exactly -delta
                 d_gamma, d_beta = update_step(g, bt, x_hat[b], grad[b], cfg)
-                pair[b] = 0.5 * (change(b, g + d_gamma, bt + d_beta) + change(b, g - d_gamma, bt - d_beta))
-            # reduced over the whole chunk, so no sum depends on _BLOCK
+                pair[fires[b]] = 0.5 * (change(b, g + d_gamma, bt + d_beta) + change(b, g - d_gamma, bt - d_beta))
+            # reduced over the whole chunk, zeros in place, so no sum depends on _BLOCK or the skip
             sums[k] = (float(np.sum(pair)), float(np.dot(pair, pair)), crossings)
         del grad  # before the next kind's draw, so one noise array is live at a time
     return sums
@@ -272,7 +284,9 @@ def one_step_drift(
     alpha: computed once at unit eta and c and scaled by eta^2 c^2, which
     is exact. Neurons whose gamma crosses <= 0 (step too large for the
     second-order regime) are counted in gamma_crossings but still included
-    via the cdf's own sign convention.
+    via the cdf's own sign convention. A gated-off neuron is not moved: its
+    ratio is unchanged (x +- 0.0 == x, and ndtr(+-0.0) is one value), so its
+    pair term is exactly +0.0, summed in place so the rounding is unchanged.
     """
     cfgs = list(cfgs)
     if not cfgs:

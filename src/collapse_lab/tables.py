@@ -64,10 +64,11 @@ def _decode(text: str):
         return True
     if text == "false":
         return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
+    if "." not in text and "e" not in text and "n" not in text:  # else int() would raise
+        try:
+            return int(text)
+        except ValueError:
+            pass
     try:
         return float(text)  # covers 'inf', 'nan', exponents
     except ValueError:

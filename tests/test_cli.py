@@ -8,6 +8,7 @@ import pytest
 from helpers import run_cli, tree_bytes
 
 from collapse_lab import analytic
+from collapse_lab.cli import main
 from collapse_lab.dists import Uniform
 from collapse_lab.net.model import load_checkpoint
 from collapse_lab.tables import read_csv
@@ -433,6 +434,22 @@ class TestArgparseSurface:
             assert res.returncode == 2, res.stderr
             assert "unrecognized arguments: --format json" in res.stderr
         assert not (tmp_path / "o").exists()
+
+    def test_in_process_calls_parse_independently(self, tmp_path, monkeypatch, capsys):
+        """main builds its parser once per process; each call still parses only its own argv."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["analytic", "--k-grid", "0:1:0.5", "--format", "json", "--out", "a"]) == 0
+        for argv, flag in ((["mc", "--format", "json"], "--format json"), (["analytic", "--seed", "1"], "--seed 1")):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--out", "x"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+        # a flag given to one call is not a default of the next
+        assert main(["mc", "--n", "20000", "--seed", "5", "--out", "m5"]) == 0
+        assert main(["mc", "--n", "20000", "--out", "m"]) == 0
+        assert main(["mc", "--n", "20000", "--seed", "0", "--out", "m0"]) == 0
+        assert tree_bytes(tmp_path / "m") == tree_bytes(tmp_path / "m0") != tree_bytes(tmp_path / "m5")
 
     def test_panels_flag_is_gone(self, tmp_path):
         res = run_cli(["analytic", "--k-grid", "0:1:0.5", "--panels", "4", "--out", "o"], cwd=tmp_path)

@@ -216,6 +216,60 @@ class TestOneStepDrift:
             one_step_drift(SPEC_UU, [])
 
 
+def both_noise_kinds(eta, seed, alpha=0.0):
+    return [UpdateConfig(eta=eta, c=1.0, noise_dist=noise_for(kind, 1.0), alpha=alpha, seed=seed)
+            for kind in ("normal", "uniform")]
+
+
+class TestFrozenDrift:
+    """Estimates pinned bit for bit, as float.hex (empirical_mean, std_error)
+    plus gamma_crossings for the normal then the uniform noise config."""
+
+    @pytest.mark.parametrize(
+        "gamma_dist, beta_dist, count, alpha, eta, seed, want",
+        [
+            (Uniform(0.5, 1.5), Uniform(-1.0, 1.0), 200_000, 0.0, 0.01, 7, [
+                ("-0x1.85fb1dcae6a91p-17", "0x1.0c272627069b8p-23", 0),
+                ("-0x1.8b03112c06140p-17", "0x1.a5dbba1cbee1bp-24", 0)]),
+            (Uniform(0.5, 1.5), Uniform(-1.0, 1.0), 200_000, 0.1, 0.01, 7, [
+                ("-0x1.9854405b34057p-17", "0x1.0c70265ad3996p-23", 0),
+                ("-0x1.9c64ffe0a5f68p-17", "0x1.a71865632a901p-24", 0)]),
+            # steps large enough that gammas cross 0
+            (Uniform(0.2, 0.4), Uniform(-1.0, 1.0), 200_000, 0.0, 0.3, 3, [
+                ("-0x1.465036b0a1a33p-5", "0x1.8d7e5ce20f315p-12", 21604),
+                ("-0x1.7d783ecda403bp-5", "0x1.ad261f3666c77p-12", 25507)]),
+            (Uniform(0.8, 1.6), Normal(0.1, 0.5), 200_000, 0.1, 0.02, 5, [
+                ("-0x1.286fa3d340e24p-15", "0x1.45910e8642cd2p-22", 0),
+                ("-0x1.2838b7a5e34d6p-15", "0x1.d2e3f44c39b1ep-23", 0)]),
+            # a partial last chunk whose length is not a whole number of blocks
+            (Uniform(0.5, 1.5), Uniform(-1.0, 1.0), CHUNK_SIZE + 20_123, 0.0, 0.005, 11, [
+                ("-0x1.87957bd697281p-19", "0x1.d915f823e86d9p-27", 0),
+                ("-0x1.899bb1f17d0a6p-19", "0x1.6f4b15e46db73p-27", 0)]),
+        ],
+    )
+    def test_estimates_are_pinned(self, gamma_dist, beta_dist, count, alpha, eta, seed, want):
+        ests = one_step_drift(EnsembleSpec(gamma_dist, beta_dist, count), both_noise_kinds(eta, seed, alpha), threads=1)
+        assert [(e.empirical_mean.hex(), e.std_error.hex(), e.gamma_crossings) for e in ests] == want
+
+    def test_no_neuron_fires(self):
+        # gamma*x_hat + beta > 0 needs x_hat > 26
+        spec = EnsembleSpec(Uniform(0.5, 1.5), Uniform(-50.0, -40.0), 20_000)
+        for est in one_step_drift(spec, both_noise_kinds(0.3, 2)):
+            assert (est.empirical_mean, est.std_error, est.gamma_crossings) == (0.0, 0.0, 0)
+
+    def test_every_neuron_fires(self):
+        spec = EnsembleSpec(Uniform(0.5, 1.0), Uniform(5.0, 6.0), 20_000)
+        # replay the one chunk's (gamma, beta, x_hat) draws: each pre-activation is positive
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([2, 0])))
+        gamma, beta = spec.gamma_dist.sample(rng, spec.count), spec.beta_dist.sample(rng, spec.count)
+        assert np.all(gamma * rng.standard_normal(spec.count) + beta > 0)
+        ests = one_step_drift(spec, both_noise_kinds(0.3, 2), threads=1)
+        assert [(e.empirical_mean.hex(), e.std_error.hex(), e.gamma_crossings) for e in ests] == [
+            ("-0x1.47d7975ac2d64p-6", "0x1.6bb6e5768d079p-11", 798),
+            ("-0x1.4201a45097244p-6", "0x1.684d744a3d867p-11", 785),
+        ]
+
+
 def scalar_loop(gamma0, beta0, steps, cfg):
     """The rule one neuron at a time in plain floats, reading the draws in
     the order sgd_trajectory does: blocks of 8192 // N steps, x then g."""

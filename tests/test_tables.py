@@ -5,11 +5,11 @@ import math
 import os
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from collapse_lab.errors import ConfigError
-from collapse_lab.tables import atomic_write, read_csv, rows_from_dicts, write_csv, write_json
+from collapse_lab.tables import _decode, atomic_write, read_csv, rows_from_dicts, write_csv, write_json
 
 CELLS = st.one_of(
     st.none(),
@@ -78,6 +78,38 @@ class TestRoundTrip:
         write_csv(path, ["a", "b"], [])
         header, rows = read_csv(path)
         assert header == ["a", "b"] and rows == []
+
+
+def _decode_int_first(text: str):
+    """The decoder as it was before it skipped int() on float text: int() tried on every cell."""
+    if text == "":
+        return None
+    if text == "true":
+        return True
+    if text == "false":
+        return False
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+class TestDecode:
+    @given(text=st.one_of(st.text(), st.floats().map(repr), st.integers().map(repr)))
+    @example(text="1_000")
+    @example(text=" -7\n")
+    @example(text="\u0661\u0662")  # Arabic-Indic digits, which int() reads
+    @example(text="9" * 5000)  # longer than int()'s digit limit
+    @example(text="-Infinity")
+    @example(text="NaN")
+    @example(text="1E5")
+    def test_same_value_and_type_as_int_first(self, text):
+        got, want = _decode(text), _decode_int_first(text)
+        assert (type(got), repr(got)) == (type(want), repr(want))
 
 
 class TestRowsFromDicts:
