@@ -47,18 +47,16 @@ against an arbitrary-precision oracle to 1e-13 on spot points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc, ndtr
 
 from .dists import PointMass, ScalarDist, Uniform
 from .errors import DomainError, SingularityError
-from .quadrature import QuadratureSpec, integrate, panel_nodes
+from .quadrature import PANELS, TRUNCATION_RADIUS, integrate, panel_nodes
 
 __all__ = [
     "GAMMA_MIN",
-    "DriftPrediction",
     "std_normal_pdf",
     "std_normal_cdf",
     "g_closed",
@@ -146,8 +144,8 @@ def k_sign_change(lo: float = -8.0, hi: float = 0.0, tol: float = 1e-12) -> floa
     return 0.5 * (lo + hi)
 
 
-def partial_moment_numeric(power: int, y: float, quad: QuadratureSpec | None = None) -> float:
-    """Quadrature of x^power phi(x) over [-truncation_radius, y].
+def partial_moment_numeric(power: int, y: float) -> float:
+    """Quadrature of x^power phi(x) over [-TRUNCATION_RADIUS, y].
 
     The independent numerical route against which the closed forms above
     are checked; it never calls g_closed or h_tail_closed.
@@ -156,11 +154,9 @@ def partial_moment_numeric(power: int, y: float, quad: QuadratureSpec | None = N
         raise DomainError(f"power must be 1 or 2, got {power}")
     if not math.isfinite(y):
         raise DomainError("y must be finite")
-    quad = quad or QuadratureSpec()
-    lo = -quad.truncation_radius
-    if y <= lo:
+    if y <= -TRUNCATION_RADIUS:
         return 0.0
-    return integrate(lambda x: x**power * std_normal_pdf(x), lo, y, quad)
+    return integrate(lambda x: x**power * std_normal_pdf(x), -TRUNCATION_RADIUS, y)
 
 
 def require_gamma_support(gamma_dist: ScalarDist, minimum: float = GAMMA_MIN) -> None:
@@ -236,44 +232,25 @@ def j_fn(gamma: float, beta_dist: ScalarDist) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class DriftPrediction:
-    """Predicted one-step change in E[Phi(beta/gamma)] plus its inputs."""
-
-    value: float
-    eta: float
-    c: float
-    gamma_dist: ScalarDist
-    beta_dist: ScalarDist
-
-
-def drift_prediction(
-    eta: float,
-    c: float,
-    gamma_dist: ScalarDist,
-    beta_dist: ScalarDist,
-    quad: QuadratureSpec | None = None,
-) -> DriftPrediction:
+def drift_prediction(eta: float, c: float, gamma_dist: ScalarDist, beta_dist: ScalarDist) -> float:
     """(eta^2 c^2 / 2) * E_gamma[gamma^-2 J(gamma)].
 
-    One panel quadrature over gamma (``quad.panels`` sets its panels) of
-    closed-form J values. Scales exactly with eta^2 c^2: the expectation
-    factor is computed once from the distributions, so doubling eta
-    multiplies the value by exactly 4.
+    One PANELS-panel quadrature over gamma of closed-form J values.
+    Scales exactly with eta^2 c^2: the expectation factor is computed once
+    from the distributions, so doubling eta multiplies the value by
+    exactly 4.
     """
     if eta < 0 or c < 0:
         raise DomainError("eta and c must be nonnegative")
     if not (math.isfinite(eta) and math.isfinite(c)):
         raise DomainError("eta and c must be finite")
-    quad = quad or QuadratureSpec()
     require_gamma_support(gamma_dist)
     if isinstance(gamma_dist, PointMass):
         g0 = gamma_dist.value
         factor = _j_values(np.asarray([g0]), beta_dist)[0] / (g0 * g0)
     else:
         lo, hi = gamma_dist.support()
-        nodes, weights = panel_nodes(lo, hi, quad.panels)
+        nodes, weights = panel_nodes(lo, hi, PANELS)
         jvals = _j_values(nodes, beta_dist)
         factor = float(np.dot(jvals * gamma_dist.density(nodes) / (nodes * nodes), weights))
-    value = float(0.5 * eta * eta * c * c * factor)
-    return DriftPrediction(value=value, eta=eta, c=c, gamma_dist=gamma_dist, beta_dist=beta_dist)
+    return float(0.5 * eta * eta * c * c * factor)

@@ -122,7 +122,6 @@ _OPTIONS = {
         ("beta", parse_dist, None, "beta distribution"),
         ("n", _parse_count, 1_000_000, "neurons to sample"),
         ("seed", int, 0, "noise and sampling seed"),
-        ("threads", _parse_count, None, "worker cap (also capped by COLLAPSE_LAB_THREADS)"),
     ],
     "decay": [
         ("gamma", float, 1.0, "initial scale"),
@@ -365,16 +364,15 @@ def cmd_analytic(params: dict) -> int:
     gammas = parse_grid(params["gamma_grid"]) if params["j"] else None
     if gammas is not None and np.any(gammas == 0):
         raise ConfigError(f"--gamma-grid must not contain 0, got {params['gamma_grid']!r}")
-    pred = analytic.drift_prediction(params["eta"], params["c"], gamma, beta) if params["drift"] else None
+    drift = analytic.drift_prediction(params["eta"], params["c"], gamma, beta) if params["drift"] else None
     if xs is not None:
         _save(out, "k_grid", list(zip(xs.tolist(), analytic.k_fn(xs).tolist())))
     if gammas is not None:
         rows = [[float(g), analytic.j_fn(float(g), beta), str(beta), beta.is_even] for g in gammas]
         _save(out, "j_grid", rows)
-    if pred is not None:
-        header = ["eta", "c", "gamma_dist", "beta_dist", "value"]
-        row = [pred.eta, pred.c, str(pred.gamma_dist), str(pred.beta_dist), pred.value]
-        _write_table(out, "drift", params["format"], header, [row])
+    if drift is not None:
+        row = [params["eta"], params["c"], str(gamma), str(beta), drift]
+        _write_table(out, "drift", params["format"], ["eta", "c", "gamma_dist", "beta_dist", "value"], [row])
     return 0
 
 
@@ -407,7 +405,7 @@ def cmd_mc(params: dict) -> int:
         cells = mc.standard_grid()
     else:
         cells = [mc.VerifyCell(**{_MC_CELL_FIELD[flag]: params[flag] for flag in given})]
-    rows = mc.verify_theorem(cells, count=params["n"], seed=params["seed"], threads=params["threads"])
+    rows = mc.verify_theorem(cells, count=params["n"], seed=params["seed"])
     _save(out, "mc_verify", [astuple(r) for r in rows])
     if params["verify"]:
         _print_agreement(rows)

@@ -1,4 +1,4 @@
-"""Semantic exception hierarchy shared across the lab."""
+"""Semantic exception hierarchy shared across the lab, and the seed rule every config applies."""
 
 
 class CollapseLabError(Exception):
@@ -31,3 +31,9 @@ class DivergenceError(CollapseLabError, RuntimeError):
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
+
+
+def require_seed(name: str, value) -> None:
+    """Reject a seed that is not an integer in [0, 2^64)."""
+    if not isinstance(value, int) or value < 0 or value >= 2**64:
+        raise ConfigError(f"{name} must be an integer in [0, 2^64), got {value!r}")

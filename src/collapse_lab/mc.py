@@ -59,7 +59,7 @@ from scipy.special import ndtr
 
 from .analytic import drift_prediction, require_gamma_support
 from .dists import Normal, PointMass, ScalarDist, Uniform
-from .errors import ConfigError, DivergenceError, DomainError
+from .errors import ConfigError, DivergenceError, DomainError, require_seed
 from .sparsity import COLLAPSE_THRESHOLD
 
 __all__ = [
@@ -86,9 +86,9 @@ CHUNK_SIZE = 1_000_000
 _BLOCK = 1 << 16
 
 
-def resolve_threads(requested: int | None = None) -> int:
-    """Worker count for data-parallel runs, capped by COLLAPSE_LAB_THREADS."""
-    n = requested if requested and requested > 0 else (os.cpu_count() or 1)
+def resolve_threads(items: int) -> int:
+    """Workers for ``items`` data-parallel work items: min(items, cores, COLLAPSE_LAB_THREADS), at least 1."""
+    n = min(items, os.cpu_count() or 1)
     cap = os.environ.get("COLLAPSE_LAB_THREADS")
     if cap is not None:
         try:
@@ -124,25 +124,22 @@ class EnsembleSpec:
     count: int
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ConfigError(f"count must be >= 1, got {self.count}")
-        lo, _ = self.gamma_dist.support()
-        if lo <= 0:
-            raise ConfigError(
-                f"gamma distribution must be supported on positive reals, got {self.gamma_dist}"
-            )
+        if self.count < 10_000:
+            raise ConfigError(f"count must be >= 10^4 for a meaningful estimate, got {self.count}")
+        require_gamma_support(self.gamma_dist)
 
 
 @dataclass(frozen=True)
 class UpdateConfig:
-    """Step-rule parameters: learning rate, noise, decay, post-shift, seed."""
+    """Step-rule parameters: learning rate, noise kind and sd c, decay, post-shift, seed."""
 
     eta: float
     c: float
-    noise_dist: ScalarDist | None = None
+    noise: str = "normal"
     weight_decay: float = 0.0
     alpha: float = 0.0
     seed: int = 0
+    noise_dist: ScalarDist = field(init=False)  # noise_for(noise, c)
 
     def __post_init__(self):
         if not (math.isfinite(self.eta) and self.eta >= 0):
@@ -153,15 +150,8 @@ class UpdateConfig:
             raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0 <= self.alpha <= 1:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2**64:
-            raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-        if self.noise_dist is None:
-            object.__setattr__(self, "noise_dist", noise_for("normal", self.c))
-        mean, sd = self.noise_dist.mean(), self.noise_dist.sd()
-        if abs(mean) > 1e-12 * max(1.0, self.c):
-            raise ConfigError(f"noise_dist must have mean 0, got mean {mean} from {self.noise_dist}")
-        if abs(sd - self.c) > 1e-9 * max(1.0, self.c):
-            raise ConfigError(f"noise_dist sd {sd} does not match c = {self.c}")
+        require_seed("seed", self.seed)
+        object.__setattr__(self, "noise_dist", noise_for(self.noise, self.c))
 
 
 @dataclass(frozen=True)
@@ -264,11 +254,7 @@ def _drift_chunk(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig], index: int, s
     return sums
 
 
-def one_step_drift(
-    spec: EnsembleSpec,
-    cfgs: Sequence[UpdateConfig],
-    threads: int | None = None,
-) -> list[DriftEstimate]:
+def one_step_drift(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig]) -> list[DriftEstimate]:
     """Estimate the one-step change in E[Phi((beta+alpha)/gamma)], one estimate per config.
 
     Samples spec.count neurons, applies one gradient update to each (no
@@ -287,6 +273,7 @@ def one_step_drift(
     via the cdf's own sign convention. A gated-off neuron is not moved: its
     ratio is unchanged (x +- 0.0 == x, and ndtr(+-0.0) is one value), so its
     pair term is exactly +0.0, summed in place so the rounding is unchanged.
+    The chunks run on resolve_threads(chunks) pool threads, in order at one.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -294,20 +281,13 @@ def one_step_drift(
     shared = {(cfg.seed, cfg.alpha) for cfg in cfgs}
     if len(shared) > 1:
         raise ConfigError(f"configs of one drift estimate must share seed and alpha, got (seed, alpha) in {sorted(shared)}")
-    if spec.count < 10_000:
-        raise DomainError(f"count must be >= 10^4 for a meaningful estimate, got {spec.count}")
-    require_gamma_support(spec.gamma_dist)
     n = spec.count
     sizes = [CHUNK_SIZE] * (n // CHUNK_SIZE)
     if n % CHUNK_SIZE:
         sizes.append(n % CHUNK_SIZE)
-    workers = min(resolve_threads(threads), len(sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda i: _drift_chunk(spec, cfgs, i, sizes[i]), range(len(sizes))))
-    else:
-        parts = [_drift_chunk(spec, cfgs, i, sizes[i]) for i in range(len(sizes))]
-    unit = drift_prediction(1.0, 1.0, spec.gamma_dist, spec.beta_dist.shifted(cfgs[0].alpha)).value
+    with ThreadPoolExecutor(max_workers=resolve_threads(len(sizes))) as pool:
+        parts = list(pool.map(lambda i: _drift_chunk(spec, cfgs, i, sizes[i]), range(len(sizes))))
+    unit = drift_prediction(1.0, 1.0, spec.gamma_dist, spec.beta_dist.shifted(cfgs[0].alpha))
     estimates = []
     for k, cfg in enumerate(cfgs):
         s1 = math.fsum(p[k][0] for p in parts)
@@ -473,7 +453,6 @@ def verify_theorem(
     cells: list[VerifyCell] | None = None,
     count: int = 10_000_000,
     seed: int = 0,
-    threads: int | None = None,
 ) -> list[TheoremRow]:
     """Run the drift estimate over a grid and tabulate agreement, one row per cell in order.
 
@@ -490,14 +469,14 @@ def verify_theorem(
     to be 4.
     """
     cells = standard_grid() if cells is None else list(cells)
-    cfgs = [UpdateConfig(eta=cell.eta, c=cell.c, noise_dist=noise_for(cell.noise, cell.c), seed=seed) for cell in cells]
+    cfgs = [UpdateConfig(eta=cell.eta, c=cell.c, noise=cell.noise, seed=seed) for cell in cells]
     groups: dict[tuple[ScalarDist, ScalarDist], list[int]] = {}
     for i, cell in enumerate(cells):
         groups.setdefault((cell.gamma_dist, cell.beta_dist), []).append(i)
     estimates: list[DriftEstimate | None] = [None] * len(cells)
     for (gamma_dist, beta_dist), members in groups.items():
         spec = EnsembleSpec(gamma_dist=gamma_dist, beta_dist=beta_dist, count=count)
-        for i, est in zip(members, one_step_drift(spec, [cfgs[i] for i in members], threads=threads)):
+        for i, est in zip(members, one_step_drift(spec, [cfgs[i] for i in members])):
             estimates[i] = est
     # eta-doubling ratios within cells of one noise, c and distribution pair
     mean_of = {cell: est.empirical_mean for cell, est in zip(cells, estimates)}

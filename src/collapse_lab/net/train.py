@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..errors import CollapseLabError, ConfigError, DivergenceError
+from ..errors import CollapseLabError, ConfigError, DivergenceError, require_seed
 from ..sparsity import COLLAPSE_THRESHOLD, SparsityReport, report_from_chain
 from .data import Dataset, make_synthetic_dataset, shuffle_labels
 from .model import ACTIVATIONS, MLP, NORMS
@@ -108,6 +108,8 @@ class TrainConfig:
             raise ConfigError("alpha is only meaningful with norm 'psbn'")
         if not self.gamma_init > 0:
             raise ConfigError(f"gamma_init must be > 0, got {self.gamma_init}")
+        require_seed("seed", self.seed)
+        require_seed("data_seed", self.data_seed)
 
 
 @dataclass(frozen=True)
@@ -292,14 +294,14 @@ def multi_round_experiment(arms: list[tuple[str, TrainConfig]], seeds: list[int]
 
     Rows follow EXPERIMENT_CSV_HEADER. All arms sharing a data_seed see the
     identical dataset, so arm differences are architectural/hyperparameter
-    effects, not data resampling. The cells run in min(resolve_threads(),
-    cells) one-BLAS-thread worker processes (in this one at 1); results keep
+    effects, not data resampling. The cells run in resolve_threads(cells)
+    one-BLAS-thread worker processes (in this one at 1); results keep
     (arm, seed) order, so they do not depend on the worker count.
     """
     from ..mc import resolve_threads  # not at the top: mc loads SciPy, which a worker does not need
     cells = [(arm_name, replace(arm_cfg, seed=seed)) for arm_name, arm_cfg in arms for seed in seeds]
     result = ExperimentResult()
-    for (arm_name, cfg), out in zip(cells, _map_cells(cells, min(resolve_threads(), len(cells)))):
+    for (arm_name, cfg), out in zip(cells, _map_cells(cells, resolve_threads(len(cells)))):
         if isinstance(out, DivergenceError):
             result.failures.append((arm_name, cfg.seed, str(out)))
             continue

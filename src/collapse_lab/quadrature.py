@@ -4,50 +4,33 @@ A fixed-order panel rule keeps every integral deterministic: no adaptive
 recursion, no tolerance-driven early exit. With the default 256 panels and
 an order-4 rule per panel, any smooth integrand used in this package is
 resolved far below 1e-12; doubling the panel count moves results by less
-than 1e-9 (asserted in the test suite).
+than 1e-9 (asserted in the test suite). Integrands over the whole real
+line are truncated to [-TRUNCATION_RADIUS, TRUNCATION_RADIUS]; the
+standard normal kernel phi(x)^2 is below 1e-14 beyond |x| = 8, so the
+truncation loses nothing at double precision.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["QuadratureSpec", "panel_nodes", "integrate"]
+__all__ = ["PANELS", "TRUNCATION_RADIUS", "panel_nodes", "integrate"]
+
+PANELS = 256
+TRUNCATION_RADIUS = 8.0
 
 _PANEL_ORDER = 4
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_ORDER)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Truncation radius for improper integrals plus the panel count.
-
-    Integrands over the whole real line are truncated to
-    [-truncation_radius, truncation_radius]; the standard normal kernel
-    phi(x)^2 is below 1e-14 beyond |x| = 8, so the default radius loses
-    nothing at double precision.
-    """
-
-    truncation_radius: float = 8.0
-    panels: int = 256
-
-    def __post_init__(self):
-        if self.truncation_radius < 6.0:
-            raise ConfigError(f"truncation_radius must be >= 6, got {self.truncation_radius}")
-        if self.panels < 1:
-            raise ConfigError(f"panels must be positive, got {self.panels}")
-
-    def doubled(self) -> "QuadratureSpec":
-        return QuadratureSpec(self.truncation_radius, 2 * self.panels)
 
 
 def panel_nodes(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite rule on [lo, hi]."""
     if not lo < hi:
         raise ConfigError(f"empty integration interval [{lo}, {hi}]")
+    if panels < 1:
+        raise ConfigError(f"panels must be positive, got {panels}")
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -57,8 +40,7 @@ def panel_nodes(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarr
     return nodes, weights
 
 
-def integrate(fn, lo: float, hi: float, spec: QuadratureSpec | None = None) -> float:
+def integrate(fn, lo: float, hi: float, panels: int = PANELS) -> float:
     """Integrate a vectorized function over [lo, hi] with the panel rule."""
-    spec = spec or QuadratureSpec()
-    nodes, weights = panel_nodes(lo, hi, spec.panels)
+    nodes, weights = panel_nodes(lo, hi, panels)
     return float(np.dot(fn(nodes), weights))

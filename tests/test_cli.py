@@ -60,7 +60,7 @@ class TestAnalytic:
         assert res.returncode == 0, res.stderr
         (row,) = read_rows(tmp_path / "o" / "drift.csv")
         want = analytic.drift_prediction(0.01, 1.0, Uniform(0.5, 1.5), Uniform(-1, 1))
-        assert row["value"] == want.value
+        assert row["value"] == want
         assert row["gamma_dist"] == "uniform:0.5:1.5"
 
     def test_json_format(self, tmp_path):
@@ -173,11 +173,11 @@ class TestMc:
         else:
             assert lines[-1] == "all 6 cells within 3 standard errors"
 
-    @pytest.mark.parametrize("threads", ["0", "-5"])
-    def test_threads_must_be_positive(self, tmp_path, threads):
-        res = run_cli(["mc", "--n", "20000", "--threads", threads, "--out", "o"], cwd=tmp_path)
+    def test_count_below_floor_is_config_error(self, tmp_path):
+        res = run_cli(["mc", "--n", "5000", "--out", "o"], cwd=tmp_path)
         assert res.returncode == 2, res.stderr
-        assert "--threads" in res.stderr
+        assert "count must be >= 10^4" in res.stderr
+        assert not (tmp_path / "o").exists()  # nothing written, not even the directory
 
     def test_unknown_noise_kind_at_zero_c(self, tmp_path):
         res = run_cli(["mc", "--noise", "bogus", "--c", "0", "--n", "20000", "--out", "o"], cwd=tmp_path)
@@ -348,6 +348,15 @@ class TestTrain:
         assert "Traceback" not in res.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("cap", ["1", "2"])
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--data-seed", "-5")])
+    def test_negative_seed_is_config_error_under_any_cap(self, tmp_path, cap, flag, value):
+        res = run_cli(self.ARGS + ["--seeds", "2", flag, value], cwd=tmp_path, env={"COLLAPSE_LAB_THREADS": cap})
+        assert res.returncode == 2, res.stderr
+        assert f"{flag[2:].replace('-', '_')} must be an integer in [0, 2^64), got {value}" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_preset(self, tmp_path):
         res = run_cli(["train", "--preset", "wide-resnet", "--out", "o"], cwd=tmp_path)
         assert res.returncode == 2, res.stderr
@@ -407,14 +416,17 @@ class TestArgparseSurface:
         for name in ("analytic", "mc", "decay", "train", "report"):
             assert name in res.stdout
 
-    def test_threads_is_an_mc_flag(self, tmp_path):
-        for command in ("train", "decay"):
+    def test_no_subcommand_accepts_threads(self, tmp_path):
+        # COLLAPSE_LAB_THREADS is the one worker cap
+        for command in ("analytic", "mc", "decay", "train", "report"):
             res = run_cli([command, "--threads", "2", "--out", "o"], cwd=tmp_path)
             assert res.returncode == 2, res.stderr
             assert "unrecognized arguments: --threads 2" in res.stderr
+        (tmp_path / "lab.ini").write_text("[mc]\nthreads = 2\n")
+        res = run_cli(["--config", "lab.ini", "mc", "--n", "20000", "--out", "o"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "unknown key 'threads' in [mc]" in res.stderr
         assert not (tmp_path / "o").exists()
-        res = run_cli(["mc", "--n", "20000", "--threads", "2", "--out", "m"], cwd=tmp_path)
-        assert res.returncode == 0, res.stderr
 
     def test_seed_is_an_mc_and_train_flag(self, tmp_path):
         for command in ("analytic", "decay", "report"):

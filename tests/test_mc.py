@@ -1,6 +1,7 @@
 """Simulation layer: the update rule, the drift estimator, trajectories."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -106,13 +107,11 @@ class TestConfigs:
         with pytest.raises(ConfigError):
             noise_for("cauchy", 0.0)
 
-    def test_noise_mean_must_be_zero(self):
-        with pytest.raises(ConfigError):
-            UpdateConfig(eta=0.01, c=1.0, noise_dist=Normal(0.5, 1.0))
-
-    def test_noise_sd_must_match_c(self):
-        with pytest.raises(ConfigError):
-            UpdateConfig(eta=0.01, c=1.0, noise_dist=Normal(0.0, 2.0))
+    def test_noise_kind_sets_noise_dist(self):
+        assert UpdateConfig(eta=0.01, c=1.5, noise="uniform").noise_dist == noise_for("uniform", 1.5)
+        assert UpdateConfig(eta=0.01, c=0.0, noise="uniform").noise_dist == PointMass(0.0)
+        with pytest.raises(ConfigError, match="unknown noise kind"):
+            UpdateConfig(eta=0.01, c=1.0, noise="cauchy")
 
     @pytest.mark.parametrize(
         "kw",
@@ -133,12 +132,14 @@ class TestConfigs:
     def test_ensemble_spec_rejects(self):
         with pytest.raises(ConfigError):
             EnsembleSpec(Uniform(0.5, 1.5), Uniform(-1, 1), count=0)
-        with pytest.raises(ConfigError):
-            EnsembleSpec(Uniform(-0.5, 1.5), Uniform(-1, 1), count=100)
+        with pytest.raises(SingularityError):
+            EnsembleSpec(Uniform(-0.5, 1.5), Uniform(-1, 1), count=10_000)
 
     def test_resolve_threads_env(self, monkeypatch):
+        cores = os.cpu_count() or 1
         monkeypatch.setenv("COLLAPSE_LAB_THREADS", "2")
-        assert resolve_threads(8) == 2
+        assert resolve_threads(8) == min(2, cores)
+        assert resolve_threads(1) == 1
         monkeypatch.setenv("COLLAPSE_LAB_THREADS", "zero")
         with pytest.raises(ConfigError):
             resolve_threads(8)
@@ -146,7 +147,9 @@ class TestConfigs:
         with pytest.raises(ConfigError):
             resolve_threads(8)
         monkeypatch.delenv("COLLAPSE_LAB_THREADS")
-        assert resolve_threads(3) == 3
+        assert resolve_threads(3) == min(3, cores)
+        assert resolve_threads(10**6) == cores
+        assert resolve_threads(0) == 1
 
 
 SPEC_UU = EnsembleSpec(Uniform(0.5, 1.5), Uniform(-1, 1), count=200_000)
@@ -174,9 +177,13 @@ class TestOneStepDrift:
         assert abs(est.empirical_mean - want) <= 3 * est.std_error
         assert math.isclose(est.predicted, want, rel_tol=1e-10)
 
-    def test_deterministic_across_threads(self):
-        (a,) = one_step_drift(SPEC_UU, [cfg_with(eta=0.01, seed=3)], threads=1)
-        (b,) = one_step_drift(SPEC_UU, [cfg_with(eta=0.01, seed=3)], threads=4)
+    def test_deterministic_across_threads(self, monkeypatch):
+        # two chunks, so a cap above 1 runs them on two threads where there are two cores
+        spec = EnsembleSpec(Uniform(0.5, 1.5), Uniform(-1, 1), count=CHUNK_SIZE + 50_000)
+        monkeypatch.setenv("COLLAPSE_LAB_THREADS", "1")
+        (a,) = one_step_drift(spec, [cfg_with(eta=0.01, seed=3)])
+        monkeypatch.setenv("COLLAPSE_LAB_THREADS", "4")
+        (b,) = one_step_drift(spec, [cfg_with(eta=0.01, seed=3)])
         assert a.empirical_mean == b.empirical_mean
         assert a.std_error == b.std_error
 
@@ -187,9 +194,9 @@ class TestOneStepDrift:
         assert capped.empirical_mean == baseline.empirical_mean
 
     def test_count_floor(self):
-        small = EnsembleSpec(Uniform(0.5, 1.5), Uniform(-1, 1), count=100)
-        with pytest.raises(DomainError):
-            one_step_drift(small, [cfg_with(eta=0.01)])
+        with pytest.raises(ConfigError, match="count must be >= 10\\^4"):
+            EnsembleSpec(Uniform(0.5, 1.5), Uniform(-1, 1), count=9_999)
+        EnsembleSpec(Uniform(0.5, 1.5), Uniform(-1, 1), count=10_000)
 
     @pytest.mark.parametrize("alpha", [0.1, 0.3])
     def test_shifted_rule_agrees(self, alpha):
@@ -198,13 +205,12 @@ class TestOneStepDrift:
         spec = EnsembleSpec(Uniform(0.5, 1.5), Uniform(-1, 1), count=4_000_000)
         (est,) = one_step_drift(spec, [cfg_with(eta=0.01, alpha=alpha, seed=0)])
         assert est.agree, (est.empirical_mean, est.predicted, est.std_error)
-        unshifted = drift_prediction(0.01, 1.0, spec.gamma_dist, spec.beta_dist).value
+        unshifted = drift_prediction(0.01, 1.0, spec.gamma_dist, spec.beta_dist)
         assert abs(unshifted - est.predicted) > 10 * est.std_error
 
     def test_rejects_gamma_near_zero(self):
-        spec = EnsembleSpec(Uniform(0.01, 1.0), Uniform(-1, 1), count=20_000)
         with pytest.raises(SingularityError):
-            one_step_drift(spec, [cfg_with(eta=0.01)])
+            EnsembleSpec(Uniform(0.01, 1.0), Uniform(-1, 1), count=20_000)
 
     @pytest.mark.parametrize("other", [{"seed": 1}, {"alpha": 0.1}])
     def test_group_must_share_seed_and_alpha(self, other):
@@ -217,7 +223,7 @@ class TestOneStepDrift:
 
 
 def both_noise_kinds(eta, seed, alpha=0.0):
-    return [UpdateConfig(eta=eta, c=1.0, noise_dist=noise_for(kind, 1.0), alpha=alpha, seed=seed)
+    return [UpdateConfig(eta=eta, c=1.0, noise=kind, alpha=alpha, seed=seed)
             for kind in ("normal", "uniform")]
 
 
@@ -248,7 +254,7 @@ class TestFrozenDrift:
         ],
     )
     def test_estimates_are_pinned(self, gamma_dist, beta_dist, count, alpha, eta, seed, want):
-        ests = one_step_drift(EnsembleSpec(gamma_dist, beta_dist, count), both_noise_kinds(eta, seed, alpha), threads=1)
+        ests = one_step_drift(EnsembleSpec(gamma_dist, beta_dist, count), both_noise_kinds(eta, seed, alpha))
         assert [(e.empirical_mean.hex(), e.std_error.hex(), e.gamma_crossings) for e in ests] == want
 
     def test_no_neuron_fires(self):
@@ -263,7 +269,7 @@ class TestFrozenDrift:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([2, 0])))
         gamma, beta = spec.gamma_dist.sample(rng, spec.count), spec.beta_dist.sample(rng, spec.count)
         assert np.all(gamma * rng.standard_normal(spec.count) + beta > 0)
-        ests = one_step_drift(spec, both_noise_kinds(0.3, 2), threads=1)
+        ests = one_step_drift(spec, both_noise_kinds(0.3, 2))
         assert [(e.empirical_mean.hex(), e.std_error.hex(), e.gamma_crossings) for e in ests] == [
             ("-0x1.47d7975ac2d64p-6", "0x1.6bb6e5768d079p-11", 798),
             ("-0x1.4201a45097244p-6", "0x1.684d744a3d867p-11", 785),
@@ -479,7 +485,7 @@ class TestVerifyTheorem:
         assert rows[0].predicted == 0.0
         assert rows[0].agree
 
-    def test_grouped_equals_per_cell(self):
+    def test_grouped_equals_per_cell(self, monkeypatch):
         """One call over interleaved noise kinds, etas and distribution pairs
         gives rows in input order, each bit-equal to its cell estimated alone,
         over two chunks of which the last is partial."""
@@ -493,18 +499,20 @@ class TestVerifyTheorem:
             VerifyCell(eta=0.005, noise="uniform", **other),
         ]
         count = CHUNK_SIZE + 20_000
-        rows = verify_theorem(cells, count=count, seed=11, threads=1)
+        monkeypatch.setenv("COLLAPSE_LAB_THREADS", "1")
+        rows = verify_theorem(cells, count=count, seed=11)
         assert [(r.eta, r.noise, r.gamma_dist, r.beta_dist) for r in rows] == [
             (c.eta, c.noise, str(c.gamma_dist), str(c.beta_dist)) for c in cells
         ]
         for cell, row in zip(cells, rows):
             spec = EnsembleSpec(cell.gamma_dist, cell.beta_dist, count=count)
-            cfg = UpdateConfig(eta=cell.eta, c=cell.c, noise_dist=noise_for(cell.noise, cell.c), seed=11)
-            (alone,) = one_step_drift(spec, [cfg], threads=1)
+            cfg = UpdateConfig(eta=cell.eta, c=cell.c, noise=cell.noise, seed=11)
+            (alone,) = one_step_drift(spec, [cfg])
             assert row.empirical_mean == alone.empirical_mean
             assert row.std_error == alone.std_error
             assert row.predicted == alone.predicted
-        assert verify_theorem(cells, count=count, seed=11, threads=4) == rows
+        monkeypatch.setenv("COLLAPSE_LAB_THREADS", "4")
+        assert verify_theorem(cells, count=count, seed=11) == rows
 
     def test_deterministic(self):
         cells = [VerifyCell(eta=0.005)]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from collapse_lab.errors import ConfigError
-from collapse_lab.quadrature import QuadratureSpec, integrate, panel_nodes
+from collapse_lab.quadrature import PANELS, TRUNCATION_RADIUS, integrate, panel_nodes
 
 
 def phi(x):
@@ -12,22 +12,8 @@ def phi(x):
 
 
 def test_defaults():
-    spec = QuadratureSpec()
-    assert spec.truncation_radius == 8.0
-    assert spec.panels >= 64
-
-
-def test_spec_validation():
-    with pytest.raises(ConfigError):
-        QuadratureSpec(panels=0)
-    with pytest.raises(ConfigError):
-        QuadratureSpec(truncation_radius=2.0)
-
-
-def test_doubled():
-    spec = QuadratureSpec(panels=100)
-    assert spec.doubled().panels == 200
-    assert spec.doubled().truncation_radius == spec.truncation_radius
+    assert TRUNCATION_RADIUS == 8.0
+    assert PANELS >= 64
 
 
 def test_weights_sum_to_interval_length():
@@ -42,32 +28,35 @@ def test_empty_interval_rejected():
         panel_nodes(1.0, 1.0, 4)
 
 
+@pytest.mark.parametrize("panels", [0, -3])
+def test_panel_count_must_be_positive(panels):
+    with pytest.raises(ConfigError):
+        integrate(phi, -1.0, 1.0, panels)
+
+
 def test_polynomial_exactness():
     """An order-4 Gauss rule is exact through degree 7 on each panel."""
     lo, hi = 0.3, 2.1
     exact = (hi**8 - lo**8) / 8.0
-    got = integrate(lambda x: x**7, lo, hi, QuadratureSpec(panels=3, truncation_radius=8))
+    got = integrate(lambda x: x**7, lo, hi, panels=3)
     assert math.isclose(got, exact, rel_tol=1e-14)
 
 
 def test_gaussian_mass():
-    spec = QuadratureSpec()
-    total = integrate(phi, -spec.truncation_radius, spec.truncation_radius, spec)
+    total = integrate(phi, -TRUNCATION_RADIUS, TRUNCATION_RADIUS)
     # the clipped tails hold about 1.2e-15 of mass
     assert abs(total - 1.0) < 1e-13
 
 
 def test_gaussian_second_moment():
-    spec = QuadratureSpec()
-    m2 = integrate(lambda x: x * x * phi(x), -8.0, 8.0, spec)
+    m2 = integrate(lambda x: x * x * phi(x), -8.0, 8.0)
     assert abs(m2 - 1.0) < 1e-12
 
 
 def test_panel_doubling_stability():
-    spec = QuadratureSpec()
     for fn in (phi, lambda x: x * x * phi(x), lambda x: np.cos(x) * phi(x)):
-        a = integrate(fn, -8.0, 8.0, spec)
-        b = integrate(fn, -8.0, 8.0, spec.doubled())
+        a = integrate(fn, -8.0, 8.0)
+        b = integrate(fn, -8.0, 8.0, 2 * PANELS)
         assert abs(a - b) < 1e-9
 
 

@@ -90,6 +90,10 @@ class TestTrainConfigValidation:
             dict(norm="psbn", alpha=0.0),
             dict(norm="bn", alpha=0.1),
             dict(gamma_init=0.0),
+            dict(seed=-1),
+            dict(seed=2**64),
+            dict(data_seed=-5),
+            dict(data_seed=1.5),
         ],
     )
     def test_rejects(self, kw):
