@@ -29,8 +29,11 @@ below about 0.01.
 Parallel runs are deterministic: work is cut into fixed chunks of 10^6
 neurons, chunk i draws from PCG64 seeded by SeedSequence([seed, i]), and
 per-chunk partial sums are combined in chunk order with compensated
-summation. The result is a function of (seed, n) only, never of the
-thread count.
+summation. A chunk's sums are NumPy pairwise reductions, never BLAS calls:
+OpenBLAS splits a long dot product over its own threads, so its bits
+depend on OPENBLAS_NUM_THREADS, and its spinning threads would share the
+cores with the chunk threads. The result is a function of (seed, n) only,
+never of the worker or the BLAS thread count.
 
 ``one_step_drift`` estimates a group of configs at once (common random
 numbers): each chunk draws (gamma, beta, x_hat) and the baseline
@@ -73,6 +76,7 @@ __all__ = [
     "VerifyCell",
     "noise_for",
     "resolve_threads",
+    "usable_cores",
     "update_step",
     "one_step_drift",
     "sgd_trajectory",
@@ -86,9 +90,16 @@ CHUNK_SIZE = 1_000_000
 _BLOCK = 1 << 16
 
 
+def usable_cores() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one, else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_threads(items: int) -> int:
-    """Workers for ``items`` data-parallel work items: min(items, cores, COLLAPSE_LAB_THREADS), at least 1."""
-    n = min(items, os.cpu_count() or 1)
+    """Workers for ``items`` parallel work items: min(items, usable_cores(), COLLAPSE_LAB_THREADS), at least 1."""
+    n = min(items, usable_cores())
     cap = os.environ.get("COLLAPSE_LAB_THREADS")
     if cap is not None:
         try:
@@ -248,8 +259,11 @@ def _drift_chunk(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig], index: int, s
                 # the gate does not depend on g, so the -g twin moves by exactly -delta
                 d_gamma, d_beta = update_step(g, bt, x_hat[b], grad[b], cfg)
                 pair[fires[b]] = 0.5 * (change(b, g + d_gamma, bt + d_beta) + change(b, g - d_gamma, bt - d_beta))
-            # reduced over the whole chunk, zeros in place, so no sum depends on _BLOCK or the skip
-            sums[k] = (float(np.sum(pair)), float(np.dot(pair, pair)), crossings)
+            # reduced over the whole chunk, zeros in place, so no sum depends on _BLOCK or the skip; squared
+            # in place, as the next config rewrites every firing entry, and by np.sum, never BLAS np.dot
+            total = float(np.sum(pair))
+            pair *= pair
+            sums[k] = (total, float(np.sum(pair)), crossings)
         del grad  # before the next kind's draw, so one noise array is live at a time
     return sums
 
@@ -273,7 +287,9 @@ def one_step_drift(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig]) -> list[Dri
     via the cdf's own sign convention. A gated-off neuron is not moved: its
     ratio is unchanged (x +- 0.0 == x, and ndtr(+-0.0) is one value), so its
     pair term is exactly +0.0, summed in place so the rounding is unchanged.
-    The chunks run on resolve_threads(chunks) pool threads, in order at one.
+    Both sums, of the pair terms and of their squares, are NumPy reductions,
+    so no bit depends on the BLAS thread count. The chunks run on
+    resolve_threads(chunks) pool threads, in order at one.
     """
     cfgs = list(cfgs)
     if not cfgs:

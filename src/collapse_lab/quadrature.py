@@ -43,4 +43,6 @@ def panel_nodes(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarr
 def integrate(fn, lo: float, hi: float, panels: int = PANELS) -> float:
     """Integrate a vectorized function over [lo, hi] with the panel rule."""
     nodes, weights = panel_nodes(lo, hi, panels)
+    # the package integrates on PANELS (1,024 nodes); OpenBLAS splits a dot product over its threads,
+    # and so changes its bits with their count, only above 10,000 elements
     return float(np.dot(fn(nodes), weights))

@@ -10,6 +10,7 @@ from helpers import run_cli, tree_bytes
 from collapse_lab import analytic
 from collapse_lab.cli import main
 from collapse_lab.dists import Uniform
+from collapse_lab.mc import usable_cores
 from collapse_lab.net.model import load_checkpoint
 from collapse_lab.tables import read_csv
 
@@ -226,6 +227,14 @@ class TestMc:
         for other in ("b", "c", "d"):
             assert tree_bytes(tmp_path / other) == base
 
+    def test_deterministic_across_blas_thread_counts(self, tmp_path):
+        # one 200,000-neuron chunk: OpenBLAS splits a sum that long (over 10,000 elements) over its threads
+        args = ["mc", "--eta", "0.3", "--gamma", "uniform:0.2:0.4", "--n", "200000", "--seed", "3"]
+        for out, blas in (("a", "1"), ("b", "2")):
+            res = run_cli(args + ["--out", out], cwd=tmp_path, env={"OPENBLAS_NUM_THREADS": blas})
+            assert res.returncode == 0, res.stderr
+        assert tree_bytes(tmp_path / "b") == tree_bytes(tmp_path / "a")
+
     def test_invalid_thread_env(self, tmp_path):
         res = run_cli(
             ["mc", "--eta", "0.005", "--n", "20000", "--out", "o"],
@@ -329,7 +338,7 @@ class TestTrain:
         assert (out / "sparsity_vs_round.svg").exists()
         assert (out / "accuracy_vs_round.svg").exists()
 
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a cap of 2 needs two cores to start worker processes")
+    @pytest.mark.skipif(usable_cores() < 2, reason="a cap of 2 needs two cores to start worker processes")
     def test_deterministic_across_worker_caps(self, tmp_path):
         args = ["train", "--preset", "norm-variants", "--seeds", "2", "--rounds", "1", "--epochs", "2"]
         for out, cap in (("a", "1"), ("b", "2")):

@@ -11,6 +11,7 @@ import pytest
 
 from collapse_lab import cli
 from collapse_lab.errors import CollapseLabError, ConfigError, DivergenceError
+from collapse_lab.mc import usable_cores
 from collapse_lab.net import train as net_train
 from collapse_lab.net.model import MLP, load_checkpoint, save_checkpoint
 from collapse_lab.net.train import (
@@ -37,8 +38,8 @@ TINY = TrainConfig(
     weight_decay=0.01,
 )
 
-# a cap of 2 starts worker processes only where there are two cores (resolve_threads caps by cpu_count)
-needs_two_cores = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two worker processes")
+# a cap of 2 starts worker processes only where there are two usable cores (resolve_threads caps by them)
+needs_two_cores = pytest.mark.skipif(usable_cores() < 2, reason="needs two worker processes")
 
 
 def model_for(cfg: TrainConfig, rng) -> MLP:
