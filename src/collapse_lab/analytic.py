@@ -16,7 +16,8 @@ x < x0 ~ -1.1533 (found numerically by ``k_sign_change``); its
 even-symmetrized part is negative everywhere, which is what the J < 0
 statement rests on.
 
-Partial-moment closed forms used in the derivation:
+Partial-moment closed forms used in the derivation (the tests check them
+against quadrature):
 
     g(y) = int_{-inf}^{y} x phi(x) dx = -phi(y)
     int_{-y}^{inf} x^2 phi(x) dx = -y phi(y) + Phi(y)
@@ -41,31 +42,31 @@ E[phi(Y)] = phi(a/r)/r, r = sqrt(1 + u^2).
 Phi is evaluated with ``scipy.special.ndtr`` (the Cephes rational erf/erfc
 approximation, relative error of a few ulp across the real line). The test
 suite pins it against a quadrature-of-phi oracle to 1e-12 on [-8, 8] and
-against an arbitrary-precision oracle to 1e-13 on spot points.
+against an arbitrary-precision oracle to 1e-13 on spot points. SciPy is
+imported on the first Phi or erfc evaluation, not with this module, so a
+command that never takes one (``train``, and ``report`` of tables without
+a K grid) never loads it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.special import erfc, ndtr
 
 from .dists import PointMass, ScalarDist, Uniform
 from .errors import DomainError, SingularityError
-from .quadrature import PANELS, TRUNCATION_RADIUS, integrate, panel_nodes
+from .quadrature import PANELS, panel_nodes
 
 __all__ = [
     "GAMMA_MIN",
     "std_normal_pdf",
     "std_normal_cdf",
-    "g_closed",
-    "h_tail_closed",
     "k_fn",
     "k_sign_change",
     "j_fn",
     "drift_prediction",
-    "partial_moment_numeric",
     "require_gamma_support",
 ]
 
@@ -80,10 +81,23 @@ _ERF_COEF = 11.0 / (16.0 * math.sqrt(math.pi))
 GAMMA_MIN = 0.05
 
 
-def _as_finite_array(x, name="x"):
+@functools.cache
+def _special():
+    """scipy.special, imported on the first call: the one place this package loads SciPy."""
+    import scipy.special
+
+    return scipy.special
+
+
+def _ndtr(x):
+    """Phi(x), elementwise, by scipy.special.ndtr."""
+    return _special().ndtr(x)
+
+
+def _as_finite_array(x):
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
+        raise DomainError("x must be finite")
     return arr
 
 
@@ -97,21 +111,7 @@ def std_normal_pdf(x):
 def std_normal_cdf(x):
     """Phi(x), the standard normal cdf, via the Cephes ndtr approximation."""
     arr = _as_finite_array(x)
-    out = ndtr(arr)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def g_closed(y):
-    """int_{-inf}^{y} x phi(x) dx, which collapses to -phi(y)."""
-    arr = _as_finite_array(y, "y")
-    out = -_INV_SQRT_2PI * np.exp(-0.5 * arr * arr)
-    return float(out) if out.ndim == 0 else out
-
-
-def h_tail_closed(y):
-    """int_{-y}^{inf} x^2 phi(x) dx = -y phi(y) + Phi(y)."""
-    arr = _as_finite_array(y, "y")
-    out = -arr * std_normal_pdf(arr) + ndtr(arr)
+    out = _ndtr(arr)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -122,7 +122,7 @@ def k_fn(x):
     # per element and cost several times the rest of the kernel
     x2 = arr * arr
     p = _INV_SQRT_2PI * np.exp(-0.5 * x2)
-    out = (x2 * x2 - 2.0) * p * p + (arr - x2 * arr) * p * ndtr(arr)
+    out = (x2 * x2 - 2.0) * p * p + (arr - x2 * arr) * p * _ndtr(arr)
     return float(out) if out.ndim == 0 else out
 
 
@@ -144,21 +144,6 @@ def k_sign_change(lo: float = -8.0, hi: float = 0.0, tol: float = 1e-12) -> floa
     return 0.5 * (lo + hi)
 
 
-def partial_moment_numeric(power: int, y: float) -> float:
-    """Quadrature of x^power phi(x) over [-TRUNCATION_RADIUS, y].
-
-    The independent numerical route against which the closed forms above
-    are checked; it never calls g_closed or h_tail_closed.
-    """
-    if power not in (1, 2):
-        raise DomainError(f"power must be 1 or 2, got {power}")
-    if not math.isfinite(y):
-        raise DomainError("y must be finite")
-    if y <= -TRUNCATION_RADIUS:
-        return 0.0
-    return integrate(lambda x: x**power * std_normal_pdf(x), -TRUNCATION_RADIUS, y)
-
-
 def require_gamma_support(gamma_dist: ScalarDist, minimum: float = GAMMA_MIN) -> None:
     """Reject gamma distributions whose support dips below ``minimum``."""
     lo, _ = gamma_dist.support()
@@ -177,7 +162,7 @@ def _f_smooth(x):
     """F(x) + _ERF_COEF * erf(x): the part of K's antiderivative F that vanishes in both tails."""
     x2 = x * x
     p = _INV_SQRT_2PI * np.exp(-0.5 * x2)
-    return (1.0 + x2) * p * ndtr(x) - (0.5 * x2 + 0.25) * x * p * p
+    return (1.0 + x2) * p * _ndtr(x) - (0.5 * x2 + 0.25) * x * p * p
 
 
 def _j_values(gammas: np.ndarray, beta_dist: ScalarDist) -> np.ndarray:
@@ -188,6 +173,7 @@ def _j_values(gammas: np.ndarray, beta_dist: ScalarDist) -> np.ndarray:
     if isinstance(beta_dist, Uniform):
         a, b = beta_dist.lo / gammas, beta_dist.hi / gammas
         side = np.where(a + b >= 0.0, 1.0, -1.0)
+        erfc = _special().erfc
         d_erf = side * (erfc(side * a) - erfc(side * b))  # erf(b) - erf(a)
         return gammas / (beta_dist.hi - beta_dist.lo) * (_f_smooth(b) - _f_smooth(a) - _ERF_COEF * d_erf)
     # Normal: X = beta/gamma ~ N(m, v2)
@@ -204,7 +190,7 @@ def _j_values(gammas: np.ndarray, beta_dist: ScalarDist) -> np.ndarray:
     p0 = _normal_pdf(a, r2)
     p1 = a * p0 / r2
     p2 = (a * p1 + u2 * p0) / r2
-    m0 = ndtr(a / np.sqrt(r2))
+    m0 = _ndtr(a / np.sqrt(r2))
     m1 = a * m0 + u2 * p0
     m2 = a * m1 + u2 * (m0 + p1)
     m3 = a * m2 + u2 * (2.0 * m1 + p2)

@@ -58,9 +58,9 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
-from .analytic import drift_prediction, require_gamma_support
+from .analytic import _ndtr as ndtr
+from .analytic import _special, drift_prediction, require_gamma_support
 from .dists import Normal, PointMass, ScalarDist, Uniform
 from .errors import ConfigError, DivergenceError, DomainError, require_seed
 from .sparsity import COLLAPSE_THRESHOLD
@@ -88,6 +88,9 @@ __all__ = [
 CHUNK_SIZE = 1_000_000
 # a cell's elementwise work runs in slices this long, so its temporaries stay in cache
 _BLOCK = 1 << 16
+# the spacing of doubles at 1: a pair term, a difference of two Phi values in [0, 1], is rounded on this
+# scale, so a mean of them resolves no finer a drift
+_RESOLUTION = float(np.finfo(np.float64).eps)
 
 
 def usable_cores() -> int:
@@ -279,17 +282,22 @@ def one_step_drift(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig]) -> list[Dri
     them. A config's estimate is the one a call with that config alone
     returns, bit for bit.
 
-    Since (gamma, beta + alpha) follows the unshifted rule, the prediction,
-    with its 3-sigma agreement flag, is the closed form for beta shifted by
-    alpha: computed once at unit eta and c and scaled by eta^2 c^2, which
-    is exact. Neurons whose gamma crosses <= 0 (step too large for the
-    second-order regime) are counted in gamma_crossings but still included
-    via the cdf's own sign convention. A gated-off neuron is not moved: its
-    ratio is unchanged (x +- 0.0 == x, and ndtr(+-0.0) is one value), so its
-    pair term is exactly +0.0, summed in place so the rounding is unchanged.
-    Both sums, of the pair terms and of their squares, are NumPy reductions,
-    so no bit depends on the BLAS thread count. The chunks run on
-    resolve_threads(chunks) pool threads, in order at one.
+    Since (gamma, beta + alpha) follows the unshifted rule, the prediction
+    is the closed form for beta shifted by alpha: computed once at unit eta
+    and c and scaled by eta^2 c^2, which is exact. ``agree`` holds when
+    the estimate lies within 3 standard errors of the prediction, or within
+    2^-52, the rounding scale of a pair term, when 3 standard errors are
+    less: an ensemble in which no neuron fires has mean and standard error
+    exactly 0 and cannot resolve a smaller predicted drift. Neurons whose
+    gamma crosses <= 0 (step too large for the second-order regime) are
+    counted in gamma_crossings but still included via the cdf's own sign
+    convention. A gated-off neuron is not moved: its ratio is unchanged
+    (x +- 0.0 == x, and ndtr(+-0.0) is one value), so its pair term is
+    exactly +0.0, summed in place so the rounding is unchanged. Both sums,
+    of the pair terms and of their squares, are NumPy reductions, so no bit
+    depends on the BLAS thread count. The chunks run on
+    resolve_threads(chunks) pool threads, in order at one; SciPy, which the
+    package loads on its first Phi evaluation, is loaded before they start.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -301,6 +309,7 @@ def one_step_drift(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig]) -> list[Dri
     sizes = [CHUNK_SIZE] * (n // CHUNK_SIZE)
     if n % CHUNK_SIZE:
         sizes.append(n % CHUNK_SIZE)
+    _special()  # SciPy's first import, if no call has made it yet, before the chunk threads could race on it
     with ThreadPoolExecutor(max_workers=resolve_threads(len(sizes))) as pool:
         parts = list(pool.map(lambda i: _drift_chunk(spec, cfgs, i, sizes[i]), range(len(sizes))))
     unit = drift_prediction(1.0, 1.0, spec.gamma_dist, spec.beta_dist.shifted(cfgs[0].alpha))
@@ -318,7 +327,7 @@ def one_step_drift(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig]) -> list[Dri
                 std_error=se,
                 n=n,
                 predicted=predicted,
-                agree=abs(mean - predicted) <= 3.0 * se,
+                agree=abs(mean - predicted) <= max(3.0 * se, _RESOLUTION),
                 gamma_crossings=sum(p[k][2] for p in parts),
             )
         )

@@ -298,7 +298,8 @@ def multi_round_experiment(arms: list[tuple[str, TrainConfig]], seeds: list[int]
     one-BLAS-thread worker processes (in this one at 1); results keep
     (arm, seed) order, so they do not depend on the worker count.
     """
-    from ..mc import resolve_threads  # not at the top: mc loads SciPy, which a worker does not need
+    # not at the top: a spawned worker imports this module, and needs none of mc, analytic or quadrature
+    from ..mc import resolve_threads
     cells = [(arm_name, replace(arm_cfg, seed=seed)) for arm_name, arm_cfg in arms for seed in seeds]
     result = ExperimentResult()
     for (arm_name, cfg), out in zip(cells, _map_cells(cells, resolve_threads(len(cells)))):

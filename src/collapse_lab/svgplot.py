@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
+from html import escape
 
 from .errors import DomainError
 
@@ -125,7 +125,7 @@ def line_plot(
     ]
     if title:
         out.append(
-            f'<text x="{width / 2:.0f}" y="18" text-anchor="middle" font-size="13">{escape(title)}</text>'
+            f'<text x="{width / 2:.0f}" y="18" text-anchor="middle" font-size="13">{escape(title, quote=False)}</text>'
         )
     x_ticks = _log_ticks(x_lo, x_hi) if xlog else _linear_ticks(x_lo, x_hi)
     y_ticks = _log_ticks(y_lo, y_hi) if ylog else _linear_ticks(y_lo, y_hi)
@@ -136,7 +136,8 @@ def line_plot(
             f'stroke="#dddddd" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{_fmt(px)}" y="{_MARGIN_T + plot_h + 16}" text-anchor="middle">{escape(_label(t))}</text>'
+            f'<text x="{_fmt(px)}" y="{_MARGIN_T + plot_h + 16}" text-anchor="middle">'
+            f"{escape(_label(t), quote=False)}</text>"
         )
     for t in y_ticks:
         py = sy(t)
@@ -145,7 +146,7 @@ def line_plot(
             f'stroke="#dddddd" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{_MARGIN_L - 6}" y="{_fmt(py + 4)}" text-anchor="end">{escape(_label(t))}</text>'
+            f'<text x="{_MARGIN_L - 6}" y="{_fmt(py + 4)}" text-anchor="end">{escape(_label(t), quote=False)}</text>'
         )
     out.append(
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
@@ -153,13 +154,14 @@ def line_plot(
     )
     if xlabel:
         out.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.0f}" y="{height - 8}" text-anchor="middle">{escape(xlabel)}</text>'
+            f'<text x="{_MARGIN_L + plot_w / 2:.0f}" y="{height - 8}" text-anchor="middle">'
+            f"{escape(xlabel, quote=False)}</text>"
         )
     if ylabel:
         cy = _MARGIN_T + plot_h / 2
         out.append(
             f'<text x="14" y="{cy:.0f}" text-anchor="middle" transform="rotate(-90 14 {cy:.0f})">'
-            f"{escape(ylabel)}</text>"
+            f"{escape(ylabel, quote=False)}</text>"
         )
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
@@ -178,6 +180,6 @@ def line_plot(
             out.append(
                 f'<line x1="{x0}" y1="{y}" x2="{x0 + 18}" y2="{y}" stroke="{color}" stroke-width="2"/>'
             )
-            out.append(f'<text x="{x0 + 23}" y="{y + 4}">{escape(s.name)}</text>')
+            out.append(f'<text x="{x0 + 23}" y="{y + 4}">{escape(s.name, quote=False)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

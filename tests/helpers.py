@@ -1,11 +1,17 @@
-"""Shared test utilities: finite-difference oracles and a CLI runner."""
+"""Shared test utilities: finite-difference oracles, the partial moments of
+the drift derivation, and runners for fresh interpreters and the CLI."""
 
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+
+from collapse_lab.analytic import std_normal_cdf, std_normal_pdf
+from collapse_lab.errors import DomainError
+from collapse_lab.quadrature import TRUNCATION_RADIUS, integrate
 
 FD_STEP = 1e-3
 
@@ -41,8 +47,33 @@ def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(analytic - numeric).max() / scale)
 
 
-def run_cli(args, cwd, env=None):
-    """Invoke the CLI as a subprocess so exit codes and files are real.
+def g_closed(y):
+    """int_{-inf}^{y} x phi(x) dx, which collapses to -phi(y)."""
+    return -std_normal_pdf(y)
+
+
+def h_tail_closed(y):
+    """int_{-y}^{inf} x^2 phi(x) dx = -y phi(y) + Phi(y)."""
+    return -y * std_normal_pdf(y) + std_normal_cdf(y)
+
+
+def partial_moment_numeric(power: int, y: float) -> float:
+    """Quadrature of x^power phi(x) over [-TRUNCATION_RADIUS, y].
+
+    The independent numerical route against which the closed forms above
+    are checked; it never calls g_closed or h_tail_closed.
+    """
+    if power not in (1, 2):
+        raise DomainError(f"power must be 1 or 2, got {power}")
+    if not math.isfinite(y):
+        raise DomainError("y must be finite")
+    if y <= -TRUNCATION_RADIUS:
+        return 0.0
+    return integrate(lambda x: x**power * std_normal_pdf(x), -TRUNCATION_RADIUS, y)
+
+
+def run_python(args, cwd, env=None):
+    """Run a fresh interpreter with ``args`` as a subprocess, so exit codes and files are real.
 
     The child gets the absolute src/ directory first on its PYTHONPATH
     (existing entries are kept after it), so a relative entry that only
@@ -59,13 +90,18 @@ def run_cli(args, cwd, env=None):
     if env:
         full_env.update(env)
     return subprocess.run(
-        [sys.executable, "-m", "collapse_lab.cli", *map(str, args)],
+        [sys.executable, *args],
         cwd=cwd,
         env=full_env,
         capture_output=True,
         text=True,
         timeout=600,
     )
+
+
+def run_cli(args, cwd, env=None):
+    """Invoke the CLI in a fresh interpreter (see ``run_python``)."""
+    return run_python(["-m", "collapse_lab.cli", *map(str, args)], cwd, env)
 
 
 def tree_bytes(root):

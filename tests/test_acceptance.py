@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import FD_STEP, fd_grad, rel_err, run_cli, tree_bytes
+from helpers import FD_STEP, fd_grad, g_closed, h_tail_closed, partial_moment_numeric, rel_err, run_cli, tree_bytes
 
 from collapse_lab import analytic, mc
 from collapse_lab.dists import Normal, PointMass, Uniform
@@ -81,8 +81,8 @@ def test_02_partial_moment_identities():
     worst_g = worst_h = 0.0
     for y in np.linspace(-4.0, 4.0, 81):
         y = float(y)
-        worst_g = max(worst_g, abs(float(analytic.g_closed(y)) - analytic.partial_moment_numeric(1, y)))
-        worst_h = max(worst_h, abs(float(analytic.h_tail_closed(y)) - (1.0 - analytic.partial_moment_numeric(2, -y))))
+        worst_g = max(worst_g, abs(float(g_closed(y)) - partial_moment_numeric(1, y)))
+        worst_h = max(worst_h, abs(float(h_tail_closed(y)) - (1.0 - partial_moment_numeric(2, -y))))
     assert worst_g < 1e-8, f"first-moment mismatch {worst_g:.3e}"
     assert worst_h < 1e-8, f"second-moment mismatch {worst_h:.3e}"
     check_budget(t0, 1.0)

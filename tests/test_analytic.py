@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import g_closed, h_tail_closed, partial_moment_numeric
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
@@ -23,12 +24,9 @@ from collapse_lab.analytic import (
     _f_smooth,
     _j_values,
     drift_prediction,
-    g_closed,
-    h_tail_closed,
     j_fn,
     k_fn,
     k_sign_change,
-    partial_moment_numeric,
     require_gamma_support,
     std_normal_cdf,
     std_normal_pdf,

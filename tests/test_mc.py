@@ -276,6 +276,9 @@ class TestFrozenDrift:
         spec = EnsembleSpec(Uniform(0.5, 1.5), Uniform(-50.0, -40.0), 20_000)
         for est in one_step_drift(spec, both_noise_kinds(0.3, 2)):
             assert (est.empirical_mean, est.std_error, est.gamma_crossings) == (0.0, 0.0, 0)
+            # a positive drift far below the rounding of a pair term: the zero estimate agrees with it
+            assert 0.0 < est.predicted < 1e-300
+            assert est.agree
 
     def test_every_neuron_fires(self):
         spec = EnsembleSpec(Uniform(0.5, 1.0), Uniform(5.0, 6.0), 20_000)
