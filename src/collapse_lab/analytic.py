@@ -197,8 +197,8 @@ def _j_values(gammas: np.ndarray, beta_dist: ScalarDist) -> np.ndarray:
     return even + _normal_pdf(m, w) * (m1 - m3)
 
 
-def j_fn(gamma: float, beta_dist: ScalarDist) -> float:
-    """J(gamma) = E_beta[K(beta/gamma)].
+def j_fn(gamma, beta_dist: ScalarDist):
+    """J(gamma) = E_beta[K(beta/gamma)]. Scalar in, scalar out; arrays pass through.
 
     In closed form (see the module docstring); a PointMass beta is a
     single kernel evaluation, so beta identically 0 gives the constant
@@ -206,16 +206,19 @@ def j_fn(gamma: float, beta_dist: ScalarDist) -> float:
     is a property of the beta distribution: check ``beta_dist.is_even``
     when consuming the value (the J < 0 statement holds only then).
     """
-    if gamma == 0:
+    gammas = np.asarray(gamma, dtype=np.float64)
+    if np.any(gammas == 0):
         raise SingularityError("J(gamma) is undefined at gamma = 0")
-    if not math.isfinite(gamma):
+    if not np.all(np.isfinite(gammas)):
         raise DomainError("gamma must be finite")
-    value = float(_j_values(np.asarray([gamma]), beta_dist)[0])
+    flat = gammas.reshape(-1)
+    values = _j_values(flat, beta_dist)
     # mathematically guaranteed for symmetric beta; a violation means the
     # closed form itself is broken, so fail loudly rather than return junk
-    if beta_dist.is_even and not value < 0:
-        raise AssertionError(f"J({gamma}) = {value} >= 0 for even beta {beta_dist}")
-    return value
+    if beta_dist.is_even and not np.all(values < 0):
+        bad = int(np.argmin(values < 0))
+        raise AssertionError(f"J({flat[bad]}) = {values[bad]} >= 0 for even beta {beta_dist}")
+    return float(values[0]) if gammas.ndim == 0 else values.reshape(gammas.shape)
 
 
 def drift_prediction(eta: float, c: float, gamma_dist: ScalarDist, beta_dist: ScalarDist) -> float:

@@ -7,9 +7,9 @@ traces), ``train`` (toy collapse experiments), ``report`` (re-plot SVGs
 from existing CSV files).
 
 Every plotted artifact is a table plus a plot function registered in
-``_ARTIFACTS``: a command writes the table and draws the SVG from the rows
-it wrote, and ``report`` draws the same SVG from the table read back, so
-the two files are byte-identical.
+``_ARTIFACTS``: a command writes the table and draws the SVG from the
+columns of the rows it wrote, and ``report`` draws the same SVG from the
+columns of the table read back, so the two files are byte-identical.
 
 Distribution arguments use a kind:param:param mini-grammar:
 ``uniform:-1:1``, ``normal:0:0.5``, ``point:0``. Grids are ``lo:hi:step``
@@ -224,13 +224,12 @@ def merged_params(args: argparse.Namespace, command: str) -> dict:
     return params
 
 
-# Plot functions: decoded table rows (dicts keyed by the table's header)
+# Plot functions: a table's decoded columns ({header name: tuple of cells})
 # -> {svg file name: svg text}.
 
 
-def _k_plot(rows: list[dict]) -> dict[str, str]:
-    xs = tuple(r["x"] for r in rows)
-    ks = tuple(r["k"] for r in rows)
+def _k_plot(table: dict[str, tuple]) -> dict[str, str]:
+    xs, ks = table["x"], table["k"]
     series = [svgplot.Series("K(x)", xs, ks)]
     x0 = analytic.k_sign_change()
     if xs[0] <= x0 <= xs[-1]:
@@ -239,12 +238,8 @@ def _k_plot(rows: list[dict]) -> dict[str, str]:
     return {"k_fn.svg": svgplot.line_plot(series, title="Drift kernel", xlabel="x", ylabel="K(x)")}
 
 
-def _j_plot(rows: list[dict]) -> dict[str, str]:
-    series = svgplot.Series(
-        f"J, beta ~ {rows[0]['beta_dist']}",
-        tuple(r["gamma"] for r in rows),
-        tuple(r["j"] for r in rows),
-    )
+def _j_plot(table: dict[str, tuple]) -> dict[str, str]:
+    series = svgplot.Series(f"J, beta ~ {table['beta_dist'][0]}", table["gamma"], table["j"])
     return {
         "j_fn.svg": svgplot.line_plot(
             [series], title="Kernel expectation over beta", xlabel="gamma", ylabel="J(gamma)"
@@ -252,21 +247,19 @@ def _j_plot(rows: list[dict]) -> dict[str, str]:
     }
 
 
-def _mc_plot(rows: list[dict]) -> dict[str, str]:
+def _mc_plot(table: dict[str, tuple]) -> dict[str, str]:
+    measured, predicted = table["empirical_mean"], table["predicted"]
     # an all-negative grid is drawn as -drift on log axes
-    positive = not any(r["empirical_mean"] >= 0 or r["predicted"] >= 0 for r in rows)
+    positive = not any(v >= 0 for v in measured + predicted)
     flip = -1.0 if positive else 1.0
     series = []
-    ordered = sorted(rows, key=lambda r: (r["noise"], r["eta"]))
-    for noise, group in itertools.groupby(ordered, key=lambda r: r["noise"]):
-        group = list(group)
-        etas = tuple(r["eta"] for r in group)
+    ordered = sorted(zip(table["noise"], table["eta"], measured, predicted), key=lambda r: r[:2])
+    for noise, group in itertools.groupby(ordered, key=lambda r: r[0]):
+        _, etas, group_measured, group_predicted = zip(*group)
         series.append(
-            svgplot.Series(
-                f"measured ({noise})", etas, tuple(flip * r["empirical_mean"] for r in group), marker=True
-            )
+            svgplot.Series(f"measured ({noise})", etas, tuple(flip * v for v in group_measured), marker=True)
         )
-        series.append(svgplot.Series(f"predicted ({noise})", etas, tuple(flip * r["predicted"] for r in group)))
+        series.append(svgplot.Series(f"predicted ({noise})", etas, tuple(flip * v for v in group_predicted)))
     svg = svgplot.line_plot(
         series,
         title="One-step drift: simulation vs prediction",
@@ -278,12 +271,8 @@ def _mc_plot(rows: list[dict]) -> dict[str, str]:
     return {"drift_vs_eta.svg": svg}
 
 
-def _decay_plot(rows: list[dict]) -> dict[str, str]:
-    series = svgplot.Series(
-        "C = (beta+alpha)/|gamma|",
-        tuple(r["step"] for r in rows),
-        tuple(r["c_margin"] for r in rows),
-    )
+def _decay_plot(table: dict[str, tuple]) -> dict[str, str]:
+    series = svgplot.Series("C = (beta+alpha)/|gamma|", table["step"], table["c_margin"])
     return {
         "decay_c.svg": svgplot.line_plot(
             [series], title="Margin recovery under pure decay", xlabel="step", ylabel="C"
@@ -291,20 +280,20 @@ def _decay_plot(rows: list[dict]) -> dict[str, str]:
     }
 
 
-def _experiment_plot(rows: list[dict]) -> dict[str, str]:
-    # arm -> round -> rows; arms keep the order the table lists them in
-    cells: dict[str, dict[int, list[dict]]] = {}
-    for row in rows:
-        cells.setdefault(row["arm"], {}).setdefault(row["round"], []).append(row)
+def _experiment_plot(table: dict[str, tuple]) -> dict[str, str]:
     svgs = {}
     for metric, stem, ylabel in (
         ("sparsity_ratio", "sparsity_vs_round", "collapsed fraction"),
         ("val_acc", "accuracy_vs_round", "validation accuracy"),
     ):
+        # arm -> round -> values; arms keep the order the table lists them in
+        cells: dict[str, dict[int, list]] = {}
+        for arm, round_, value in zip(table["arm"], table["round"], table[metric]):
+            cells.setdefault(arm, {}).setdefault(round_, []).append(value)
         series = []
         for arm, by_round in cells.items():
             rounds = sorted(by_round)
-            means = tuple(sum(row[metric] for row in by_round[r]) / len(by_round[r]) for r in rounds)
+            means = tuple(sum(by_round[r]) / len(by_round[r]) for r in rounds)
             series.append(svgplot.Series(arm, tuple(float(r + 1) for r in rounds), means, marker=True))
         svgs[stem + ".svg"] = svgplot.line_plot(
             series, title=stem.replace("_", " "), xlabel="round", ylabel=ylabel
@@ -332,11 +321,11 @@ def _write_table(out: str, stem: str, fmt: str, header, rows) -> None:
 
 
 def _draw(out: str, stem: str, rows) -> None:
-    """Write every SVG the plot of table ``stem`` draws from ``rows``."""
+    """Write every SVG the plot of table ``stem`` draws from the columns of ``rows``."""
     if not rows:
         return  # e.g. a train run whose every arm failed: nothing to plot
     header, plot = _ARTIFACTS[stem]
-    for name, svg in plot([dict(zip(header, row)) for row in rows]).items():
+    for name, svg in plot(dict(zip(header, tables.columns_of(rows, len(header))))).items():
         path = os.path.join(out, name)
         with tables.atomic_write(path) as fh:
             fh.write(svg)
@@ -368,8 +357,8 @@ def cmd_analytic(params: dict) -> int:
     if xs is not None:
         _save(out, "k_grid", list(zip(xs.tolist(), analytic.k_fn(xs).tolist())))
     if gammas is not None:
-        rows = [[float(g), analytic.j_fn(float(g), beta), str(beta), beta.is_even] for g in gammas]
-        _save(out, "j_grid", rows)
+        js = analytic.j_fn(gammas, beta)
+        _save(out, "j_grid", [[g, j, str(beta), beta.is_even] for g, j in zip(gammas.tolist(), js.tolist())])
     if drift is not None:
         row = [params["eta"], params["c"], str(gamma), str(beta), drift]
         _write_table(out, "drift", params["format"], ["eta", "c", "gamma_dist", "beta_dist", "value"], [row])

@@ -53,7 +53,6 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -310,6 +309,9 @@ def one_step_drift(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig]) -> list[Dri
     if n % CHUNK_SIZE:
         sizes.append(n % CHUNK_SIZE)
     _special()  # SciPy's first import, if no call has made it yet, before the chunk threads could race on it
+    # imported here, not with the module: no other command of the CLI starts a thread pool
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=resolve_threads(len(sizes))) as pool:
         parts = list(pool.map(lambda i: _drift_chunk(spec, cfgs, i, sizes[i]), range(len(sizes))))
     unit = drift_prediction(1.0, 1.0, spec.gamma_dist, spec.beta_dist.shifted(cfgs[0].alpha))

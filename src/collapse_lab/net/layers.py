@@ -187,13 +187,14 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
         raise DomainError(f"shape mismatch: logits {logits.shape}, labels {labels.shape}")
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    # the ufunc reductions themselves: max, sum and mean would each add a Python wrapper
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     probs = np.exp(shifted)
-    total = probs.sum(axis=1, keepdims=True)
+    total = np.add.reduce(probs, axis=1, keepdims=True)
     probs /= total
     n = logits.shape[0]
     idx = np.arange(n)
-    loss = float(-np.mean(shifted[idx, labels] - np.log(total[:, 0])))
+    loss = -float(np.add.reduce(shifted[idx, labels] - np.log(total[:, 0]))) / n
     grad = probs.copy()
     grad[idx, labels] -= 1.0
     grad /= n

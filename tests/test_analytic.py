@@ -224,6 +224,34 @@ class TestJ:
         with pytest.raises(SingularityError):
             j_fn(0.0, Uniform(-1, 1))
 
+    @pytest.mark.parametrize(
+        "dist",
+        [Uniform(-1.3, 1.3), Uniform(-1.0, 0.5), Normal(0.0, 0.7), Normal(0.2, 1.1), PointMass(0.0)],
+        ids=str,
+    )
+    def test_array_matches_scalar_bits(self, dist):
+        # the gamma grid of `analytic --j` in one call, element for element as the scalar calls
+        gammas = np.linspace(0.1, 5.0, 50)
+        got = j_fn(gammas, dist)
+        assert got.shape == gammas.shape
+        assert [v.hex() for v in got.tolist()] == [j_fn(g, dist).hex() for g in gammas.tolist()]
+        assert type(j_fn(1.0, dist)) is float
+
+    def test_array_checks_every_gamma(self, monkeypatch):
+        with pytest.raises(SingularityError):
+            j_fn(np.array([1.0, 0.0, 2.0]), Uniform(-1, 1))
+        with pytest.raises(DomainError):
+            j_fn(np.array([1.0, math.nan]), Uniform(-1, 1))
+        with pytest.raises(DomainError):
+            j_fn(np.array([math.inf, 1.0]), Uniform(-1, 1))
+        # a broken closed form that gives one nonnegative J for an even beta is caught
+        def broken(gammas, dist):
+            return np.where(gammas == 2.0, 0.0, _j_values(gammas, dist))
+
+        monkeypatch.setattr("collapse_lab.analytic._j_values", broken)
+        with pytest.raises(AssertionError, match="J\\(2.0\\) = 0.0"):
+            j_fn(np.array([1.0, 2.0, 3.0]), Uniform(-1, 1))
+
     def test_non_even_beta_computes(self):
         # no negativity guarantee, but the value exists; consumers check is_even
         dist = Uniform(0.0, 1.0)

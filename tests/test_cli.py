@@ -1,5 +1,6 @@
 """End-to-end CLI runs in subprocesses: files, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -332,6 +333,8 @@ class TestTrain:
         assert sparsity["threshold"] == 1e-3
         hist = read_rows(out / "l1_hist_custom_s0.csv")
         assert sum(r["count"] for r in hist) == 8  # one row per first-layer unit
+        # the bin edges are NumPy floats, written as the numbers they hold
+        assert all(type(r["bin_lo"]) is float and type(r["bin_hi"]) is float for r in hist)
         model, _, extra = load_checkpoint(out / "checkpoint_custom_s0.json")
         assert extra == {"arm": "custom", "seed": 0}
         assert model.arch["hidden_width"] == 8
@@ -412,6 +415,47 @@ class TestReport:
         res = run_cli(["report", "--source", "o", "--out", "r"], cwd=tmp_path)
         assert res.returncode == 0, res.stderr
         assert {p.name: p.read_bytes() for p in (tmp_path / "r").glob("*.svg")} == originals
+
+
+class TestPinnedBytes:
+    """A small analytic, decay and report tree, pinned by the sha256 of each file.
+
+    The digests were recorded with the per-cell CSV writer and reader and
+    the per-point plotter; the columnar ones must write the same bytes.
+    """
+
+    PINNED = {
+        "o/decay.csv": "9f0204105f1d55504b8b66ebe6e6eadbf4da58cd4f1b396a9b565631e98cbf97",
+        "o/decay.json": "97faa9e2447fd4578ba75581cb7c8ee168710f8acdf651a8fbe6ff20094948f7",
+        "o/decay_c.svg": "0db9d56c16cdb56465245e9dabcaafce1cf5919823a789b5edcde1d4f2271962",
+        "o/j_fn.svg": "fb8dd38ba21753b23a5436e5ec999c4239763e5896af4e5a0f53d6192e8e1853",
+        "o/j_grid.csv": "f81e0f5d77a98fe20daefd65fdf3a772d439e554ff706fa66823a272a6074a1b",
+        "o/k_fn.svg": "1c44911aaf91d94b3bd48e321c3299fc8d7e6c35ed9c5619ad41bc776aa1bd8b",
+        "o/k_grid.csv": "050d058490be0e023bc037eff98a59a1ec72fa701e1420b06ea869e7aee411d8",
+        "r/decay_c.svg": "0db9d56c16cdb56465245e9dabcaafce1cf5919823a789b5edcde1d4f2271962",
+        "r/j_fn.svg": "fb8dd38ba21753b23a5436e5ec999c4239763e5896af4e5a0f53d6192e8e1853",
+        "r/k_fn.svg": "1c44911aaf91d94b3bd48e321c3299fc8d7e6c35ed9c5619ad41bc776aa1bd8b",
+    }
+
+    def test_tree_digests(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for argv in (
+            [
+                "analytic", "--k-grid=-3:3:0.01", "--j", "--beta", "normal:0.2:1.1",
+                "--gamma-grid", "0.1:5:0.1", "--out", "o",
+            ],
+            # gamma0 halves below the collapse threshold at step 139; the margin recovers at step 479
+            ["decay", "--steps", "700", "--stride", "3", "--gamma", "0.002", "--wd", "0.05", "--out", "o"],
+            ["report", "--source", "o", "--out", "r"],
+        ):
+            assert main(argv) == 0
+        capsys.readouterr()
+        got = {
+            f"{d}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+            for d in ("o", "r")
+            for p in sorted((tmp_path / d).iterdir())
+        }
+        assert got == self.PINNED
 
 
 class TestArgparseSurface:

@@ -1,5 +1,6 @@
 """What a fresh interpreter loads: SciPy only on the first Phi evaluation,
-and nothing of the urllib/ssl chain at all.
+concurrent.futures only for a drift estimate's thread pool, and nothing of
+the urllib/ssl chain at all.
 
 Each test runs its own interpreter, so no module an earlier test imported
 can hide a load. A module counts only if the package loaded it, not if
@@ -23,7 +24,7 @@ import json, sys
 before = set(sys.modules)
 
 def loaded():
-    return sorted({"scipy", "urllib.request", "ssl"} & (set(sys.modules) - before))
+    return sorted({"scipy", "urllib.request", "ssl", "concurrent.futures"} & (set(sys.modules) - before))
 
 from collapse_lab import cli
 stages = {"import": loaded()}

@@ -294,6 +294,21 @@ class TestSoftmaxCrossEntropy:
         assert accuracy(logits, np.array([0, 1, 1, 1])) == 0.75
 
 
+def _softmax_cross_entropy_wrapped(logits, labels):
+    """softmax_cross_entropy as it was before it called the ufunc reductions directly."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    total = probs.sum(axis=1, keepdims=True)
+    probs /= total
+    n = logits.shape[0]
+    idx = np.arange(n)
+    loss = float(-np.mean(shifted[idx, labels] - np.log(total[:, 0])))
+    grad = probs.copy()
+    grad[idx, labels] -= 1.0
+    grad /= n
+    return loss, grad, probs
+
+
 def sample(shape, seed):
     """Shifted, scaled normal draws with one +0.0 and one -0.0 planted."""
     rng = np.random.default_rng(seed)
@@ -398,3 +413,13 @@ class TestKernelEquivalence:
         assert loss == float(-np.mean(log_probs[idx, labels]))
         assert np.array_equal(probs, want_probs)
         assert np.array_equal(grad, want_grad)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 300), st.integers(2, 12), st.integers(0, 2**32 - 1))
+    def test_softmax_cross_entropy_as_before(self, n, k, seed):
+        logits = sample((n, k), seed)
+        labels = np.random.default_rng(seed).integers(0, k, size=n)
+        loss, grad, probs = softmax_cross_entropy(logits, labels)
+        want_loss, want_grad, want_probs = _softmax_cross_entropy_wrapped(logits, labels)
+        assert loss.hex() == want_loss.hex()
+        assert np.array_equal(grad, want_grad) and np.array_equal(probs, want_probs)
