@@ -6,10 +6,14 @@ also prints an agreement table), ``decay`` (pure-decay reactivation
 traces), ``train`` (toy collapse experiments), ``report`` (re-plot SVGs
 from existing CSV files).
 
-Every plotted artifact is a table plus a plot function registered in
-``_ARTIFACTS``: a command writes the table and draws the SVG from the
-columns of the rows it wrote, and ``report`` draws the same SVG from the
-columns of the table read back, so the two files are byte-identical.
+A table is one form from producer to file to plot: {column name:
+column}. Every plotted artifact is registered in ``_ARTIFACTS`` as its
+declared columns ({name: type}) and a plot function: a command writes the
+table and draws the SVG from the columns it wrote, and ``report`` reads
+the table back, each column parsed as its declared type, and draws the
+same SVG from it, so the two files are byte-identical. A table whose
+header or cells do not match its declared columns is a configuration
+error.
 
 Distribution arguments use a kind:param:param mini-grammar:
 ``uniform:-1:1``, ``normal:0:0.5``, ``point:0``. Grids are ``lo:hi:step``
@@ -36,7 +40,8 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import astuple, fields, replace
+import typing
+from dataclasses import replace
 
 import numpy as np
 
@@ -83,7 +88,7 @@ def _parse_count(text: str) -> int:
         value = float(text)
     except ValueError:
         raise ConfigError(f"expected a count, got {text!r}")
-    if value < 1 or value != int(value):
+    if not (value >= 1 and value.is_integer()):  # inf and nan are no counts
         raise ConfigError(f"count must be a positive integer, got {text!r}")
     return int(value)
 
@@ -224,11 +229,10 @@ def merged_params(args: argparse.Namespace, command: str) -> dict:
     return params
 
 
-# Plot functions: a table's decoded columns ({header name: tuple of cells})
-# -> {svg file name: svg text}.
+# Plot functions: a table ({column name: column}) -> {svg file name: svg text}.
 
 
-def _k_plot(table: dict[str, tuple]) -> dict[str, str]:
+def _k_plot(table: dict[str, list]) -> dict[str, str]:
     xs, ks = table["x"], table["k"]
     series = [svgplot.Series("K(x)", xs, ks)]
     x0 = analytic.k_sign_change()
@@ -238,7 +242,7 @@ def _k_plot(table: dict[str, tuple]) -> dict[str, str]:
     return {"k_fn.svg": svgplot.line_plot(series, title="Drift kernel", xlabel="x", ylabel="K(x)")}
 
 
-def _j_plot(table: dict[str, tuple]) -> dict[str, str]:
+def _j_plot(table: dict[str, list]) -> dict[str, str]:
     series = svgplot.Series(f"J, beta ~ {table['beta_dist'][0]}", table["gamma"], table["j"])
     return {
         "j_fn.svg": svgplot.line_plot(
@@ -247,7 +251,7 @@ def _j_plot(table: dict[str, tuple]) -> dict[str, str]:
     }
 
 
-def _mc_plot(table: dict[str, tuple]) -> dict[str, str]:
+def _mc_plot(table: dict[str, list]) -> dict[str, str]:
     measured, predicted = table["empirical_mean"], table["predicted"]
     # an all-negative grid is drawn as -drift on log axes
     positive = not any(v >= 0 for v in measured + predicted)
@@ -271,7 +275,7 @@ def _mc_plot(table: dict[str, tuple]) -> dict[str, str]:
     return {"drift_vs_eta.svg": svg}
 
 
-def _decay_plot(table: dict[str, tuple]) -> dict[str, str]:
+def _decay_plot(table: dict[str, list]) -> dict[str, str]:
     series = svgplot.Series("C = (beta+alpha)/|gamma|", table["step"], table["c_margin"])
     return {
         "decay_c.svg": svgplot.line_plot(
@@ -280,7 +284,7 @@ def _decay_plot(table: dict[str, tuple]) -> dict[str, str]:
     }
 
 
-def _experiment_plot(table: dict[str, tuple]) -> dict[str, str]:
+def _experiment_plot(table: dict[str, list]) -> dict[str, str]:
     svgs = {}
     for metric, stem, ylabel in (
         ("sparsity_ratio", "sparsity_vs_round", "collapsed fraction"),
@@ -301,41 +305,45 @@ def _experiment_plot(table: dict[str, tuple]) -> dict[str, str]:
     return svgs
 
 
-# table stem -> (CSV header, plot function); `report` re-draws each table it finds
+# table stem -> (declared columns {name: type}, plot function); `report` re-draws each table it finds
 _ARTIFACTS = {
-    "k_grid": (["x", "k"], _k_plot),
-    "j_grid": (["gamma", "j", "beta_dist", "beta_even"], _j_plot),
-    "mc_verify": ([f.name for f in fields(mc.TheoremRow)], _mc_plot),
-    "decay": (list(mc.TrajectoryRecord._fields), _decay_plot),
-    "experiment": (net_train.EXPERIMENT_CSV_HEADER, _experiment_plot),
+    "k_grid": ({"x": float, "k": float}, _k_plot),
+    "j_grid": ({"gamma": float, "j": float, "beta_dist": str, "beta_even": bool}, _j_plot),
+    "mc_verify": (typing.get_type_hints(mc.TheoremRow), _mc_plot),
+    "decay": (typing.get_type_hints(mc.TrajectoryRecord), _decay_plot),
+    "experiment": (net_train.EXPERIMENT_COLUMNS, _experiment_plot),
 }
 
 
-def _write_table(out: str, stem: str, fmt: str, header, rows) -> None:
+def _columns(stem: str, rows) -> dict[str, list]:
+    """The registered table ``stem`` built from ``rows``, objects with an attribute per column."""
+    return {name: [getattr(row, name) for row in rows] for name in _ARTIFACTS[stem][0]}
+
+
+def _write_table(out: str, stem: str, fmt: str, table: dict) -> None:
     path = os.path.join(out, f"{stem}.{fmt}")
     if fmt == "json":
-        tables.write_json(path, [dict(zip(header, row)) for row in rows])
+        tables.write_json(path, [dict(zip(table, row)) for row in zip(*table.values())])
     else:
-        tables.write_csv(path, header, rows)
+        tables.write_csv(path, table)
     print(path)
 
 
-def _draw(out: str, stem: str, rows) -> None:
-    """Write every SVG the plot of table ``stem`` draws from the columns of ``rows``."""
-    if not rows:
+def _draw(out: str, stem: str, table: dict) -> None:
+    """Write every SVG the plot of table ``stem`` draws from ``table``."""
+    if not next(iter(table.values())):
         return  # e.g. a train run whose every arm failed: nothing to plot
-    header, plot = _ARTIFACTS[stem]
-    for name, svg in plot(dict(zip(header, tables.columns_of(rows, len(header))))).items():
+    for name, svg in _ARTIFACTS[stem][1](table).items():
         path = os.path.join(out, name)
         with tables.atomic_write(path) as fh:
             fh.write(svg)
         print(path)
 
 
-def _save(out: str, stem: str, rows) -> None:
-    """Write a registered table, then its plots from the rows just written."""
-    _write_table(out, stem, "csv", _ARTIFACTS[stem][0], rows)
-    _draw(out, stem, rows)
+def _save(out: str, stem: str, table: dict) -> None:
+    """Write a registered table, then its plots from the columns just written."""
+    _write_table(out, stem, "csv", table)
+    _draw(out, stem, table)
 
 
 def cmd_analytic(params: dict) -> int:
@@ -353,15 +361,22 @@ def cmd_analytic(params: dict) -> int:
     gammas = parse_grid(params["gamma_grid"]) if params["j"] else None
     if gammas is not None and np.any(gammas == 0):
         raise ConfigError(f"--gamma-grid must not contain 0, got {params['gamma_grid']!r}")
-    drift = analytic.drift_prediction(params["eta"], params["c"], gamma, beta) if params["drift"] else None
+    drift = None
+    if params["drift"]:
+        try:
+            drift = analytic.drift_prediction(params["eta"], params["c"], gamma, beta)
+        except DomainError as exc:
+            raise ConfigError(f"--eta and --c: {exc}")  # a flag value outside the drift's domain
     if xs is not None:
-        _save(out, "k_grid", list(zip(xs.tolist(), analytic.k_fn(xs).tolist())))
+        _save(out, "k_grid", {"x": xs.tolist(), "k": analytic.k_fn(xs).tolist()})
     if gammas is not None:
-        js = analytic.j_fn(gammas, beta)
-        _save(out, "j_grid", [[g, j, str(beta), beta.is_even] for g, j in zip(gammas.tolist(), js.tolist())])
+        table = {"gamma": gammas.tolist(), "j": analytic.j_fn(gammas, beta).tolist()}
+        _save(out, "j_grid", table | {"beta_dist": [str(beta)] * len(gammas), "beta_even": [beta.is_even] * len(gammas)})
     if drift is not None:
-        row = [params["eta"], params["c"], str(gamma), str(beta), drift]
-        _write_table(out, "drift", params["format"], ["eta", "c", "gamma_dist", "beta_dist", "value"], [row])
+        table = {
+            "eta": [params["eta"]], "c": [params["c"]], "gamma_dist": [str(gamma)], "beta_dist": [str(beta)], "value": [drift]
+        }
+        _write_table(out, "drift", params["format"], table)
     return 0
 
 
@@ -395,7 +410,7 @@ def cmd_mc(params: dict) -> int:
     else:
         cells = [mc.VerifyCell(**{_MC_CELL_FIELD[flag]: params[flag] for flag in given})]
     rows = mc.verify_theorem(cells, count=params["n"], seed=params["seed"])
-    _save(out, "mc_verify", [astuple(r) for r in rows])
+    _save(out, "mc_verify", _columns("mc_verify", rows))
     if params["verify"]:
         _print_agreement(rows)
     return 0
@@ -416,7 +431,7 @@ def cmd_decay(params: dict) -> int:
     except DomainError as exc:
         # every rejection here is a bad flag value, not a mid-run failure
         raise ConfigError(str(exc))
-    _save(out, "decay", result.records)
+    _save(out, "decay", _columns("decay", result.records))
     path = os.path.join(out, "decay.json")
     tables.write_json(
         path,
@@ -451,7 +466,7 @@ def cmd_train(params: dict) -> int:
     arms = _train_arms(params)
     seeds = [params["seed"] + i for i in range(params["seeds"])]
     result = net_train.multi_round_experiment(arms, seeds)
-    _save(out, "experiment", tables.rows_from_dicts(result.rows, net_train.EXPERIMENT_CSV_HEADER))
+    _save(out, "experiment", {name: [r[name] for r in result.rows] for name in net_train.EXPERIMENT_COLUMNS})
     for (arm, seed), model in sorted(result.finals.items()):
         tag = f"{arm}_s{seed}"
         reports = result.reports[(arm, seed)]
@@ -459,14 +474,15 @@ def cmd_train(params: dict) -> int:
         tables.write_json(path, sparsity.report_to_json(reports[-1].sparsity))
         print(path)
         hist = sparsity.filter_l1_histogram(model.filter_matrix(0))
-        _write_table(out, f"l1_hist_{tag}", "csv", *sparsity.histogram_csv_rows(hist))
+        _write_table(out, f"l1_hist_{tag}", "csv", sparsity.histogram_csv_rows(hist))
         path = os.path.join(out, f"checkpoint_{tag}.json")
         net_model.save_checkpoint(
             path, model, result.rngs[(arm, seed)], extra={"arm": arm, "seed": seed}
         )
         print(path)
     if result.failures:
-        _write_table(out, "failures", "csv", ["arm", "seed", "error"], [list(f) for f in result.failures])
+        columns = map(list, zip(*result.failures))
+        _write_table(out, "failures", "csv", dict(zip(["arm", "seed", "error"], columns)))
         for arm, seed, message in result.failures:
             print(f"arm {arm} seed {seed} failed: {message}", file=sys.stderr)
     if result.rows:
@@ -480,14 +496,11 @@ def cmd_report(params: dict) -> int:
     if not os.path.isdir(source):
         raise ConfigError(f"source directory not found: {source}")
     regenerated = 0
-    for stem, (header, _) in _ARTIFACTS.items():
+    for stem, (types, _) in _ARTIFACTS.items():
         path = os.path.join(source, stem + ".csv")
         if not os.path.exists(path):
             continue
-        found, rows = tables.read_csv(path)
-        if found != header:
-            raise ConfigError(f"{path} has unexpected columns {found}")
-        _draw(out, stem, rows)
+        _draw(out, stem, tables.read_csv(path, types))
         regenerated += 1
     if regenerated == 0:
         raise ConfigError(f"no known CSV files found in {source}")

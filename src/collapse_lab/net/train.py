@@ -34,7 +34,7 @@ from .data import Dataset, make_synthetic_dataset, shuffle_labels
 from .model import ACTIVATIONS, MLP, NORMS
 
 __all__ = [
-    "EXPERIMENT_CSV_HEADER",
+    "EXPERIMENT_COLUMNS",
     "TrainConfig",
     "RoundReport",
     "ExperimentResult",
@@ -50,16 +50,11 @@ __all__ = [
 
 LABEL_MODES = ("true", "random")
 
-EXPERIMENT_CSV_HEADER = [
-    "arm",
-    "seed",
-    "round",
-    "train_loss",
-    "train_acc",
-    "val_acc",
-    "sparsity_ratio",
-    "flops_reduction",
-]
+# the columns of experiment.csv, {name: type}: one row per (arm, seed, round)
+EXPERIMENT_COLUMNS = {
+    "arm": str, "seed": int, "round": int,
+    "train_loss": float, "train_acc": float, "val_acc": float, "sparsity_ratio": float, "flops_reduction": float,
+}
 
 
 @dataclass(frozen=True)
@@ -86,6 +81,11 @@ class TrainConfig:
     collapse_threshold: float = COLLAPSE_THRESHOLD
 
     def __post_init__(self):
+        for name in ("eta_max", "eta_min", "weight_decay", "gamma_init", "alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0 < self.collapse_threshold < math.inf:
+            raise ConfigError(f"collapse_threshold must be finite and > 0, got {self.collapse_threshold}")
         if self.rounds < 1 or self.epochs_per_round < 1:
             raise ConfigError("rounds and epochs_per_round must be >= 1")
         if self.batch_size < 2:
@@ -292,7 +292,7 @@ def multi_round_experiment(arms: list[tuple[str, TrainConfig]], seeds: list[int]
     Any other error a cell raises is raised here once every cell has run,
     the first in (arm, seed) order, so the worker count does not change it.
 
-    Rows follow EXPERIMENT_CSV_HEADER. All arms sharing a data_seed see the
+    Rows are dicts keyed by EXPERIMENT_COLUMNS. All arms sharing a data_seed see the
     identical dataset, so arm differences are architectural/hyperparameter
     effects, not data resampling. The cells run in resolve_threads(cells)
     one-BLAS-thread worker processes (in this one at 1); results keep

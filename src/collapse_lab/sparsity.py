@@ -162,7 +162,6 @@ def report_to_json(report: SparsityReport) -> dict:
     }
 
 
-def histogram_csv_rows(hist: Histogram):
-    header = ["bin_lo", "bin_hi", "count"]
-    rows = [[lo, hi, c] for lo, hi, c in zip(hist.bin_lo, hist.bin_hi, hist.counts)]
-    return header, rows
+def histogram_csv_rows(hist: Histogram) -> dict[str, tuple]:
+    """The histogram as a table: {column name: column}."""
+    return {"bin_lo": hist.bin_lo, "bin_hi": hist.bin_hi, "count": hist.counts}

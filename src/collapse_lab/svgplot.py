@@ -80,7 +80,7 @@ def _axis_range(values: np.ndarray, log: bool, axis: str):
     if log:
         if lo <= 0:
             raise DomainError(f"log-scale {axis} axis requires positive values, got min {lo}")
-        if lo == hi:
+        if math.log10(lo) == math.log10(hi):  # lo == hi, or a span too narrow for log10 to tell apart
             lo, hi = lo / 2.0, hi * 2.0
         return lo, hi
     if lo == hi:

@@ -1,21 +1,23 @@
 """CSV and JSON emission with exact round-tripping.
 
-Floats are written with repr (shortest string that parses back to the
-identical double), booleans as lowercase true/false, missing values as the
-empty string, and a NumPy scalar as the Python value it holds. ``read_csv``
-inverts the encoding, so write -> read is the identity on None, bool, int
-and float cells, which is what the byte-identical-output contract and the
-re-plotting command rely on. A str cell comes back as written unless its
-text reads as one of those: '', 'true', 'nan' and '12' come back as None,
-True, a float and an int.
+A table is one form everywhere: an ordered mapping {column name: column}
+of equal-length columns, its keys the CSV header. Floats are written with
+repr (shortest string that parses back to the identical double), booleans
+as lowercase true/false, missing values as the empty string, and a NumPy
+scalar as the Python value it holds. ``read_csv`` parses each column as
+the type the caller declares for it: ``float``, ``int``, ``bool``,
+``str``, or ``T | None`` for a column that may be empty, the only kind
+that reads '' as None. So write -> read is the identity on a column of its
+declared type, str cells included, which is what the byte-identical-output
+contract and the re-plotting command rely on. A header other than the
+declared one, a ragged row, or a cell that does not parse as its column's
+type is a ``ConfigError``.
 
-Both directions work a column at a time. ``write_csv`` turns the rows into
-columns in blocks of ``_BLOCK_ROWS``, so its memory does not grow with the
-table; a column whose cells are all floats, all ints or all bools is
-encoded by one map, any other cell by ``_encode`` and csv's minimal
-quoting. ``read_csv`` splits the file with ``csv.reader`` and decodes a
-column by one map of ``int`` or ``float`` when that gives every cell the
-value and type ``_decode`` gives it, else cell by cell with ``_decode``.
+Both directions work a column at a time. ``write_csv`` encodes blocks of
+``_BLOCK_ROWS`` rows, a slice of each column: a slice whose cells are all
+floats, all ints or all bools by one map, any other cell by ``_encode``
+and csv's minimal quoting. ``read_csv`` splits the file with
+``csv.reader`` and parses each column by one map.
 
 Every file the package writes (these tables, checkpoints, SVG plots) goes
 through ``atomic_write``: a run that dies mid-write leaves the previous
@@ -30,12 +32,13 @@ import itertools
 import json
 import os
 import re
+import typing
 
 import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["atomic_write", "write_csv", "read_csv", "write_json", "rows_from_dicts", "columns_of"]
+__all__ = ["atomic_write", "write_csv", "read_csv", "write_json"]
 
 _BLOCK_ROWS = 1024
 
@@ -76,24 +79,6 @@ def _encode(value) -> str:
     return str(value)
 
 
-def _decode(text: str):
-    if text == "":
-        return None
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    if "." not in text and "e" not in text and "n" not in text:  # else int() would raise
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    try:
-        return float(text)  # covers 'inf', 'nan', exponents
-    except ValueError:
-        return text
-
-
 # the encoder of a column whose every cell is of exactly this type (a bool is no int here)
 _COLUMN_ENCODERS = {float: float.__repr__, int: int.__repr__, bool: ("false", "true").__getitem__}
 
@@ -101,11 +86,8 @@ _COLUMN_ENCODERS = {float: float.__repr__, int: int.__repr__, bool: ("false", "t
 # ends in "\n", and its reader then ends the row there, so "\r" is quoted too
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
-# the cells _decode reads as words
-_WORDS = {"": None, "true": True, "false": False}
-
-# a character without which _decode tries int() on a cell
-_FLOAT_MARK = re.compile("[.en]")
+# the parser of a cell of each column type: int and float read back what they wrote
+_DECODERS = {float: float, int: int, bool: {"true": True, "false": False}.__getitem__, str: str}
 
 
 def _quote(text: str) -> str:
@@ -131,7 +113,19 @@ def _lines(columns) -> str:
     return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def columns_of(rows, width: int) -> list[tuple]:
+def write_csv(path, table) -> None:
+    """Write ``table`` ({column name: column}, columns of equal length) as CSV text, its keys the header."""
+    columns = list(table.values())
+    height = len(columns[0]) if columns else 0
+    if any(len(column) != height for column in columns):
+        raise ValueError(f"the columns of {list(table)} differ in length")
+    with atomic_write(path, newline="") as fh:
+        fh.write(_lines([(name,) for name in table]))
+        for start in range(0, height, _BLOCK_ROWS):
+            fh.write(_lines([column[start : start + _BLOCK_ROWS] for column in columns]))
+
+
+def _columns_of(rows, width: int) -> list[tuple]:
     """The ``width`` columns of ``rows``, a sequence of rows of ``width`` cells each.
 
     The rows are flattened into one tuple and each column is a slice of it,
@@ -144,55 +138,41 @@ def columns_of(rows, width: int) -> list[tuple]:
     return [flat[i::width] for i in range(width)]
 
 
-def write_csv(path, header, rows) -> None:
-    """Write ``header`` and ``rows`` (an iterable of sequences as long as the header) as CSV text."""
-    rows = iter(rows)
-    with atomic_write(path, newline="") as fh:
-        fh.write(_lines([(name,) for name in header]))
-        while block := list(itertools.islice(rows, _BLOCK_ROWS)):
-            fh.write(_lines(columns_of(block, len(header))))
-
-
-def _decode_column(column) -> list:
-    """Each cell decoded to what ``_decode`` gives for it, by one map where that is possible."""
+def _decode_column(path, name: str, column, kind) -> list:
+    """The cells of column ``name`` parsed as ``kind``; a ``T | None`` column reads '' as None."""
+    optional = type(None) in typing.get_args(kind)
+    if optional:
+        (kind,) = set(typing.get_args(kind)) - {type(None)}
+    parse = _DECODERS[kind]
     try:
-        return list(map(int, column))  # int() reads no text with a '.', 'e' or 'n' in it
-    except ValueError:
+        if optional:
+            return [None if text == "" else parse(text) for text in column]
+        return list(map(parse, column))
+    except (ValueError, KeyError):
         pass
-    try:
-        values = list(map(float, column))
-    except ValueError:
-        pass
-    else:
-        # _decode reads a cell without '.', 'e' or 'n' as an int if int() takes it; a
-        # text float() takes has at most one '.', so a '.' per cell rules that out at once
-        if "".join(column).count(".") == len(column) or all(map(_FLOAT_MARK.search, column)):
-            return values
-    if _WORDS.keys() >= set(column):
-        return list(map(_WORDS.__getitem__, column))
-    return list(map(_decode, column))
+    for row, text in enumerate(column, 1):
+        try:
+            if text or not optional:
+                parse(text)
+        except (ValueError, KeyError):
+            raise ConfigError(f"{path}: row {row} of column {name!r} holds {text!r}, not a {kind.__name__}") from None
 
 
-def read_csv(path):
-    """Returns (header, rows) with cell values decoded back to Python types."""
+def read_csv(path, types) -> dict[str, list]:
+    """The table at ``path`` as {column name: list}, each column parsed as ``types`` ({name: type}) declares."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ConfigError(f"{path} is empty, expected a header row")
+        if header != list(types):
+            raise ConfigError(f"{path} has the columns {header}, expected {list(types)}")
         try:
-            columns = columns_of(list(reader), len(header))
+            columns = _columns_of(list(reader), len(header))
         except ValueError:
             raise ConfigError(f"{path}: a row does not have the header's {len(header)} cells")
-    return header, list(map(list, zip(*map(_decode_column, columns))))
-
-
-def rows_from_dicts(dicts, header):
-    missing = [k for d in dicts for k in header if k not in d]
-    if missing:
-        raise ConfigError(f"rows missing columns: {sorted(set(missing))}")
-    return [[d[k] for k in header] for d in dicts]
+    return {name: _decode_column(path, name, column, types[name]) for name, column in zip(header, columns)}
 
 
 def write_json(path, payload) -> None:

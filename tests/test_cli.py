@@ -9,16 +9,21 @@ import pytest
 from helpers import run_cli, tree_bytes
 
 from collapse_lab import analytic
-from collapse_lab.cli import main
+from collapse_lab.cli import _ARTIFACTS, main
 from collapse_lab.dists import Uniform
 from collapse_lab.mc import usable_cores
 from collapse_lab.net.model import load_checkpoint
 from collapse_lab.tables import read_csv
 
+# the columns of the tables that no plot is registered for
+DRIFT = {"eta": float, "c": float, "gamma_dist": str, "beta_dist": str, "value": float}
+L1_HIST = {"bin_lo": float, "bin_hi": float, "count": int}
 
-def read_rows(path):
-    header, rows = read_csv(path)
-    return [dict(zip(header, row)) for row in rows]
+
+def read_rows(path, types=None):
+    """The rows of a table as dicts, its columns read as ``types``, by default as ``report`` reads its file."""
+    table = read_csv(path, types or _ARTIFACTS[os.path.basename(path).removesuffix(".csv")][0])
+    return [dict(zip(table, row)) for row in zip(*table.values())]
 
 
 class TestAnalytic:
@@ -60,7 +65,7 @@ class TestAnalytic:
             cwd=tmp_path,
         )
         assert res.returncode == 0, res.stderr
-        (row,) = read_rows(tmp_path / "o" / "drift.csv")
+        (row,) = read_rows(tmp_path / "o" / "drift.csv", DRIFT)
         want = analytic.drift_prediction(0.01, 1.0, Uniform(0.5, 1.5), Uniform(-1, 1))
         assert row["value"] == want
         assert row["gamma_dist"] == "uniform:0.5:1.5"
@@ -134,6 +139,15 @@ class TestAnalytic:
         assert res.returncode == 2, res.stderr
         assert "gamma support must lie in" in res.stderr
         assert not (tmp_path / "o").exists()  # nothing written, not even the directory
+
+    @pytest.mark.parametrize("flag, value", [("--eta", "-1"), ("--eta", "nan"), ("--c", "inf")])
+    def test_drift_outside_its_domain_is_config_error(self, tmp_path, flag, value):
+        args = ["analytic", "--k-grid", "0:1:0.5", "--drift", "--gamma", "point:1", "--beta", "point:0"]
+        res = run_cli(args + [flag, value, "--out", "o"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "--eta and --c" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "o").exists()  # checked before the K grid is written
 
 
 class TestMc:
@@ -209,6 +223,14 @@ class TestMc:
         res = run_cli(["mc", "--verify", "--gamma", "uniform:1:2", "--out", "xo"], cwd=tmp_path)
         assert res.returncode == 2, res.stderr
         assert not (tmp_path / "xo").exists()
+
+    @pytest.mark.parametrize("args", [["mc", "--n", "inf"], ["decay", "--steps", "inf"], ["mc", "--n", "1e400"]])
+    def test_infinite_count_is_config_error(self, tmp_path, args):
+        res = run_cli(args + ["--out", "o"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert f"argument {args[1]}: invalid" in res.stderr  # argparse reports a flag the converter rejects
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_grid(self, tmp_path):
         res = run_cli(["mc", "--verify", "--grid", "huge", "--out", "o"], cwd=tmp_path)
@@ -310,6 +332,14 @@ class TestConfigFile:
         assert res.returncode == 2, res.stderr
         assert "[decay] steps" in res.stderr
 
+    def test_infinite_count_key_is_config_error(self, tmp_path):
+        (tmp_path / "lab.ini").write_text("[mc]\nn = 1e400\n")
+        res = run_cli(["--config", "lab.ini", "mc", "--out", "o"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "[mc] n: count must be a positive integer" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file(self, tmp_path):
         res = run_cli(["--config", "nope.ini", "decay", "--out", "o"], cwd=tmp_path)
         assert res.returncode == 2, res.stderr
@@ -331,7 +361,7 @@ class TestTrain:
         assert all(0.0 <= r["sparsity_ratio"] <= 1.0 for r in rows)
         sparsity = json.loads((out / "sparsity_custom_s0.json").read_text())
         assert sparsity["threshold"] == 1e-3
-        hist = read_rows(out / "l1_hist_custom_s0.csv")
+        hist = read_rows(out / "l1_hist_custom_s0.csv", L1_HIST)
         assert sum(r["count"] for r in hist) == 8  # one row per first-layer unit
         # the bin edges are NumPy floats, written as the numbers they hold
         assert all(type(r["bin_lo"]) is float and type(r["bin_hi"]) is float for r in hist)
@@ -377,6 +407,13 @@ class TestTrain:
         res = run_cli(self.ARGS + ["--norm", "bn", "--alpha", "0.1"], cwd=tmp_path)
         assert res.returncode == 2, res.stderr
 
+    @pytest.mark.parametrize("flag, value", [("--wd", "nan"), ("--gamma-init", "inf"), ("--threshold", "-1")])
+    def test_non_finite_or_negative_value_is_config_error(self, tmp_path, flag, value):
+        res = run_cli(self.ARGS + [flag, value], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "o").exists()
+
 
 class TestReport:
     def test_empty_dir_rejected(self, tmp_path):
@@ -415,6 +452,24 @@ class TestReport:
         res = run_cli(["report", "--source", "o", "--out", "r"], cwd=tmp_path)
         assert res.returncode == 0, res.stderr
         assert {p.name: p.read_bytes() for p in (tmp_path / "r").glob("*.svg")} == originals
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("x,k\n0.0,1.0\n1.0,abc\n", "row 2 of column 'k' holds 'abc'"),  # a text cell in a float column
+            ("x,k\n0.0,\n", "row 1 of column 'k' holds ''"),  # an empty cell in a column that may not be empty
+            ("x,kk\n0.0,1.0\n", "has the columns ['x', 'kk'], expected ['x', 'k']"),
+            ("x,k\n0.0,1.0\n1.0\n", "a row does not have the header's 2 cells"),
+        ],
+    )
+    def test_malformed_table_names_file_and_column(self, tmp_path, text, named):
+        os.makedirs(tmp_path / "o")
+        (tmp_path / "o" / "k_grid.csv").write_text(text)
+        res = run_cli(["report", "--source", "o", "--out", "r"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert f"k_grid.csv{':' if 'row' in named else ''} {named}" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "r").exists()
 
 
 class TestPinnedBytes:

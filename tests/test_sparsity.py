@@ -189,7 +189,7 @@ class TestSerialization:
         }
 
     def test_histogram_csv(self):
-        header, rows = histogram_csv_rows(filter_l1_histogram(np.zeros((2, 2))))
-        assert header == ["bin_lo", "bin_hi", "count"]
-        assert len(rows) == 66
-        assert rows[0] == [0.0, 1e-9, 2]
+        table = histogram_csv_rows(filter_l1_histogram(np.zeros((2, 2))))
+        assert list(table) == ["bin_lo", "bin_hi", "count"]
+        assert list(map(len, table.values())) == [66, 66, 66]
+        assert [column[0] for column in table.values()] == [0.0, 1e-9, 2]

@@ -131,7 +131,7 @@ def _axis_range_per_point(values, log: bool, axis: str):
     if log:
         if lo <= 0:
             raise DomainError(f"log-scale {axis} axis requires positive values, got min {lo}")
-        if lo == hi:
+        if math.log10(lo) == math.log10(hi):  # lo == hi, or a span too narrow for log10 to tell apart
             lo, hi = lo / 2.0, hi * 2.0
         return lo, hi
     if lo == hi:
@@ -272,6 +272,7 @@ class TestWholeAxisCoordinates:
     @settings(deadline=None)
     @given(st.lists(_series(POSITIVE), min_size=1, max_size=3), st.booleans(), st.booleans())
     @example([Series("one", (3.0,), (7.0,))], True, True)
+    @example([Series("s", (1.0000000000000002e-300, 1e-300), (1.0, 1.0))], True, False)  # one log10 for both ends
     def test_log_axes(self, series, xlog, ylog):
         _plots_agree(series, xlog=xlog, ylog=ylog)
 

@@ -15,7 +15,7 @@ from collapse_lab.mc import usable_cores
 from collapse_lab.net import train as net_train
 from collapse_lab.net.model import MLP, load_checkpoint, save_checkpoint
 from collapse_lab.net.train import (
-    EXPERIMENT_CSV_HEADER,
+    EXPERIMENT_COLUMNS,
     PRESETS,
     TrainConfig,
     cosine_lr,
@@ -95,6 +95,18 @@ class TestTrainConfigValidation:
             dict(seed=2**64),
             dict(data_seed=-5),
             dict(data_seed=1.5),
+            dict(eta_max=math.inf),
+            dict(eta_max=math.nan),
+            dict(eta_min=math.nan),
+            dict(weight_decay=math.nan),
+            dict(weight_decay=math.inf),
+            dict(gamma_init=math.inf),
+            dict(gamma_init=math.nan),
+            dict(norm="psbn", alpha=math.inf),
+            dict(collapse_threshold=-1.0),
+            dict(collapse_threshold=0.0),
+            dict(collapse_threshold=math.inf),
+            dict(collapse_threshold=math.nan),
         ],
     )
     def test_rejects(self, kw):
@@ -104,6 +116,9 @@ class TestTrainConfigValidation:
     def test_zero_rates_allowed(self):
         cfg = TrainConfig(eta_max=0.0, eta_min=0.0)
         assert cfg.eta_max == 0.0
+
+    def test_huge_finite_rates_allowed(self):
+        assert TrainConfig(eta_max=1e150, eta_min=1e150).eta_max == 1e150
 
 
 class TestTrainRound:
@@ -237,7 +252,7 @@ class TestExperiment:
         assert "diverged" in result.failures[0][2]
         assert set(result.finals) == {("good", 0)}
         assert len(result.rows) == TINY.rounds
-        assert all(list(row) == EXPERIMENT_CSV_HEADER for row in result.rows)
+        assert all(list(row) == list(EXPERIMENT_COLUMNS) for row in result.rows)
         assert ("good", 0) in result.rngs
 
     def test_rows_cover_arm_seed_round_grid(self):
