@@ -182,6 +182,22 @@ _TRAIN_FIELD_FOR = {
 }
 
 
+def _flag_type(conv):
+    """``conv`` as an argparse type: its ConfigError becomes the ArgumentTypeError whose text argparse prints.
+
+    argparse reads any other ValueError as "invalid <conv's name> value", so the wrapper keeps that name.
+    """
+
+    @functools.wraps(conv)
+    def convert(text: str):
+        try:
+            return conv(text)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -197,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
             if conv is _parse_bool:
                 p.add_argument(flag, dest=dest, action="store_const", const=True, default=None, help=help_text)
             else:
-                p.add_argument(flag, dest=dest, type=conv, default=None, help=help_text)
+                p.add_argument(flag, dest=dest, type=_flag_type(conv), default=None, help=help_text)
     return parser
 
 

@@ -10,6 +10,17 @@ affine stage. Because alpha is a constant rather than a parameter, the two
 variants have identical gradients for identical inputs and parameters; the
 shift changes only where the following ReLU starts to cut.
 
+BatchNorm's backward takes the closed form (Ioffe & Szegedy, 2015)
+
+    grad_in = gamma * inv_std * (g - sum(g)/n - x_hat * sum(g * x_hat)/n),
+
+whose two column sums are the beta and gamma gradients it computes
+anyway. Every sum is an ``np.add.reduce`` or an ``einsum`` sum of
+products, never a BLAS call (no ``ones @ x``), so no result depends on
+the BLAS thread count. A layer never writes into an array its caller
+passed in, neither the forward input nor the backward ``grad_out``: the
+caller may use either again.
+
 Activation derivative at exactly zero input uses the inactive branch
 (mask is x > 0, strictly), matching the step-function convention of the
 simulation code. ReLU is max(x, 0), so a NaN input stays NaN (and ends
@@ -61,7 +72,7 @@ class Dense:
         if self._x is None:
             raise UsageError("backward before train-mode forward")
         np.matmul(self._x.T, grad_out, out=self.gw)
-        np.sum(grad_out, axis=0, out=self.gb)
+        np.add.reduce(grad_out, axis=0, out=self.gb)
         return grad_out @ self.w.T if input_grad else None
 
 
@@ -101,10 +112,9 @@ class BatchNorm:
             n = x.shape[0]
             if n < 2:
                 raise DomainError(f"train-mode batch must be >= 2, got {n}")
-            # the arithmetic of x.mean(axis=0) and x.var(axis=0), one pass each
-            mean = x.sum(axis=0) / n
+            mean = np.add.reduce(x, axis=0) / n
             x_hat = x - mean
-            var = (x_hat * x_hat).sum(axis=0) / n
+            var = np.einsum("ij,ij->j", x_hat, x_hat) / n  # biased, in one pass without a squared copy
             inv_std = 1.0 / np.sqrt(var + self.eps)
             x_hat *= inv_std
             m = self.momentum
@@ -113,10 +123,15 @@ class BatchNorm:
             self.running_var *= 1.0 - m
             self.running_var += m * var
             self.x_hat, self.inv_std = x_hat, inv_std
+            out = x_hat * self.gamma
         else:
-            x_hat = x - self.running_mean
-            x_hat *= 1.0 / np.sqrt(self.running_var + self.eps)
-        return self.gamma * x_hat + self.beta + self.alpha
+            out = x - self.running_mean
+            out *= 1.0 / np.sqrt(self.running_var + self.eps)
+            out *= self.gamma
+        out += self.beta
+        if self.alpha:
+            out += self.alpha
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Gradients through the last train-mode forward.
@@ -130,18 +145,13 @@ class BatchNorm:
             raise UsageError("backward before train-mode forward")
         x_hat = self.x_hat
         n = x_hat.shape[0]
-        tmp = grad_out * x_hat
-        np.sum(tmp, axis=0, out=self.ggamma)
-        np.sum(grad_out, axis=0, out=self.gbeta)
-        # grad_in = (inv_std/n) * (n*g - sum(g) - x_hat*sum(g*x_hat)), in place
-        g = grad_out * self.gamma
-        sum_g = g.sum(axis=0)
-        sum_gx = np.multiply(g, x_hat, out=tmp).sum(axis=0)
-        grad_in = g
-        grad_in *= n
-        grad_in -= sum_g
-        grad_in -= np.multiply(x_hat, sum_gx, out=tmp)
-        grad_in *= self.inv_std / n
+        np.einsum("ij,ij->j", grad_out, x_hat, out=self.ggamma)
+        np.add.reduce(grad_out, axis=0, out=self.gbeta)
+        # grad_in = gamma*inv_std * (g - gbeta/n - x_hat*ggamma/n), in one array of its own
+        grad_in = x_hat * (self.ggamma / n)
+        np.subtract(grad_out, grad_in, out=grad_in)
+        grad_in -= self.gbeta / n
+        grad_in *= self.gamma * self.inv_std
         return grad_in
 
 
@@ -177,28 +187,31 @@ class LeakyReLU:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise UsageError("backward before train-mode forward")
-        return np.where(self._mask, grad_out, self.slope * grad_out)
+        # max(mask, slope) is exactly 1.0 where x > 0 and slope elsewhere, as slope lies in [0, 1]
+        factor = np.maximum(self._mask, self.slope)
+        factor *= grad_out
+        return factor
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy and its logit gradient, computed stably.
 
-    Returns (loss, grad_logits, probs). Labels are integer class indices.
+    Returns (loss, grad_logits). Labels are integer class indices.
     """
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
         raise DomainError(f"shape mismatch: logits {logits.shape}, labels {labels.shape}")
     # the ufunc reductions themselves: max, sum and mean would each add a Python wrapper
     shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    total = np.add.reduce(probs, axis=1, keepdims=True)
-    probs /= total
     n = logits.shape[0]
     idx = np.arange(n)
-    loss = -float(np.add.reduce(shifted[idx, labels] - np.log(total[:, 0]))) / n
-    grad = probs.copy()
+    picked = shifted[idx, labels]
+    grad = np.exp(shifted, out=shifted)  # the softmax probabilities, turned into the gradient in place
+    total = np.add.reduce(grad, axis=1, keepdims=True)
+    grad /= total
+    loss = -float(np.add.reduce(picked - np.log(total[:, 0]))) / n
     grad[idx, labels] -= 1.0
     grad /= n
-    return loss, grad, probs
+    return loss, grad
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:

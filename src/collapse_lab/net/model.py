@@ -117,7 +117,7 @@ class MLP:
     def loss_and_grad(self, x: np.ndarray, labels: np.ndarray):
         """Train-mode forward, cross-entropy, full backward. Returns (loss, logits)."""
         logits = self.forward(x, "train")
-        loss, grad, _ = softmax_cross_entropy(logits, labels)
+        loss, grad = softmax_cross_entropy(logits, labels)
         if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss {loss}")
         for block in reversed(self.blocks[1:]):
@@ -128,7 +128,7 @@ class MLP:
     def evaluate(self, x: np.ndarray, labels: np.ndarray):
         """Eval-mode (loss, accuracy) without touching any state."""
         logits = self.forward(x, "eval")
-        loss, _, _ = softmax_cross_entropy(logits, labels)
+        loss, _ = softmax_cross_entropy(logits, labels)
         return loss, accuracy(logits, labels)
 
     # structure accessors for sparsity accounting

@@ -16,8 +16,9 @@ type is a ``ConfigError``.
 Both directions work a column at a time. ``write_csv`` encodes blocks of
 ``_BLOCK_ROWS`` rows, a slice of each column: a slice whose cells are all
 floats, all ints or all bools by one map, any other cell by ``_encode``
-and csv's minimal quoting. ``read_csv`` splits the file with
-``csv.reader`` and parses each column by one map.
+and csv's minimal quoting. ``read_csv`` streams the rows of ``csv.reader``
+into one flat list of cells, slices each column out of it, and parses
+each column by one map.
 
 Every file the package writes (these tables, checkpoints, SVG plots) goes
 through ``atomic_write``: a run that dies mid-write leaves the previous
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import itertools
 import json
 import os
 import re
@@ -125,17 +125,19 @@ def write_csv(path, table) -> None:
             fh.write(_lines([column[start : start + _BLOCK_ROWS] for column in columns]))
 
 
-def _columns_of(rows, width: int) -> list[tuple]:
-    """The ``width`` columns of ``rows``, a sequence of rows of ``width`` cells each.
+def _columns_of(rows, width: int) -> list[list]:
+    """The ``width`` columns of ``rows``, an iterable of rows of ``width`` cells each.
 
-    The rows are flattened into one tuple and each column is a slice of it,
-    so no object is made per row: ``zip(*rows)`` would make an iterator per
-    row, and enough of those at once set off the garbage collector.
+    The cells go into one flat list as the rows stream, and each column is a
+    slice of it. No row outlives its turn: holding every row of a long
+    table at once, as ``list(rows)`` would, sets off the garbage collector.
     """
-    flat = tuple(itertools.chain.from_iterable(rows))
-    if set(map(len, rows)) - {width}:
-        raise ValueError(f"every row needs {width} cells")
-    return [flat[i::width] for i in range(width)]
+    cells = []
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"every row needs {width} cells")
+        cells += row
+    return [cells[i::width] for i in range(width)]
 
 
 def _decode_column(path, name: str, column, kind) -> list:
@@ -169,7 +171,7 @@ def read_csv(path, types) -> dict[str, list]:
         if header != list(types):
             raise ConfigError(f"{path} has the columns {header}, expected {list(types)}")
         try:
-            columns = _columns_of(list(reader), len(header))
+            columns = _columns_of(reader, len(header))
         except ValueError:
             raise ConfigError(f"{path}: a row does not have the header's {len(header)} cells")
     return {name: _decode_column(path, name, column, types[name]) for name, column in zip(header, columns)}

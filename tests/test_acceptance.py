@@ -218,7 +218,7 @@ def test_07_layer_gradients_match_fd():
 
         logits = rng.standard_normal((12, 4))
         labels = rng.integers(0, 4, size=12)
-        _, grad, _ = softmax_cross_entropy(logits, labels)
+        _, grad = softmax_cross_entropy(logits, labels)
         loss = lambda: softmax_cross_entropy(logits, labels)[0]
         worst = max(worst, rel_err(grad, fd_grad(loss, logits, FD_STEP)))
 

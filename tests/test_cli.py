@@ -228,7 +228,7 @@ class TestMc:
     def test_infinite_count_is_config_error(self, tmp_path, args):
         res = run_cli(args + ["--out", "o"], cwd=tmp_path)
         assert res.returncode == 2, res.stderr
-        assert f"argument {args[1]}: invalid" in res.stderr  # argparse reports a flag the converter rejects
+        assert f"argument {args[1]}: count must be a positive integer" in res.stderr  # argparse names the reason
         assert "Traceback" not in res.stderr
         assert not (tmp_path / "o").exists()
 
@@ -570,6 +570,21 @@ class TestArgparseSurface:
         assert main(["mc", "--n", "20000", "--out", "m"]) == 0
         assert main(["mc", "--n", "20000", "--seed", "0", "--out", "m0"]) == 0
         assert tree_bytes(tmp_path / "m") == tree_bytes(tmp_path / "m0") != tree_bytes(tmp_path / "m5")
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["mc", "--n", "inf"], "argument --n: count must be a positive integer, got 'inf'"),
+            (["mc", "--n", "0.5"], "argument --n: count must be a positive integer, got '0.5'"),
+            (["analytic", "--beta", "uniform:2:1"], "argument --beta: uniform requires lo < hi, got [2.0, 1.0]"),
+        ],
+        ids=["n-inf", "n-half", "beta-reversed"],
+    )
+    def test_flag_error_names_its_reason(self, tmp_path, argv, reason):
+        res = run_cli(argv + ["--out", "o"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.endswith(f"error: {reason}\n"), res.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_panels_flag_is_gone(self, tmp_path):
         res = run_cli(["analytic", "--k-grid", "0:1:0.5", "--panels", "4", "--out", "o"], cwd=tmp_path)

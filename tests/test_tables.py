@@ -1,6 +1,7 @@
 """Exact CSV/JSON round-tripping, the backbone of byte-identical outputs."""
 
 import csv
+import gc
 import json
 import math
 import os
@@ -193,7 +194,24 @@ class TestColumnsOf:
         if rows:
             assert _same_cells([c for col in got for c in col], [c for col in zip(*rows) for c in col])
         else:
-            assert got == [()] * width
+            assert got == [[]] * width
+
+    def test_long_table_reads_without_a_collection(self, tmp_path):
+        """read_csv holds one row at a time; 20000 rows held at once set off the garbage collector."""
+        write_csv(tmp_path / "t.csv", {"x": [0.5] * 20_000, "k": [1.5] * 20_000})
+        started = []
+
+        def count(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            read_csv(tmp_path / "t.csv", {"x": float, "k": float})
+        finally:
+            gc.callbacks.remove(count)
+        assert started == []
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
