@@ -144,12 +144,12 @@ def k_sign_change(lo: float = -8.0, hi: float = 0.0, tol: float = 1e-12) -> floa
     return 0.5 * (lo + hi)
 
 
-def require_gamma_support(gamma_dist: ScalarDist, minimum: float = GAMMA_MIN) -> None:
-    """Reject gamma distributions whose support dips below ``minimum``."""
+def require_gamma_support(gamma_dist: ScalarDist) -> None:
+    """Reject gamma distributions whose support dips below GAMMA_MIN."""
     lo, _ = gamma_dist.support()
-    if lo < minimum:
+    if lo < GAMMA_MIN:
         raise SingularityError(
-            f"gamma support must lie in [{minimum}, inf); got lower edge {lo} "
+            f"gamma support must lie in [{GAMMA_MIN}, inf); got lower edge {lo} "
             f"for {gamma_dist} (1/gamma^2 is not integrable across 0)"
         )
 

@@ -62,7 +62,7 @@ from .analytic import _ndtr as ndtr
 from .analytic import _special, drift_prediction, require_gamma_support
 from .dists import Normal, PointMass, ScalarDist, Uniform
 from .errors import ConfigError, DivergenceError, DomainError, require_seed
-from .sparsity import COLLAPSE_THRESHOLD
+from .sparsity import collapsed_mask
 
 __all__ = [
     "CHUNK_SIZE",
@@ -85,6 +85,9 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1_000_000
+# the largest ensemble: one_step_drift holds a size and a pool task for each chunk, 10^5 of them here, and
+# at a few 10^7 neurons per core-second 10^11 neurons is already an hour of work per core
+_MAX_COUNT = 10**11
 # a cell's elementwise work runs in slices this long, so its temporaries stay in cache
 _BLOCK = 1 << 16
 # the spacing of doubles at 1: a pair term, a difference of two Phi values in [0, 1], is rounded on this
@@ -139,6 +142,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.count < 10_000:
             raise ConfigError(f"count must be >= 10^4 for a meaningful estimate, got {self.count}")
+        if self.count > _MAX_COUNT:
+            raise ConfigError(f"count must be <= 10^11 (10^5 chunks of 10^6 neurons), got {self.count}")
         require_gamma_support(self.gamma_dist)
 
 
@@ -157,8 +162,6 @@ class UpdateConfig:
     def __post_init__(self):
         if not (math.isfinite(self.eta) and self.eta >= 0):
             raise ConfigError(f"eta must be finite and >= 0, got {self.eta}")
-        if not (math.isfinite(self.c) and self.c >= 0):
-            raise ConfigError(f"c must be finite and >= 0, got {self.c}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0 <= self.alpha <= 1:
@@ -336,6 +339,18 @@ def one_step_drift(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig]) -> list[Dri
     return estimates
 
 
+def _shrink(cfg: UpdateConfig, steps: int, stride: int) -> float:
+    """The per-step decay factor 1 - eta*lambda of a traced run, once steps, stride and the factor are checked."""
+    if steps < 1:
+        raise DomainError(f"steps must be >= 1, got {steps}")
+    if stride < 1:
+        raise DomainError(f"stride must be >= 1, got {stride}")
+    shrink = 1.0 - cfg.eta * cfg.weight_decay
+    if shrink <= 0:
+        raise ConfigError(f"eta * weight_decay must be < 1, got {cfg.eta * cfg.weight_decay}")
+    return shrink
+
+
 def sgd_trajectory(gamma, beta, steps: int, cfg: UpdateConfig, stride: int = 1):
     """Ensemble trace: gradient update then coupled decay, every step.
 
@@ -345,13 +360,7 @@ def sgd_trajectory(gamma, beta, steps: int, cfg: UpdateConfig, stride: int = 1):
     steps, the final step always included. Raises DivergenceError carrying
     that triple for the rows so far if the state leaves the finite range.
     """
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
-    if stride < 1:
-        raise DomainError(f"stride must be >= 1, got {stride}")
-    shrink = 1.0 - cfg.eta * cfg.weight_decay
-    if shrink <= 0:
-        raise ConfigError(f"eta * weight_decay must be < 1, got {cfg.eta * cfg.weight_decay}")
+    shrink = _shrink(cfg, steps, stride)
     gamma, beta = (np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in (gamma, beta))
     if gamma.ndim != 1 or gamma.shape != beta.shape:
         raise DomainError(f"gamma and beta must be scalars or 1-D arrays of one shape, got {gamma.shape}, {beta.shape}")
@@ -406,13 +415,7 @@ def decay_trajectory(
         raise DomainError("decay_trajectory requires alpha > 0; with alpha = 0 the margin C never moves")
     if cfg.eta * cfg.weight_decay <= 0:
         raise DomainError("decay_trajectory requires eta > 0 and weight_decay > 0")
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
-    if stride < 1:
-        raise DomainError(f"stride must be >= 1, got {stride}")
-    shrink = 1.0 - cfg.eta * cfg.weight_decay
-    if shrink <= 0:
-        raise ConfigError(f"eta * weight_decay must be < 1, got {cfg.eta * cfg.weight_decay}")
+    shrink = _shrink(cfg, steps, stride)
     gamma, beta = float(initial[0]), float(initial[1])
     if gamma == 0:
         raise DomainError("initial gamma must be nonzero")
@@ -430,11 +433,11 @@ def decay_trajectory(
         if margin >= 0:
             reactivation = t
             break
-    # Phi of every recorded margin in one call, after the scalar recurrence
-    probs = ndtr(np.array([state[3] for state in states])).tolist()
-    records = [
-        TrajectoryRecord(t, g, b, p, abs(g) < COLLAPSE_THRESHOLD, c) for (t, g, b, c), p in zip(states, probs)
-    ]
+    # Phi of every recorded margin, and the collapse test of every recorded gamma, in one call each
+    _, gammas, _, margins = zip(*states)
+    probs = ndtr(np.array(margins)).tolist()
+    collapsed = collapsed_mask(gammas).tolist()
+    records = [TrajectoryRecord(t, g, b, p, k, c) for (t, g, b, c), p, k in zip(states, probs, collapsed)]
     return DecayResult(records=tuple(records), reactivation_step=reactivation, alpha=cfg.alpha)
 
 

@@ -4,7 +4,9 @@ The model is a chain of hidden blocks (dense -> optional normalization ->
 activation) feeding a final dense classifier. Normalization choices:
 'bn' (plain), 'psbn' (constant positive output shift alpha), 'none'.
 "Boundary" k names the hidden representation produced by block k; collapse
-detection and FLOPS accounting key off boundaries.
+detection and FLOPS accounting key off boundaries. ``check_arch`` checks
+the architecture fields for both ``MLP.build``, which has no defaults,
+and ``TrainConfig``, which holds the only ones.
 
 Each layer owns its arrays; ``MLP`` moves the trainable ones into one
 store: every dense w/b and BN gamma/beta is a view into the vector
@@ -15,7 +17,7 @@ Checkpoints serialize layer shapes, flat parameter arrays, running stats,
 and the training RNG state, one entry per layer array (format version 1,
 unchanged by the store); reloading at a round boundary resumes training
 bit-exactly (momentum buffers start empty each round by design, so they
-are not part of the state).
+are not part of the state). A malformed checkpoint is a ConfigError.
 """
 
 from __future__ import annotations
@@ -27,16 +29,32 @@ import math
 import numpy as np
 
 from ..errors import ConfigError, DivergenceError
-from ..sparsity import COLLAPSE_THRESHOLD
+from ..sparsity import COLLAPSE_THRESHOLD, collapsed_mask
 from ..tables import atomic_write
 from .layers import BatchNorm, Dense, LeakyReLU, ReLU, accuracy, softmax_cross_entropy
 
-__all__ = ["ACTIVATIONS", "NORMS", "MLP", "save_checkpoint", "load_checkpoint", "pruned_copy"]
+__all__ = ["ACTIVATIONS", "NORMS", "MLP", "check_arch", "save_checkpoint", "load_checkpoint", "pruned_copy"]
 
 NORMS = ("bn", "psbn", "none")
 ACTIVATIONS = ("relu", "leaky")
 
 CHECKPOINT_VERSION = 1
+
+
+def check_arch(norm: str, activation: str, alpha: float, gamma_init: float, width: int, layers: int) -> None:
+    """The architecture fields' one check, shared by ``TrainConfig`` and ``MLP.build``."""
+    if norm not in NORMS:
+        raise ConfigError(f"norm must be one of {NORMS}, got {norm!r}")
+    if activation not in ACTIVATIONS:
+        raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
+    if norm == "psbn" and not 0 < alpha < math.inf:
+        raise ConfigError(f"norm 'psbn' requires a finite alpha > 0, got {alpha}")
+    if norm != "psbn" and alpha != 0:
+        raise ConfigError(f"alpha is only meaningful with norm 'psbn', got alpha={alpha}")
+    if not 0 < gamma_init < math.inf:
+        raise ConfigError(f"gamma_init must be finite and > 0, got {gamma_init}")
+    if width < 1 or layers < 1:
+        raise ConfigError(f"hidden width and layers must be >= 1, got {width} and {layers}")
 
 
 class MLP:
@@ -69,25 +87,16 @@ class MLP:
         cls,
         in_dim: int,
         classes: int,
-        hidden_width: int = 128,
-        hidden_layers: int = 3,
-        norm: str = "bn",
-        activation: str = "relu",
-        alpha: float = 0.0,
-        gamma_init: float = 1.0,
-        rng: np.random.Generator | None = None,
+        hidden_width: int,
+        hidden_layers: int,
+        norm: str,
+        activation: str,
+        alpha: float,
+        gamma_init: float,
+        rng: np.random.Generator,
     ) -> "MLP":
-        if norm not in NORMS:
-            raise ConfigError(f"norm must be one of {NORMS}, got {norm!r}")
-        if activation not in ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
-        if norm == "psbn" and not alpha > 0:
-            raise ConfigError("norm 'psbn' requires alpha > 0")
-        if norm != "psbn" and alpha != 0:
-            raise ConfigError(f"alpha is only meaningful with norm 'psbn', got alpha={alpha}")
-        if hidden_layers < 1 or hidden_width < 1:
-            raise ConfigError("hidden_layers and hidden_width must be >= 1")
-        rng = rng or np.random.default_rng(0)
+        """A freshly initialized model; every architecture field is required."""
+        check_arch(norm, activation, alpha, gamma_init, hidden_width, hidden_layers)
         blocks: list = []
         prev = in_dim
         for _ in range(hidden_layers):
@@ -192,7 +201,7 @@ def pruned_copy(model: MLP, threshold: float = COLLAPSE_THRESHOLD) -> tuple[MLP,
     acts = [b for b in pruned.blocks if isinstance(b, (ReLU, LeakyReLU))]
     norms = dict(pruned.norm_blocks())
     for boundary, scales in pruned.unit_scales().items():
-        idx = np.nonzero(scales < threshold)[0]
+        idx = np.flatnonzero(collapsed_mask(scales, threshold))
         if idx.size == 0:
             continue
         n_pruned += int(idx.size)
@@ -226,20 +235,36 @@ def save_checkpoint(path, model: MLP, rng: np.random.Generator, extra: dict | No
 
 
 def load_checkpoint(path) -> tuple[MLP, np.random.Generator, dict]:
+    """(model, training RNG, extra); a malformed checkpoint is a ConfigError, raised before a model is built.
+
+    It is malformed when it lacks ``arch``, ``params`` or ``rng_state``, when
+    ``arch`` has a missing or unknown key, or when an array's data does not
+    fill its declared shape or the shape is not the architecture's.
+    """
     with open(path) as fh:
         payload = json.load(fh)
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {payload.get('version')!r}")
-    model = MLP.build(**payload["arch"], rng=np.random.default_rng(0))
+    missing = [key for key in ("arch", "params", "rng_state") if key not in payload]
+    if missing:
+        raise ConfigError(f"checkpoint lacks {', '.join(missing)}")
+    params = {}
+    for key, entry in payload["params"].items():
+        data = np.asarray(entry["data"], dtype=np.float64)
+        if data.size != math.prod(entry["shape"]):
+            raise ConfigError(f"checkpoint {key} holds {data.size} values for shape {entry['shape']}")
+        params[key] = data.reshape(entry["shape"])
+    try:
+        model = MLP.build(**payload["arch"], rng=np.random.default_rng(0))
+    except TypeError as exc:  # MLP.build has no defaults, so a missing or unknown arch key fails its call
+        raise ConfigError(f"checkpoint arch does not match MLP.build: {exc}") from None
     arrays = model.state_arrays()
-    if set(arrays) != set(payload["params"]):
+    if set(arrays) != set(params):
         raise ConfigError("checkpoint parameter keys do not match the declared architecture")
     for key, arr in arrays.items():
-        entry = payload["params"][key]
-        data = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        if data.shape != arr.shape:
-            raise ConfigError(f"checkpoint shape mismatch for {key}: {data.shape} vs {arr.shape}")
-        np.copyto(arr, data)
+        if params[key].shape != arr.shape:
+            raise ConfigError(f"checkpoint shape mismatch for {key}: {params[key].shape} vs {arr.shape}")
+        np.copyto(arr, params[key])
     rng = np.random.Generator(np.random.PCG64())
     rng.bit_generator.state = payload["rng_state"]
     return model, rng, payload.get("extra", {})

@@ -15,6 +15,11 @@ the epoch budget; a desk-scale run has orders of magnitude fewer steps
 than a full image run, so lambda carries the difference. TrainConfig keeps
 5e-4 as its field default; the presets override it.
 
+``TrainConfig`` holds the architecture defaults; ``net.model.check_arch``
+checks them here and in ``MLP.build``. Each epoch permutes the training
+split once, gathers it in that order and slices its batches from it, as
+``_steps_per_epoch`` plans them.
+
 ``multi_round_experiment`` runs its (arm, seed) cells in spawned worker
 processes with one BLAS thread each, one per core up to COLLAPSE_LAB_THREADS.
 Results come back in cell order, so no output depends on the worker count.
@@ -31,7 +36,7 @@ import numpy as np
 from ..errors import CollapseLabError, ConfigError, DivergenceError, require_seed
 from ..sparsity import COLLAPSE_THRESHOLD, SparsityReport, report_from_chain
 from .data import Dataset, make_synthetic_dataset, shuffle_labels
-from .model import ACTIVATIONS, MLP, NORMS
+from .model import MLP, check_arch
 
 __all__ = [
     "EXPERIMENT_COLUMNS",
@@ -81,7 +86,7 @@ class TrainConfig:
     collapse_threshold: float = COLLAPSE_THRESHOLD
 
     def __post_init__(self):
-        for name in ("eta_max", "eta_min", "weight_decay", "gamma_init", "alpha"):
+        for name in ("eta_max", "eta_min", "weight_decay"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0 < self.collapse_threshold < math.inf:
@@ -96,18 +101,9 @@ class TrainConfig:
             raise ConfigError(f"momentum_sgd must lie in [0, 1), got {self.momentum_sgd}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
-        if self.norm not in NORMS:
-            raise ConfigError(f"norm must be one of {NORMS}, got {self.norm!r}")
+        check_arch(self.norm, self.activation, self.alpha, self.gamma_init, self.hidden_width, self.hidden_layers)
         if self.label_mode not in LABEL_MODES:
             raise ConfigError(f"label_mode must be one of {LABEL_MODES}, got {self.label_mode!r}")
-        if self.norm == "psbn" and not self.alpha > 0:
-            raise ConfigError("norm 'psbn' requires alpha > 0")
-        if self.norm != "psbn" and self.alpha != 0:
-            raise ConfigError("alpha is only meaningful with norm 'psbn'")
-        if not self.gamma_init > 0:
-            raise ConfigError(f"gamma_init must be > 0, got {self.gamma_init}")
         require_seed("seed", self.seed)
         require_seed("data_seed", self.data_seed)
 
@@ -137,14 +133,8 @@ def cosine_lr(t: int, total: int, eta_max: float, eta_min: float) -> float:
     return eta_min + 0.5 * (eta_max - eta_min) * (1.0 + math.cos(math.pi * t / total))
 
 
-def _batches(n: int, batch_size: int, perm: np.ndarray):
-    for start in range(0, n, batch_size):
-        idx = perm[start : start + batch_size]
-        if idx.size >= 2:  # batch statistics need at least two rows
-            yield idx
-
-
 def _steps_per_epoch(n: int, batch_size: int) -> int:
+    """The batch plan: full batches, then the trailing rows if there are two (batch statistics need two)."""
     full, rem = divmod(n, batch_size)
     return full + (1 if rem >= 2 else 0)
 
@@ -163,16 +153,18 @@ def train_round(
     step's learning rate. Raises DivergenceError naming the failing step
     when the loss leaves the finite range.
     """
-    n = len(dataset.y_train)
-    total_steps = cfg.epochs_per_round * _steps_per_epoch(n, cfg.batch_size)
+    n, size = len(dataset.y_train), cfg.batch_size
+    steps = _steps_per_epoch(n, size)
+    total_steps = cfg.epochs_per_round * steps
     velocity = np.zeros_like(model.params)
     t = 0
     for epoch in range(cfg.epochs_per_round):
         perm = rng.permutation(n)
-        for idx in _batches(n, cfg.batch_size, perm):
+        x, y = dataset.x_train[perm], dataset.y_train[perm]
+        for start in range(0, steps * size, size):
             eta = cosine_lr(t, total_steps, cfg.eta_max, cfg.eta_min)
             try:
-                loss, _ = model.loss_and_grad(dataset.x_train[idx], dataset.y_train[idx])
+                model.loss_and_grad(x[start : start + size], y[start : start + size])
             except DivergenceError as exc:
                 raise DivergenceError(
                     f"round {round_index} diverged at epoch {epoch}, step {t}: {exc}",
@@ -202,9 +194,9 @@ def dataset_for(cfg: TrainConfig) -> Dataset:
     return dataset
 
 
-def run_training(cfg: TrainConfig, dataset: Dataset | None = None):
+def run_training(cfg: TrainConfig):
     """Full multi-round run. Returns (model, [RoundReport], rng)."""
-    dataset = dataset if dataset is not None else dataset_for(cfg)
+    dataset = dataset_for(cfg)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed])))
     model = MLP.build(
         in_dim=dataset.dim,

@@ -2,10 +2,14 @@
 
 A channel counts as collapsed when its scale magnitude falls below a
 threshold (default 1e-3): its activation is then effectively constant and
-the unit can be removed. Cost accounting works on a chain of dense layers:
-removing hidden unit j deletes the j-th output column of the layer that
-produces it AND the j-th input row of the layer that consumes it, so one
-collapsed unit saves FLOPS on both sides. Dense-layer cost is the usual
+the unit can be removed. ``collapsed_mask`` is that rule's one copy: the
+report, ``net.model.pruned_copy`` and the ``collapsed`` column of
+``mc.decay_trajectory`` all call it.
+
+Cost accounting works on a chain of dense layers, from the collapsed
+count at each boundary: removing hidden unit j deletes the j-th output
+column of the layer that produces it AND the j-th input row of the layer
+that consumes it, so one collapsed unit saves FLOPS on both sides. Dense-layer cost is the usual
 2 * in * out multiply-add count.
 
 The L1 histogram uses fixed power-of-two bin edges anchored at 1e-9
@@ -26,8 +30,7 @@ __all__ = [
     "COLLAPSE_THRESHOLD",
     "SparsityReport",
     "Histogram",
-    "collapsed_channels",
-    "flops_reduction",
+    "collapsed_mask",
     "report_from_chain",
     "filter_l1_histogram",
     "report_to_json",
@@ -59,25 +62,21 @@ class Histogram:
     counts: tuple[int, ...]
 
 
-def collapsed_channels(scales, threshold: float = COLLAPSE_THRESHOLD) -> list[int]:
-    """Indices of channels whose |scale| is below the threshold."""
+def collapsed_mask(scales, threshold: float = COLLAPSE_THRESHOLD) -> np.ndarray:
+    """The collapse rule, its one copy: True where |scale| < threshold."""
     if not threshold > 0:
         raise DomainError(f"threshold must be > 0, got {threshold}")
-    scales = np.asarray(scales, dtype=np.float64)
-    return [int(i) for i in np.nonzero(np.abs(scales) < threshold)[0]]
+    return np.abs(np.asarray(scales, dtype=np.float64)) < threshold
 
 
-def flops_reduction(
-    layer_sizes,
-    collapsed,
-    threshold: float = COLLAPSE_THRESHOLD,
-) -> SparsityReport:
-    """Chain accounting for a dense stack with some hidden units removed.
+def report_from_chain(layer_sizes, unit_scales, threshold: float = COLLAPSE_THRESHOLD) -> SparsityReport:
+    """Count the collapsed units at each boundary, then account the chain's FLOPS.
 
     ``layer_sizes`` is the chain [(in, out), ...]; boundary k is the hidden
-    representation between layer k and layer k+1. ``collapsed`` maps a
-    boundary index to the unit indices removed there. A removed unit drops
-    the output column of layer k and the input row of layer k+1.
+    representation between layer k and layer k+1, and ``unit_scales[k]``
+    holds its per-unit scales (BN gamma, or an analog for unnormalized
+    stacks). A removed unit drops the output column of layer k and the
+    input row of layer k+1.
     """
     sizes = [(int(i), int(o)) for i, o in layer_sizes]
     if not sizes:
@@ -88,45 +87,20 @@ def flops_reduction(
                 f"chain mismatch at boundary {k}: layer {k} emits {sizes[k][1]} "
                 f"channels but layer {k + 1} expects {sizes[k + 1][0]}"
             )
-    n_boundaries = len(sizes) - 1
-    clean: dict[int, list[int]] = {}
-    for k, idx in collapsed.items():
-        if not 0 <= int(k) < n_boundaries:
-            raise DomainError(f"collapsed map names boundary {k}, chain has {n_boundaries}")
-        width = sizes[int(k)][1]
-        uniq = sorted(set(int(i) for i in idx))
-        if uniq and (uniq[0] < 0 or uniq[-1] >= width):
-            raise DomainError(f"collapsed indices at boundary {k} out of range [0, {width})")
-        clean[int(k)] = uniq
-    per_layer = tuple(
-        (k, sizes[k][1], len(clean.get(k, []))) for k in range(n_boundaries)
-    )
+    counts = [int(np.count_nonzero(collapsed_mask(unit_scales[k], threshold))) for k in range(len(sizes) - 1)]
+    per_layer = tuple((k, sizes[k][1], c) for k, c in enumerate(counts))
     total_ch = sum(t for _, t, _ in per_layer)
-    total_col = sum(c for _, _, c in per_layer)
+    removed = [0, *counts, 0]  # removed[k]: units gone from the input of layer k; removed[k + 1]: from its output
     flops_total = sum(2 * i * o for i, o in sizes)
-    flops_after = 0
-    for k, (i, o) in enumerate(sizes):
-        i_eff = i - len(clean.get(k - 1, []))
-        o_eff = o - len(clean.get(k, [])) if k < n_boundaries else o
-        flops_after += 2 * i_eff * o_eff
+    flops_after = sum(2 * (i - removed[k]) * (o - removed[k + 1]) for k, (i, o) in enumerate(sizes))
     return SparsityReport(
         per_layer=per_layer,
-        sparsity_ratio=(total_col / total_ch) if total_ch else 0.0,
+        sparsity_ratio=(sum(counts) / total_ch) if total_ch else 0.0,
         flops_total=flops_total,
         flops_after_prune=flops_after,
         flops_reduction=1.0 - (flops_after / flops_total if flops_total else 0.0),
         threshold=threshold,
     )
-
-
-def report_from_chain(layer_sizes, unit_scales, threshold: float = COLLAPSE_THRESHOLD) -> SparsityReport:
-    """Detect collapsed units from per-boundary scales, then account FLOPS.
-
-    ``unit_scales`` maps boundary index to the array of per-unit scale
-    magnitudes there (BN |gamma|, or an analog for unnormalized stacks).
-    """
-    collapsed = {k: collapsed_channels(v, threshold) for k, v in unit_scales.items()}
-    return flops_reduction(layer_sizes, collapsed, threshold)
 
 
 def filter_l1_histogram(weights_per_unit) -> Histogram:

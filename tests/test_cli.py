@@ -224,11 +224,16 @@ class TestMc:
         assert res.returncode == 2, res.stderr
         assert not (tmp_path / "xo").exists()
 
-    @pytest.mark.parametrize("args", [["mc", "--n", "inf"], ["decay", "--steps", "inf"], ["mc", "--n", "1e400"]])
+    @pytest.mark.parametrize(
+        "args", [["mc", "--n", "inf"], ["decay", "--steps", "inf"], ["mc", "--n", "1e400"], ["mc", "--n", "1e30"]]
+    )
     def test_infinite_count_is_config_error(self, tmp_path, args):
         res = run_cli(args + ["--out", "o"], cwd=tmp_path)
         assert res.returncode == 2, res.stderr
-        assert f"argument {args[1]}: count must be a positive integer" in res.stderr  # argparse names the reason
+        if args[2] == "1e30":  # a count, but above the ensemble's bound: rejected before any chunk is planned
+            assert "count must be <= 10^11" in res.stderr
+        else:
+            assert f"argument {args[1]}: count must be a positive integer" in res.stderr  # argparse names the reason
         assert "Traceback" not in res.stderr
         assert not (tmp_path / "o").exists()
 

@@ -212,6 +212,12 @@ class TestOneStepDrift:
             EnsembleSpec(Uniform(0.5, 1.5), Uniform(-1, 1), count=9_999)
         EnsembleSpec(Uniform(0.5, 1.5), Uniform(-1, 1), count=10_000)
 
+    @pytest.mark.parametrize("count", [10**11 + 1, 10**30])
+    def test_count_ceiling(self, count):
+        # rejected when the spec is made, before one_step_drift plans a chunk
+        with pytest.raises(ConfigError, match="count must be <= 10\\^11"):
+            EnsembleSpec(Uniform(0.5, 1.5), Uniform(-1, 1), count=count)
+
     @pytest.mark.parametrize("alpha", [0.1, 0.3])
     def test_shifted_rule_agrees(self, alpha):
         """Post-shift: Phi((beta+alpha)/gamma) drifts as the unshifted closed

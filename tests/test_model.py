@@ -14,7 +14,9 @@ from collapse_lab.net.train import TrainConfig, dataset_for, train_round
 
 
 def small_model(norm="bn", **kw) -> MLP:
-    args = dict(in_dim=6, classes=3, hidden_width=8, hidden_layers=2, norm=norm)
+    args = dict(
+        in_dim=6, classes=3, hidden_width=8, hidden_layers=2, norm=norm, activation="relu", alpha=0.0, gamma_init=1.0
+    )
     args.update(kw)
     return MLP.build(rng=np.random.default_rng(0), **args)
 
@@ -46,6 +48,8 @@ class TestBuild:
             dict(norm="bn", alpha=0.1),
             dict(hidden_layers=0),
             dict(hidden_width=0),
+            dict(gamma_init=0.0),
+            dict(gamma_init=float("nan")),
         ],
     )
     def test_build_rejects(self, kw):
@@ -286,3 +290,30 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda p: p["arch"].pop("activation"), id="arch-without-activation"),
+            pytest.param(lambda p: p["arch"].update(depth=3), id="arch-with-extra-key"),
+            pytest.param(lambda p: p.pop("params"), id="no-params"),
+            pytest.param(lambda p: p["params"]["b0.b"]["data"].pop(), id="data-shorter-than-shape"),
+        ],
+    )
+    def test_malformed_input_builds_no_model(self, tmp_path, monkeypatch, corrupt):
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, small_model(activation="leaky"), np.random.default_rng(0))
+        payload = json.loads(path.read_text())
+        corrupt(payload)
+        path.write_text(json.dumps(payload))
+        built = []
+        init = MLP.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(MLP, "__init__", counting_init)
+        with pytest.raises(ConfigError):
+            load_checkpoint(path)
+        assert built == []

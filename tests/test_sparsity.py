@@ -8,13 +8,24 @@ from hypothesis import strategies as st
 from collapse_lab.errors import DomainError
 from collapse_lab.sparsity import (
     COLLAPSE_THRESHOLD,
-    collapsed_channels,
+    collapsed_mask,
     filter_l1_histogram,
-    flops_reduction,
     histogram_csv_rows,
     report_from_chain,
     report_to_json,
 )
+
+
+def collapsed_channels(scales, threshold=COLLAPSE_THRESHOLD) -> list[int]:
+    return np.flatnonzero(collapsed_mask(scales, threshold)).tolist()
+
+
+def scales_for(sizes, collapsed: dict) -> dict:
+    """Unit scales for the chain: 0 at the collapsed indices of each boundary, 1 elsewhere."""
+    scales = {k: np.ones(out) for k, (_, out) in enumerate(sizes[:-1])}
+    for k, idx in collapsed.items():
+        scales[k][idx] = 0.0
+    return scales
 
 
 class TestCollapsedChannels:
@@ -52,8 +63,7 @@ class TestFlopsReduction:
         chain, checked against a by-hand enumeration of the surviving
         multiply-adds."""
         sizes = [(32, 100), (100, 100), (100, 10)]
-        collapsed = {0: list(range(10)), 1: list(range(10))}
-        report = flops_reduction(sizes, collapsed)
+        report = report_from_chain(sizes, scales_for(sizes, {0: list(range(10)), 1: list(range(10))}))
         want_total = 2 * (32 * 100 + 100 * 100 + 100 * 10)
         want_after = 2 * (32 * 90 + 90 * 90 + 90 * 10)
         assert report.flops_total == want_total
@@ -63,48 +73,35 @@ class TestFlopsReduction:
         assert report.sparsity_ratio == 20 / 200
 
     def test_no_collapse_is_identity(self):
-        report = flops_reduction([(8, 16), (16, 4)], {})
+        sizes = [(8, 16), (16, 4)]
+        report = report_from_chain(sizes, scales_for(sizes, {}))
         assert report.flops_after_prune == report.flops_total
         assert report.flops_reduction == 0.0
         assert report.sparsity_ratio == 0.0
 
     def test_all_hidden_units_collapsed(self):
-        report = flops_reduction([(8, 4), (4, 3)], {0: [0, 1, 2, 3]})
+        sizes = [(8, 4), (4, 3)]
+        report = report_from_chain(sizes, scales_for(sizes, {0: [0, 1, 2, 3]}))
         assert report.flops_after_prune == 0
         assert report.flops_reduction == 1.0
         assert report.sparsity_ratio == 1.0
 
     def test_both_sides_of_a_unit_are_saved(self):
-        base = flops_reduction([(8, 4), (4, 3)], {})
-        one = flops_reduction([(8, 4), (4, 3)], {0: [1]})
+        sizes = [(8, 4), (4, 3)]
+        base = report_from_chain(sizes, scales_for(sizes, {}))
+        one = report_from_chain(sizes, scales_for(sizes, {0: [1]}))
         assert base.flops_after_prune - one.flops_after_prune == 2 * 8 + 2 * 3
-
-    def test_duplicate_indices_counted_once(self):
-        report = flops_reduction([(8, 4), (4, 3)], {0: [1, 1, 2]})
-        assert report.per_layer == ((0, 4, 2),)
 
     def test_chain_mismatch(self):
         with pytest.raises(DomainError):
-            flops_reduction([(8, 4), (5, 3)], {})
-
-    def test_unknown_boundary(self):
-        with pytest.raises(DomainError):
-            flops_reduction([(8, 4), (4, 3)], {1: [0]})
-        with pytest.raises(DomainError):
-            flops_reduction([(8, 4), (4, 3)], {-1: [0]})
-
-    def test_index_out_of_range(self):
-        with pytest.raises(DomainError):
-            flops_reduction([(8, 4), (4, 3)], {0: [4]})
-        with pytest.raises(DomainError):
-            flops_reduction([(8, 4), (4, 3)], {0: [-1]})
+            report_from_chain([(8, 4), (5, 3)], {0: np.ones(4)})
 
     def test_empty_chain(self):
         with pytest.raises(DomainError):
-            flops_reduction([], {})
+            report_from_chain([], {})
 
     def test_single_layer_has_no_boundaries(self):
-        report = flops_reduction([(8, 4)], {})
+        report = report_from_chain([(8, 4)], {})
         assert report.per_layer == ()
         assert report.sparsity_ratio == 0.0
         assert report.flops_reduction == 0.0
@@ -115,8 +112,10 @@ class TestReportFromChain:
         sizes = [(6, 4), (4, 4), (4, 2)]
         scales = {0: np.array([1.0, 2e-4, 0.5, 0.9]), 1: np.array([5e-4, 1.0, 1.0, 8e-4])}
         report = report_from_chain(sizes, scales)
-        want = flops_reduction(sizes, {0: [1], 1: [0, 3]})
-        assert report == want
+        assert report.per_layer == ((0, 4, 1), (1, 4, 2))
+        assert report.sparsity_ratio == 3 / 8
+        assert report.flops_total == 2 * (6 * 4 + 4 * 4 + 4 * 2)
+        assert report.flops_after_prune == 2 * (6 * 3 + 3 * 2 + 2 * 2)
 
     def test_ratio_nondecreasing_in_threshold(self):
         sizes = [(6, 4), (4, 2)]
@@ -174,7 +173,7 @@ class TestHistogram:
 
 
 class TestSerialization:
-    REPORT = flops_reduction([(6, 4), (4, 2)], {0: [3]})
+    REPORT = report_from_chain([(6, 4), (4, 2)], {0: np.array([1.0, 1.0, 1.0, 0.0])})
 
     def test_json_shape(self):
         data = report_to_json(self.REPORT)

@@ -1,5 +1,6 @@
 """Training loop: schedule, determinism, resume, divergence handling, presets."""
 
+import copy
 import math
 import multiprocessing
 import os
@@ -107,6 +108,8 @@ class TestTrainConfigValidation:
             dict(collapse_threshold=0.0),
             dict(collapse_threshold=math.inf),
             dict(collapse_threshold=math.nan),
+            dict(hidden_width=0),
+            dict(hidden_layers=0),
         ],
     )
     def test_rejects(self, kw):
@@ -180,6 +183,36 @@ class TestTrainRound:
         with pytest.raises(DivergenceError) as err:
             train_round(model, dataset, cfg, 0, rng)
         assert err.value.partial == {"round_index": 0, "epoch": 0, "step": 0}
+
+
+class TestBatchPlan:
+    @pytest.mark.parametrize("n, sizes", [(48, [16, 16, 16]), (49, [16, 16, 16]), (50, [16, 16, 16, 2])])
+    def test_each_epoch_takes_the_permuted_rows_in_order(self, n, sizes):
+        """Every row once per epoch, in rng.permutation order; a trailing
+        batch of one row is dropped (batch statistics need two), one of two
+        rows is kept."""
+        cfg = replace(TINY, rounds=1, epochs_per_round=3)
+        full = dataset_for(cfg)
+        dataset = replace(full, x_train=full.x_train[:n], y_train=full.y_train[:n])
+        rng = np.random.default_rng(3)
+        model = model_for(cfg, rng)
+        twin = copy.deepcopy(rng)  # draws the permutations train_round will draw
+        batches = []
+        step = model.loss_and_grad
+
+        def recording_step(x, labels):
+            batches.append((x.copy(), labels.copy()))
+            return step(x, labels)
+
+        model.loss_and_grad = recording_step
+        train_round(model, dataset, cfg, 0, rng)
+        assert len(batches) == cfg.epochs_per_round * net_train._steps_per_epoch(n, cfg.batch_size)
+        assert [len(labels) for _, labels in batches] == sizes * cfg.epochs_per_round
+        for epoch in range(cfg.epochs_per_round):
+            rows = twin.permutation(n)[: sum(sizes)]
+            taken = batches[epoch * len(sizes) : (epoch + 1) * len(sizes)]
+            assert np.array_equal(np.concatenate([x for x, _ in taken]), dataset.x_train[rows])
+            assert np.array_equal(np.concatenate([labels for _, labels in taken]), dataset.y_train[rows])
 
 
 class TestRunTraining:
