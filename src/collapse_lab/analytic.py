@@ -89,9 +89,9 @@ def _special():
     return scipy.special
 
 
-def _ndtr(x):
-    """Phi(x), elementwise, by scipy.special.ndtr."""
-    return _special().ndtr(x)
+def _ndtr(x, out=None):
+    """Phi(x), elementwise, by scipy.special.ndtr; into ``out`` when given, which may be ``x`` itself."""
+    return _special().ndtr(x, out=out)
 
 
 def _as_finite_array(x):

@@ -416,9 +416,9 @@ def _print_agreement(rows: list[mc.TheoremRow]) -> None:
 def cmd_mc(params: dict) -> int:
     out = params["out"]
     given = [flag for flag in _MC_CELL_FIELD if params[flag] is not None]
+    if params["grid"] != "standard":
+        raise ConfigError(f"unknown grid {params['grid']!r}; only 'standard' is defined")
     if params["verify"]:
-        if params["grid"] != "standard":
-            raise ConfigError(f"unknown grid {params['grid']!r}; only 'standard' is defined")
         if given:
             flags = ", ".join("--" + flag for flag in given)
             raise ConfigError(f"--verify runs the standard grid, which sets every cell: drop {flags} (flag or [mc] key)")

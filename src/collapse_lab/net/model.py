@@ -234,26 +234,56 @@ def save_checkpoint(path, model: MLP, rng: np.random.Generator, extra: dict | No
         fh.write("\n")
 
 
+def _saved_array(key: str, entry) -> np.ndarray:
+    """One ``params`` entry of a checkpoint as an array: a flat list of finite numbers that fills its shape."""
+    if not (isinstance(entry, dict) and "data" in entry and "shape" in entry):
+        raise ConfigError(f"checkpoint {key} needs 'data' and 'shape'")
+    shape = entry["shape"]
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise ConfigError(f"checkpoint {key} shape must be a list of sizes, got {shape!r}")
+    not_numbers = ConfigError(f"checkpoint {key} data must be a flat list of numbers")
+    try:
+        data = np.array(entry["data"])
+    except ValueError:  # a ragged nesting of lists
+        raise not_numbers from None
+    # JSON null, text, true/false or an integer beyond int64 make an array of another kind
+    if data.ndim != 1 or data.dtype.kind not in "if":
+        raise not_numbers
+    data = data.astype(np.float64)
+    if not np.isfinite(data).all():
+        raise ConfigError(f"checkpoint {key} holds a non-finite value")
+    if data.size != math.prod(shape):
+        raise ConfigError(f"checkpoint {key} holds {data.size} values for shape {shape}")
+    return data.reshape(shape)
+
+
 def load_checkpoint(path) -> tuple[MLP, np.random.Generator, dict]:
     """(model, training RNG, extra); a malformed checkpoint is a ConfigError, raised before a model is built.
 
-    It is malformed when it lacks ``arch``, ``params`` or ``rng_state``, when
-    ``arch`` has a missing or unknown key, or when an array's data does not
-    fill its declared shape or the shape is not the architecture's.
+    It is malformed when it is not a JSON object of this version, when it
+    lacks ``arch``, ``params`` or ``rng_state``, when ``params`` is not an
+    object, when ``arch`` has a missing or unknown key, when an array entry lacks
+    ``data`` or ``shape``, holds anything but finite numbers or does not
+    fill its declared shape, when the shape is not the architecture's, or
+    when ``rng_state`` is not a PCG64 state.
     """
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ConfigError("a checkpoint is a JSON object")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {payload.get('version')!r}")
     missing = [key for key in ("arch", "params", "rng_state") if key not in payload]
     if missing:
         raise ConfigError(f"checkpoint lacks {', '.join(missing)}")
-    params = {}
-    for key, entry in payload["params"].items():
-        data = np.asarray(entry["data"], dtype=np.float64)
-        if data.size != math.prod(entry["shape"]):
-            raise ConfigError(f"checkpoint {key} holds {data.size} values for shape {entry['shape']}")
-        params[key] = data.reshape(entry["shape"])
+    if not isinstance(payload["params"], dict):
+        raise ConfigError("checkpoint params must map each array's name to its entry")
+    params = {key: _saved_array(key, entry) for key, entry in payload["params"].items()}
+    rng = np.random.Generator(np.random.PCG64())
+    try:
+        rng.bit_generator.state = payload["rng_state"]
+    except (TypeError, ValueError, KeyError) as exc:  # not a dict, another generator's state, or a key missing
+        raise ConfigError(f"checkpoint rng_state is not a PCG64 state: {exc!r}") from None
     try:
         model = MLP.build(**payload["arch"], rng=np.random.default_rng(0))
     except TypeError as exc:  # MLP.build has no defaults, so a missing or unknown arch key fails its call
@@ -265,6 +295,4 @@ def load_checkpoint(path) -> tuple[MLP, np.random.Generator, dict]:
         if params[key].shape != arr.shape:
             raise ConfigError(f"checkpoint shape mismatch for {key}: {params[key].shape} vs {arr.shape}")
         np.copyto(arr, params[key])
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = payload["rng_state"]
     return model, rng, payload.get("extra", {})

@@ -241,6 +241,13 @@ class TestMc:
         res = run_cli(["mc", "--verify", "--grid", "huge", "--out", "o"], cwd=tmp_path)
         assert res.returncode == 2, res.stderr
 
+    def test_unknown_grid_without_verify(self, tmp_path):
+        res = run_cli(["mc", "--grid", "bogus", "--n", "20000", "--out", "o"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "unknown grid 'bogus'" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_deterministic_across_runs_and_thread_caps(self, tmp_path):
         args = ["mc", "--eta", "0.01", "--n", "150000", "--seed", "3"]
         for out, env in (
@@ -308,6 +315,17 @@ class TestDecay:
         res = run_cli(["decay", "--alpha", "0", "--out", "o"], cwd=tmp_path)
         assert res.returncode == 2, res.stderr
         assert "alpha" in res.stderr
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--gamma", "nan"), ("--beta", "nan"), ("--gamma", "inf"), ("--beta", "inf"), ("--beta", "-inf")],
+    )
+    def test_non_finite_initial_state_is_a_flag_error(self, tmp_path, flag, value):
+        res = run_cli(["decay", f"{flag}={value}", "--out", "o"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "initial gamma and beta must be finite" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "o").exists()
 
 
 class TestConfigFile:
@@ -478,10 +496,13 @@ class TestReport:
 
 
 class TestPinnedBytes:
-    """A small analytic, decay and report tree, pinned by the sha256 of each file.
+    """A small analytic, decay and report tree, and a small ``mc --verify`` tree, pinned by the sha256 of each file.
 
-    The digests were recorded with the per-cell CSV writer and reader and
-    the per-point plotter; the columnar ones must write the same bytes.
+    The first digests were recorded with the per-cell CSV writer and reader
+    and the per-point plotter; the columnar ones must write the same bytes.
+    The ``mc`` digests were recorded before the drift chunk gated each
+    neuron once and built its twin terms in place; that chunk must write
+    the same bytes.
     """
 
     PINNED = {
@@ -516,6 +537,17 @@ class TestPinnedBytes:
             for p in sorted((tmp_path / d).iterdir())
         }
         assert got == self.PINNED
+
+    def test_mc_verify_digests(self, tmp_path, monkeypatch, capsys):
+        # 2.5M neurons: two full chunks and a half one, each with the grid's three etas on one draw per noise kind
+        monkeypatch.chdir(tmp_path)
+        assert main(["mc", "--verify", "--n", "2500000", "--seed", "1", "--out", "m"]) == 0
+        capsys.readouterr()
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted((tmp_path / "m").iterdir())}
+        assert got == {
+            "drift_vs_eta.svg": "89ba0caaad5a093f9eaf4655873349c21bf52f7ba774cecdc9482aaccd275c43",
+            "mc_verify.csv": "69db50d74ff5e023b39ec7f0eb1dc53c0e3fd28d6e8de6f0548329d547a832fe",
+        }
 
 
 class TestArgparseSurface:

@@ -23,6 +23,7 @@ from collapse_lab.mc import (
     usable_cores,
     sgd_trajectory,
     standard_grid,
+    _fires,
     update_step,
     verify_theorem,
 )
@@ -37,10 +38,15 @@ def cfg_with(**kw) -> UpdateConfig:
     return UpdateConfig(**base)
 
 
+def step(gamma, beta, x_hat, grad, cfg):
+    """update_step with its gate evaluated by _fires, as sgd_trajectory calls it."""
+    return update_step(_fires(gamma, beta, x_hat, cfg.alpha), x_hat, grad, cfg)
+
+
 class TestUpdateStep:
     def test_active_unit(self):
         # pre-activations 1*0.5 + 0.1 = 0.6 and 2*0.25 + 0 = 0.5 are > 0, so both fire
-        dg, db = update_step(
+        dg, db = step(
             np.array([1.0, 2.0]), np.array([0.1, 0.0]), np.array([0.5, 0.25]), np.array([2.0, -1.0]),
             cfg_with(eta=0.1),
         )
@@ -48,7 +54,7 @@ class TestUpdateStep:
         assert dg.tolist() == [-0.1, 0.025]
 
     def test_dead_unit(self):
-        dg, db = update_step(
+        dg, db = step(
             np.array([1.0, 0.5]), np.array([-2.0, 0.1]), np.array([0.5, -1.0]), np.array([2.0, 3.0]),
             cfg_with(eta=0.1),
         )
@@ -56,7 +62,7 @@ class TestUpdateStep:
 
     def test_exactly_zero_pre_activation(self):
         # 1*0.5 - 0.5 = 0 and H(0) = 0, so no update; the active neighbour still moves
-        dg, db = update_step(
+        dg, db = step(
             np.array([1.0, 1.0]), np.array([-0.5, 0.5]), np.array([0.5, 0.5]), np.array([7.0, 7.0]),
             cfg_with(eta=0.1),
         )
@@ -66,9 +72,9 @@ class TestUpdateStep:
     def test_shift_enters_heaviside(self):
         # dead without the shift, active with it
         args = (np.array([1.0]), np.array([-0.1]), np.array([0.0]), np.array([3.0]))
-        dg, db = update_step(*args, cfg_with(eta=0.1, alpha=0.0))
+        dg, db = step(*args, cfg_with(eta=0.1, alpha=0.0))
         assert (dg[0], db[0]) == (0.0, 0.0)
-        dg, db = update_step(*args, cfg_with(eta=0.1, alpha=0.2))
+        dg, db = step(*args, cfg_with(eta=0.1, alpha=0.2))
         assert db[0] == pytest.approx(-0.3) and dg[0] == 0.0
 
     @given(cols=st.lists(st.tuples(FINITE, FINITE, FINITE, FINITE), min_size=1, max_size=8),
@@ -76,7 +82,7 @@ class TestUpdateStep:
     def test_coupling_identity(self, cols, alpha):
         """delta_gamma = x_hat * delta_beta, exactly, active or not."""
         gamma, beta, x_hat, grad = (np.array(c) for c in zip(*cols))
-        dg, db = update_step(gamma, beta, x_hat, grad, cfg_with(eta=0.05, alpha=alpha))
+        dg, db = step(gamma, beta, x_hat, grad, cfg_with(eta=0.05, alpha=alpha))
         active = gamma * x_hat + beta + alpha > 0
         assert np.all(dg[~active] == 0.0) and np.all(db[~active] == 0.0)
         assert np.array_equal(db[active], -0.05 * grad[active])
@@ -85,8 +91,20 @@ class TestUpdateStep:
     @given(cols=st.lists(st.tuples(FINITE, FINITE, FINITE, FINITE), min_size=1, max_size=8))
     def test_zero_eta_never_moves(self, cols):
         gamma, beta, x_hat, grad = (np.array(c) for c in zip(*cols))
-        dg, db = update_step(gamma, beta, x_hat, grad, cfg_with(eta=0.0))
+        dg, db = step(gamma, beta, x_hat, grad, cfg_with(eta=0.0))
         assert np.all(dg == 0.0) and np.all(db == 0.0)
+
+    @given(cols=st.lists(st.tuples(FINITE, FINITE, FINITE, FINITE), min_size=1, max_size=8),
+           alpha=st.floats(min_value=0.0, max_value=1.0))
+    def test_true_gate_is_the_firing_subset(self, cols, alpha):
+        """A caller that kept only firing neurons passes True: the same bits as the gate on that subset."""
+        gamma, beta, x_hat, grad = (np.array(c) for c in zip(*cols))
+        cfg = cfg_with(eta=0.05, alpha=alpha)
+        fires = _fires(gamma, beta, x_hat, alpha)
+        want = step(gamma[fires], beta[fires], x_hat[fires], grad[fires], cfg)
+        got = update_step(True, x_hat[fires], grad[fires], cfg)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestConfigs:

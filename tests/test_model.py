@@ -298,6 +298,13 @@ class TestCheckpoint:
             pytest.param(lambda p: p["arch"].update(depth=3), id="arch-with-extra-key"),
             pytest.param(lambda p: p.pop("params"), id="no-params"),
             pytest.param(lambda p: p["params"]["b0.b"]["data"].pop(), id="data-shorter-than-shape"),
+            pytest.param(lambda p: p["params"]["b0.b"]["data"].__setitem__(0, None), id="null-in-data"),
+            pytest.param(lambda p: p["params"]["b0.b"]["data"].__setitem__(0, float("nan")), id="nan-in-data"),
+            pytest.param(lambda p: p["params"]["b0.b"]["data"].__setitem__(0, "0.5"), id="text-in-data"),
+            pytest.param(lambda p: p["params"]["b0.b"].pop("data"), id="entry-without-data"),
+            pytest.param(lambda p: p["params"]["b0.b"].pop("shape"), id="entry-without-shape"),
+            pytest.param(lambda p: p["rng_state"].update(bit_generator="MT19937"), id="rng-state-not-pcg64"),
+            pytest.param(lambda p: p.update(params=[]), id="params-not-an-object"),
         ],
     )
     def test_malformed_input_builds_no_model(self, tmp_path, monkeypatch, corrupt):
@@ -317,3 +324,10 @@ class TestCheckpoint:
         with pytest.raises(ConfigError):
             load_checkpoint(path)
         assert built == []
+
+    def test_payload_not_an_object(self, tmp_path):
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, small_model(), np.random.default_rng(0))
+        path.write_text(json.dumps([json.loads(path.read_text())]))
+        with pytest.raises(ConfigError, match="a checkpoint is a JSON object"):
+            load_checkpoint(path)
