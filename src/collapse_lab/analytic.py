@@ -243,4 +243,7 @@ def drift_prediction(eta: float, c: float, gamma_dist: ScalarDist, beta_dist: Sc
         jvals = _j_values(nodes, beta_dist)
         # 1,024 nodes, below the length at which OpenBLAS splits a dot product over its threads
         factor = float(np.dot(jvals * gamma_dist.density(nodes) / (nodes * nodes), weights))
-    return float(0.5 * eta * eta * c * c * factor)
+    drift = float(0.5 * eta * eta * c * c * factor)
+    if not math.isfinite(drift):
+        raise DomainError(f"the drift overflows at eta = {eta:g}, c = {c:g}")
+    return drift

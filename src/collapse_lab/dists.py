@@ -29,12 +29,6 @@ class ScalarDist:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
 
-    def mean(self) -> float:
-        raise NotImplementedError
-
-    def sd(self) -> float:
-        raise NotImplementedError
-
     def support(self) -> tuple[float, float]:
         raise NotImplementedError
 
@@ -67,12 +61,6 @@ class Uniform(ScalarDist):
 
     def sample(self, rng, size):
         return rng.uniform(self.lo, self.hi, size)
-
-    def mean(self):
-        return 0.5 * (self.lo + self.hi)
-
-    def sd(self):
-        return (self.hi - self.lo) / math.sqrt(12.0)
 
     def support(self):
         return (self.lo, self.hi)
@@ -108,12 +96,6 @@ class Normal(ScalarDist):
     def sample(self, rng, size):
         return rng.normal(self.loc, self.scale, size)
 
-    def mean(self):
-        return self.loc
-
-    def sd(self):
-        return self.scale
-
     def support(self):
         return (-math.inf, math.inf)
 
@@ -141,12 +123,6 @@ class PointMass(ScalarDist):
 
     def sample(self, rng, size):
         return np.full(size, self.value, dtype=np.float64)
-
-    def mean(self):
-        return self.value
-
-    def sd(self):
-        return 0.0
 
     def support(self):
         return (self.value, self.value)

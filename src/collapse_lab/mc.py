@@ -37,22 +37,23 @@ cores with the chunk threads. The result is a function of (seed, n) only,
 never of the worker or the BLAS thread count.
 
 ``one_step_drift`` estimates a group of configs at once (common random
-numbers): each chunk draws (gamma, beta, x_hat) and the baseline
-Phi((beta+alpha)/gamma) once per group, and each noise distribution's
-draw once for the configs that use it, from the generator state that
-follows (gamma, beta, x_hat). Every config therefore sees the exact
-stream a chunk of its own would draw, so grouping changes no bit of any
-estimate. The gate depends on neither eta nor g, so a chunk evaluates it
-once and moves only the neurons that fire, with no gate left to apply to
-them. The rest keep their ratio (x +- 0.0 == x up to a zero's sign, and
-ndtr(+0.0) == ndtr(-0.0)), so their pair terms are exactly +0.0. Left as
-zeros in the full-length pair array the sums run over, they keep NumPy's
-pairwise-summation order unchanged. The firing neurons are moved in
-blocks of ``_BLOCK``, sized so that a block's temporaries stay in a
-core's L2 cache. Each twin builds its term in place in its own fresh
-beta' buffer: + alpha (skipped at alpha = 0, which can only change a
-zero's sign), / gamma', Phi, - the baseline; gamma crossings are counted
-only in a block whose smallest gamma' is <= 0.
+numbers): each chunk draws (gamma, beta, x_hat), every draw through its
+``dists`` sampler, and the baseline Phi((beta+alpha)/gamma) once per
+group, and each noise distribution's draw once for the configs that use
+it, from the generator state that follows (gamma, beta, x_hat). Every
+config therefore sees the exact stream a chunk of its own would draw, so
+grouping changes no bit of any estimate. The gate depends on neither eta
+nor g, so a chunk evaluates it once and moves only the neurons that
+fire, with no gate left to apply to them. A gated-off neuron keeps its
+ratio (x +- 0.0 == x up to a zero's sign, and ndtr(+0.0) == ndtr(-0.0)),
+so its pair term is 0 and it contributes nothing to either sum: the sums
+run over the firing neurons' terms only, and n counts every neuron. The
+firing neurons are moved in blocks of ``_BLOCK``, sized so that a
+block's temporaries stay in a core's L2 cache. Each twin builds its term
+in place in its own fresh beta' buffer: + alpha (skipped at alpha = 0,
+which can only change a zero's sign), / gamma', Phi, - the baseline;
+gamma crossings are counted only in a block whose smallest gamma' is
+<= 0.
 """
 
 from __future__ import annotations
@@ -103,6 +104,8 @@ _BLOCK = 1 << 14
 # the spacing of doubles at 1: a pair term, a difference of two Phi values in [0, 1], is rounded on this
 # scale, so a mean of them resolves no finer a drift
 _RESOLUTION = float(np.finfo(np.float64).eps)
+# the law of x_hat, drawn through its sampler like every other draw of a drift chunk
+_STANDARD_NORMAL = Normal(0.0, 1.0)
 
 
 def usable_cores() -> int:
@@ -248,7 +251,7 @@ def _drift_chunk(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig], index: int, s
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfgs[0].seed, index])))
     gamma = spec.gamma_dist.sample(rng, size)
     beta = spec.beta_dist.sample(rng, size)
-    x_hat = rng.standard_normal(size)
+    x_hat = _STANDARD_NORMAL.sample(rng, size)
     drawn = rng.bit_generator.state
     fires = np.flatnonzero(_fires(gamma, beta, x_hat, alpha))
     gamma, beta, x_hat = gamma[fires], beta[fires], x_hat[fires]
@@ -273,7 +276,7 @@ def _drift_chunk(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig], index: int, s
         return ratio
 
     sums = [None] * len(cfgs)
-    pair = np.zeros(size)  # a neuron that does not fire keeps pair term +0.0
+    pair = np.empty(fires.size)  # the pair term of each firing neuron; a neuron that does not fire has none
     for noise in dict.fromkeys(cfg.noise_dist for cfg in cfgs):
         rng.bit_generator.state = drawn
         grad = noise.sample(rng, size)[fires]
@@ -289,10 +292,9 @@ def _drift_chunk(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig], index: int, s
                 term = change(b, g + d_gamma, bt + d_beta)
                 # the -g twin reuses the step's own buffers, as the +g twin is done with them
                 term += change(b, np.subtract(g, d_gamma, out=d_gamma), np.subtract(bt, d_beta, out=d_beta))
-                term *= 0.5
-                pair[fires[b]] = term
-            # reduced over the whole chunk, zeros in place, so no sum depends on _BLOCK or the skip; squared
-            # in place, as the next config rewrites every firing entry, and by np.sum, never BLAS np.dot
+                np.multiply(term, 0.5, out=pair[b])
+            # reduced over the whole buffer, so no sum depends on _BLOCK or the skip; squared in place, as the
+            # next config rewrites every entry, and by np.sum, never BLAS np.dot
             total = float(np.sum(pair))
             pair *= pair
             sums[k] = (total, float(np.sum(pair)), crossings)
@@ -321,12 +323,14 @@ def one_step_drift(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig]) -> list[Dri
     gamma crosses <= 0 (step too large for the second-order regime) are
     counted in gamma_crossings but still included via the cdf's own sign
     convention. A gated-off neuron is not moved: its ratio is unchanged
-    (x +- 0.0 == x, and ndtr(+-0.0) is one value), so its pair term is
-    exactly +0.0, summed in place so the rounding is unchanged. Both sums,
-    of the pair terms and of their squares, are NumPy reductions, so no bit
-    depends on the BLAS thread count. The chunks run on
-    resolve_threads(chunks) pool threads, in order at one; SciPy, which the
-    package loads on its first Phi evaluation, is loaded before they start.
+    (x +- 0.0 == x, and ndtr(+-0.0) is one value), so its pair term is 0
+    and it contributes nothing to the sums, which run over the firing
+    neurons' terms only. Both sums, of the pair terms and of their squares,
+    are NumPy reductions, so no bit depends on the BLAS thread count. A
+    prediction that overflows is a ConfigError, raised before any chunk.
+    The chunks run on resolve_threads(chunks) pool threads, in order at
+    one; SciPy, which the package loads on its first Phi evaluation, is
+    loaded before they start.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -338,13 +342,21 @@ def one_step_drift(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig]) -> list[Dri
     sizes = [CHUNK_SIZE] * (n // CHUNK_SIZE)
     if n % CHUNK_SIZE:
         sizes.append(n % CHUNK_SIZE)
+    unit = drift_prediction(1.0, 1.0, spec.gamma_dist, spec.beta_dist.shifted(cfgs[0].alpha))
+    predicted = []
+    for cfg in cfgs:
+        try:
+            predicted.append(unit * cfg.eta**2 * cfg.c**2)
+        except OverflowError:  # a float ** that overflows raises, where * gives inf
+            predicted.append(math.inf)
+        if not math.isfinite(predicted[-1]):
+            raise ConfigError(f"the predicted drift overflows at eta = {cfg.eta:g}, c = {cfg.c:g}")
     _special()  # SciPy's first import, if no call has made it yet, before the chunk threads could race on it
     # imported here, not with the module: no other command of the CLI starts a thread pool
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=resolve_threads(len(sizes))) as pool:
         parts = list(pool.map(lambda i: _drift_chunk(spec, cfgs, i, sizes[i]), range(len(sizes))))
-    unit = drift_prediction(1.0, 1.0, spec.gamma_dist, spec.beta_dist.shifted(cfgs[0].alpha))
     estimates = []
     for k, cfg in enumerate(cfgs):
         s1 = math.fsum(p[k][0] for p in parts)
@@ -352,14 +364,13 @@ def one_step_drift(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig]) -> list[Dri
         mean = s1 / n
         var = max(s2 - s1 * s1 / n, 0.0) / (n - 1) if n > 1 else 0.0
         se = math.sqrt(var / n)
-        predicted = unit * cfg.eta**2 * cfg.c**2
         estimates.append(
             DriftEstimate(
                 empirical_mean=mean,
                 std_error=se,
                 n=n,
-                predicted=predicted,
-                agree=abs(mean - predicted) <= max(3.0 * se, _RESOLUTION),
+                predicted=predicted[k],
+                agree=abs(mean - predicted[k]) <= max(3.0 * se, _RESOLUTION),
                 gamma_crossings=sum(p[k][2] for p in parts),
             )
         )
@@ -434,7 +445,8 @@ def decay_trajectory(
     so for alpha > 0 the margin strictly increases and reactivation is
     reached in finitely many steps; the trace stops there (past that point
     the unit receives task gradient again and pure decay no longer
-    applies). alpha = 0 keeps C exactly constant, so it is rejected.
+    applies). alpha = 0 keeps C exactly constant, so it is rejected, and a
+    gamma that underflows to 0 or a recorded margin that overflows is too.
     The gradient path is intentionally absent: a dead unit's Heaviside
     factor zeroes every update, leaving decay as the only dynamics.
     """
@@ -456,6 +468,8 @@ def decay_trajectory(
     for t in range(1, steps + 1):
         gamma *= shrink
         beta *= shrink
+        if gamma == 0:
+            raise DomainError(f"gamma underflows to 0 at step {t}, before the margin recovers")
         margin = (beta + cfg.alpha) / abs(gamma)
         if margin >= 0 or t % stride == 0 or t == steps:
             states.append((t, gamma, beta, margin))
@@ -464,7 +478,10 @@ def decay_trajectory(
             break
     # Phi of every recorded margin, and the collapse test of every recorded gamma, in one call each
     _, gammas, _, margins = zip(*states)
-    probs = ndtr(np.array(margins)).tolist()
+    margins = np.array(margins)
+    if not np.isfinite(margins).all():
+        raise DomainError("the margin (beta + alpha) / |gamma| overflows: |gamma| is too small against beta + alpha")
+    probs = ndtr(margins).tolist()
     collapsed = collapsed_mask(gammas).tolist()
     records = [TrajectoryRecord(t, g, b, p, k, c) for (t, g, b, c), p, k in zip(states, probs, collapsed)]
     return DecayResult(records=tuple(records), reactivation_step=reactivation, alpha=cfg.alpha)

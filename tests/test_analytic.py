@@ -397,3 +397,8 @@ class TestDrift:
             drift_prediction(-0.01, 1.0, PointMass(1.0), PointMass(0.0))
         with pytest.raises(DomainError):
             drift_prediction(0.01, -1.0, PointMass(1.0), PointMass(0.0))
+
+    @pytest.mark.parametrize("eta, c", [(1e200, 1.0), (1.0, 1e300), (1e160, 1e160)])
+    def test_rejects_an_overflowing_drift(self, eta, c):
+        with pytest.raises(DomainError, match="the drift overflows"):
+            drift_prediction(eta, c, PointMass(1.0), PointMass(0.0))

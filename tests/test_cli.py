@@ -140,7 +140,9 @@ class TestAnalytic:
         assert "gamma support must lie in" in res.stderr
         assert not (tmp_path / "o").exists()  # nothing written, not even the directory
 
-    @pytest.mark.parametrize("flag, value", [("--eta", "-1"), ("--eta", "nan"), ("--c", "inf")])
+    @pytest.mark.parametrize(
+        "flag, value", [("--eta", "-1"), ("--eta", "nan"), ("--c", "inf"), ("--eta", "1e200"), ("--c", "1e300")]
+    )
     def test_drift_outside_its_domain_is_config_error(self, tmp_path, flag, value):
         args = ["analytic", "--k-grid", "0:1:0.5", "--drift", "--gamma", "point:1", "--beta", "point:0"]
         res = run_cli(args + [flag, value, "--out", "o"], cwd=tmp_path)
@@ -237,6 +239,14 @@ class TestMc:
         assert "Traceback" not in res.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--eta", "1e200"), ("--c", "1e300")])
+    def test_overflowing_prediction_is_config_error(self, tmp_path, flag, value):
+        res = run_cli(["mc", flag, value, "--n", "10000", "--out", "o"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "the predicted drift overflows" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_grid(self, tmp_path):
         res = run_cli(["mc", "--verify", "--grid", "huge", "--out", "o"], cwd=tmp_path)
         assert res.returncode == 2, res.stderr
@@ -324,6 +334,20 @@ class TestDecay:
         res = run_cli(["decay", f"{flag}={value}", "--out", "o"], cwd=tmp_path)
         assert res.returncode == 2, res.stderr
         assert "initial gamma and beta must be finite" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "args, reason",
+        [
+            (["--gamma", "1e-320", "--beta=-1e300", "--steps", "100"], "gamma underflows to 0"),
+            (["--gamma", "1e-300", "--beta=-1e10", "--steps", "2000"], "margin (beta + alpha) / |gamma| overflows"),
+        ],
+    )
+    def test_non_finite_trace_is_a_flag_error(self, tmp_path, args, reason):
+        res = run_cli(["decay", *args, "--lr", "0.5", "--wd", "1", "--out", "o"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert reason in res.stderr
         assert "Traceback" not in res.stderr
         assert not (tmp_path / "o").exists()
 
@@ -500,9 +524,9 @@ class TestPinnedBytes:
 
     The first digests were recorded with the per-cell CSV writer and reader
     and the per-point plotter; the columnar ones must write the same bytes.
-    The ``mc`` digests were recorded before the drift chunk gated each
-    neuron once and built its twin terms in place; that chunk must write
-    the same bytes.
+    The ``mc`` digests are those of the drift chunk whose sums run over
+    its firing neurons' pair terms only: a gated-off neuron contributes
+    nothing.
     """
 
     PINNED = {
@@ -546,7 +570,7 @@ class TestPinnedBytes:
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted((tmp_path / "m").iterdir())}
         assert got == {
             "drift_vs_eta.svg": "89ba0caaad5a093f9eaf4655873349c21bf52f7ba774cecdc9482aaccd275c43",
-            "mc_verify.csv": "69db50d74ff5e023b39ec7f0eb1dc53c0e3fd28d6e8de6f0548329d547a832fe",
+            "mc_verify.csv": "9c0b464e38f6ea29c3020d82d837a4799907663d9292702e27b6ab0329f0674c",
         }
 
 

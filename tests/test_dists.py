@@ -45,20 +45,30 @@ class TestParse:
 
 
 class TestMoments:
+    """The first two moments of each law are those its parameters name."""
+
+    @staticmethod
+    def density_moments(d, z):
+        """Mean and sd of d's density, by the trapezoid rule on the grid z."""
+        mean = np.trapezoid(z * d.density(z), z)
+        return mean, math.sqrt(np.trapezoid((z - mean) ** 2 * d.density(z), z))
+
     def test_uniform_mean_sd(self):
-        d = Uniform(-1.0, 1.0)
-        assert d.mean() == 0.0
-        assert math.isclose(d.sd(), 2.0 / math.sqrt(12.0), rel_tol=1e-15)
+        d = Uniform(-1.0, 3.0)
+        mean, sd = self.density_moments(d, np.linspace(d.lo, d.hi, 4001))
+        assert mean == pytest.approx(0.5 * (d.lo + d.hi), rel=1e-12)
+        assert sd == pytest.approx((d.hi - d.lo) / math.sqrt(12.0), rel=1e-6)
 
     def test_normal_mean_sd(self):
         d = Normal(0.3, 0.7)
-        assert d.mean() == 0.3
-        assert d.sd() == 0.7
+        mean, sd = self.density_moments(d, np.linspace(d.loc - 12 * d.scale, d.loc + 12 * d.scale, 4001))
+        assert mean == pytest.approx(d.loc, rel=1e-12)
+        assert sd == pytest.approx(d.scale, rel=1e-12)
 
     def test_point_mass(self):
         d = PointMass(2.0)
-        assert d.mean() == 2.0
-        assert d.sd() == 0.0
+        x = d.sample(np.random.default_rng(0), 10)
+        assert (x.mean(), x.std()) == (2.0, 0.0)
         assert d.support() == (2.0, 2.0)
 
     def test_evenness(self):
@@ -73,8 +83,9 @@ class TestMoments:
     def test_shifted_moves_location_only(self, d):
         moved = d.shifted(0.3)
         assert type(moved) is type(d)
-        assert moved.mean() == pytest.approx(d.mean() + 0.3, abs=1e-15)
-        assert moved.sd() == pytest.approx(d.sd(), rel=1e-15)
+        # the same generator state draws every value 0.3 further along
+        x, y = (dist.sample(np.random.default_rng(3), 1000) for dist in (d, moved))
+        np.testing.assert_allclose(y, x + 0.3, rtol=0, atol=1e-14)
         lo, hi = d.support()
         assert moved.support() == (lo + 0.3, hi + 0.3)
         assert d.shifted(0.0) == d
@@ -122,10 +133,10 @@ class TestSampling:
 
     def test_sample_moments(self):
         rng = np.random.default_rng(1)
-        for d in (Uniform(-2, 2), Normal(0.5, 1.5)):
+        for d, mean, sd in ((Uniform(-2, 2), 0.0, 4 / math.sqrt(12.0)), (Normal(0.5, 1.5), 0.5, 1.5)):
             x = d.sample(rng, 200_000)
-            assert abs(x.mean() - d.mean()) < 5 * d.sd() / math.sqrt(x.size)
-            assert abs(x.std() - d.sd()) < 0.01 * d.sd() + 1e-12
+            assert abs(x.mean() - mean) < 5 * sd / math.sqrt(x.size)
+            assert abs(x.std() - sd) < 0.01 * sd
 
     def test_point_mass_samples(self):
         x = PointMass(-1.25).sample(np.random.default_rng(0), 50)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from collapse_lab.analytic import _ndtr as ndtr
 from collapse_lab.analytic import drift_prediction, std_normal_cdf
 from collapse_lab.dists import Normal, PointMass, Uniform
 from collapse_lab.errors import ConfigError, DivergenceError, DomainError, SingularityError
@@ -115,7 +116,7 @@ class TestConfigs:
 
     def test_noise_for_uniform_has_matching_sd(self):
         d = noise_for("uniform", 1.5)
-        assert math.isclose(d.sd(), 1.5, rel_tol=1e-12)
+        assert math.isclose((d.hi - d.lo) / math.sqrt(12.0), 1.5, rel_tol=1e-12)
         assert d.is_even
 
     def test_noise_for_rejects_unknown(self):
@@ -259,41 +260,80 @@ class TestOneStepDrift:
         with pytest.raises(ConfigError):
             one_step_drift(SPEC_UU, [])
 
+    @pytest.mark.parametrize("kw", [dict(eta=1e200), dict(c=1e300), dict(eta=1e160, c=1e160)])
+    def test_overflowing_prediction_rejected_before_any_chunk(self, monkeypatch, kw):
+        def no_chunk(*args):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr("collapse_lab.mc._drift_chunk", no_chunk)
+        with pytest.raises(ConfigError, match="the predicted drift overflows"):
+            one_step_drift(SPEC_UU, [cfg_with(eta=0.01), cfg_with(**kw)])
+
 
 def both_noise_kinds(eta, seed, alpha=0.0):
     return [UpdateConfig(eta=eta, c=1.0, noise=kind, alpha=alpha, seed=seed)
             for kind in ("normal", "uniform")]
 
 
-class TestFrozenDrift:
-    """Estimates pinned bit for bit, as float.hex (empirical_mean, std_error)
-    plus gamma_crossings for the normal then the uniform noise config."""
+# (gamma_dist, beta_dist, count, alpha, eta, seed, want): specs with gamma crossings, alpha > 0 and a
+# partial chunk, and for each, as float.hex (empirical_mean, std_error) plus gamma_crossings, the normal
+# then the uniform noise config
+FROZEN = [
+    (Uniform(0.5, 1.5), Uniform(-1.0, 1.0), 200_000, 0.0, 0.01, 7, [
+        ("-0x1.85fb1dcae6a93p-17", "0x1.0c272627069b8p-23", 0),
+        ("-0x1.8b03112c06140p-17", "0x1.a5dbba1cbee1bp-24", 0)]),
+    (Uniform(0.5, 1.5), Uniform(-1.0, 1.0), 200_000, 0.1, 0.01, 7, [
+        ("-0x1.9854405b34058p-17", "0x1.0c70265ad3995p-23", 0),
+        ("-0x1.9c64ffe0a5f68p-17", "0x1.a71865632a901p-24", 0)]),
+    # steps large enough that gammas cross 0
+    (Uniform(0.2, 0.4), Uniform(-1.0, 1.0), 200_000, 0.0, 0.3, 3, [
+        ("-0x1.465036b0a1a32p-5", "0x1.8d7e5ce20f316p-12", 21604),
+        ("-0x1.7d783ecda403ap-5", "0x1.ad261f3666c79p-12", 25507)]),
+    (Uniform(0.8, 1.6), Normal(0.1, 0.5), 200_000, 0.1, 0.02, 5, [
+        ("-0x1.286fa3d340e24p-15", "0x1.45910e8642cd2p-22", 0),
+        ("-0x1.2838b7a5e34d5p-15", "0x1.d2e3f44c39b21p-23", 0)]),
+    # a partial last chunk whose length is not a whole number of blocks
+    (Uniform(0.5, 1.5), Uniform(-1.0, 1.0), CHUNK_SIZE + 20_123, 0.0, 0.005, 11, [
+        ("-0x1.87957bd697281p-19", "0x1.d915f823e86d9p-27", 0),
+        ("-0x1.899bb1f17d0a6p-19", "0x1.6f4b15e46db72p-27", 0)]),
+]
 
-    @pytest.mark.parametrize(
-        "gamma_dist, beta_dist, count, alpha, eta, seed, want",
-        [
-            (Uniform(0.5, 1.5), Uniform(-1.0, 1.0), 200_000, 0.0, 0.01, 7, [
-                ("-0x1.85fb1dcae6a91p-17", "0x1.0c272627069b8p-23", 0),
-                ("-0x1.8b03112c06140p-17", "0x1.a5dbba1cbee1bp-24", 0)]),
-            (Uniform(0.5, 1.5), Uniform(-1.0, 1.0), 200_000, 0.1, 0.01, 7, [
-                ("-0x1.9854405b34057p-17", "0x1.0c70265ad3996p-23", 0),
-                ("-0x1.9c64ffe0a5f68p-17", "0x1.a71865632a901p-24", 0)]),
-            # steps large enough that gammas cross 0
-            (Uniform(0.2, 0.4), Uniform(-1.0, 1.0), 200_000, 0.0, 0.3, 3, [
-                ("-0x1.465036b0a1a33p-5", "0x1.8d7e5ce20f316p-12", 21604),
-                ("-0x1.7d783ecda403bp-5", "0x1.ad261f3666c79p-12", 25507)]),
-            (Uniform(0.8, 1.6), Normal(0.1, 0.5), 200_000, 0.1, 0.02, 5, [
-                ("-0x1.286fa3d340e24p-15", "0x1.45910e8642cd2p-22", 0),
-                ("-0x1.2838b7a5e34d6p-15", "0x1.d2e3f44c39b20p-23", 0)]),
-            # a partial last chunk whose length is not a whole number of blocks
-            (Uniform(0.5, 1.5), Uniform(-1.0, 1.0), CHUNK_SIZE + 20_123, 0.0, 0.005, 11, [
-                ("-0x1.87957bd697281p-19", "0x1.d915f823e86d9p-27", 0),
-                ("-0x1.899bb1f17d0a6p-19", "0x1.6f4b15e46db72p-27", 0)]),
-        ],
-    )
+
+class TestFrozenDrift:
+    """Estimates pinned bit for bit, and checked against an exact sum of the pair terms."""
+
+    @pytest.mark.parametrize("gamma_dist, beta_dist, count, alpha, eta, seed, want", FROZEN)
     def test_estimates_are_pinned(self, gamma_dist, beta_dist, count, alpha, eta, seed, want):
         ests = one_step_drift(EnsembleSpec(gamma_dist, beta_dist, count), both_noise_kinds(eta, seed, alpha))
         assert [(e.empirical_mean.hex(), e.std_error.hex(), e.gamma_crossings) for e in ests] == want
+
+    @pytest.mark.parametrize("gamma_dist, beta_dist, count, alpha, eta, seed, want", FROZEN)
+    def test_estimate_is_the_mean_of_the_pair_terms(self, gamma_dist, beta_dist, count, alpha, eta, seed, want):
+        # every neuron's pair term, recomputed over each whole chunk from its replayed draws, then summed exactly
+        cfgs = both_noise_kinds(eta, seed, alpha)
+        terms = {cfg.noise: [] for cfg in cfgs}
+        for index, lo in enumerate(range(0, count, CHUNK_SIZE)):
+            size = min(CHUNK_SIZE, count - lo)
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index])))
+            gamma, beta, x_hat = gamma_dist.sample(rng, size), beta_dist.sample(rng, size), rng.standard_normal(size)
+            fires, drawn = _fires(gamma, beta, x_hat, alpha), rng.bit_generator.state
+            p0 = ndtr((beta + alpha) / gamma)
+            for cfg in cfgs:
+                rng.bit_generator.state = drawn
+                d_gamma, d_beta = update_step(fires, x_hat, cfg.noise_dist.sample(rng, size), cfg)
+                twins = []
+                for sign in (1.0, -1.0):
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        ratio = (beta + sign * d_beta + alpha) / (gamma + sign * d_gamma)
+                    ratio[np.isnan(ratio)] = 0.0  # 0/0, as the estimator reads it
+                    twins.append(ndtr(ratio) - p0)
+                terms[cfg.noise].append(0.5 * (twins[0] + twins[1]))
+        for cfg, est in zip(cfgs, one_step_drift(EnsembleSpec(gamma_dist, beta_dist, count), cfgs)):
+            d = np.concatenate(terms[cfg.noise])
+            s1, s2 = math.fsum(d), math.fsum(d * d)
+            se = math.sqrt(max(s2 - s1 * s1 / count, 0.0) / (count - 1) / count)
+            assert est.empirical_mean == pytest.approx(s1 / count, rel=1e-13, abs=0)
+            assert est.std_error == pytest.approx(se, rel=1e-13, abs=0)
 
     def test_no_neuron_fires(self):
         # gamma*x_hat + beta > 0 needs x_hat > 26
@@ -493,6 +533,15 @@ class TestDecayTrajectory:
     def test_zero_gamma_rejected(self):
         with pytest.raises(DomainError):
             decay_trajectory((0.0, -1.1), self.CFG, steps=10)
+
+    @pytest.mark.parametrize(
+        "initial, steps, reason",
+        [((1e-320, -1e300), 100, "gamma underflows to 0"), ((1e-300, -1e10), 2000, "margin .* overflows")],
+    )
+    def test_non_finite_trace_rejected(self, initial, steps, reason):
+        cfg = UpdateConfig(eta=0.5, c=0.0, weight_decay=1.0, alpha=0.1)
+        with pytest.raises(DomainError, match=reason):
+            decay_trajectory(initial, cfg, steps=steps)
 
 
 class TestVerifyTheorem:
