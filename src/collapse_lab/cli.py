@@ -25,7 +25,7 @@ section per subcommand; unknown keys in a section are rejected.
 
 Exit codes: 0 success, 2 configuration error (including a gamma
 distribution or grid that reaches the 1/gamma^2 singularity at 0), 3
-runtime error (divergence, aborted run). Every command writes
+runtime error (divergence, aborted run, out of memory). Every command writes
 byte-identical files for identical (config, seed), whatever the thread
 cap; parallelism is bounded by COLLAPSE_LAB_THREADS. Files are written
 atomically, so a failed run never leaves a truncated one.
@@ -489,7 +489,7 @@ def cmd_train(params: dict) -> int:
         path = os.path.join(out, f"sparsity_{tag}.json")
         tables.write_json(path, sparsity.report_to_json(reports[-1].sparsity))
         print(path)
-        hist = sparsity.filter_l1_histogram(model.filter_matrix(0))
+        hist = sparsity.filter_l1_histogram(model.dense[0].w.T)  # one row per first-layer unit: its incoming weights
         _write_table(out, f"l1_hist_{tag}", "csv", sparsity.histogram_csv_rows(hist))
         path = os.path.join(out, f"checkpoint_{tag}.json")
         net_model.save_checkpoint(
@@ -544,6 +544,9 @@ def main(argv=None) -> int:
         return 2
     except CollapseLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # an array too large for this machine, e.g. from a huge --width
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

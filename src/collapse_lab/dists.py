@@ -20,30 +20,7 @@ __all__ = ["ScalarDist", "Uniform", "Normal", "PointMass", "parse_dist"]
 
 
 @dataclass(frozen=True)
-class ScalarDist:
-    """Common interface; use the Uniform / Normal / PointMass constructors."""
-
-    def density(self, z):
-        raise NotImplementedError
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def support(self) -> tuple[float, float]:
-        raise NotImplementedError
-
-    def shifted(self, a: float) -> "ScalarDist":
-        """The distribution of z + a."""
-        raise NotImplementedError
-
-    @property
-    def is_even(self) -> bool:
-        """True when the distribution is symmetric about zero."""
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Uniform(ScalarDist):
+class Uniform:
     lo: float
     hi: float
 
@@ -77,7 +54,7 @@ class Uniform(ScalarDist):
 
 
 @dataclass(frozen=True)
-class Normal(ScalarDist):
+class Normal:
     loc: float
     scale: float
 
@@ -111,7 +88,7 @@ class Normal(ScalarDist):
 
 
 @dataclass(frozen=True)
-class PointMass(ScalarDist):
+class PointMass:
     value: float
 
     def __post_init__(self):
@@ -136,6 +113,10 @@ class PointMass(ScalarDist):
 
     def __str__(self):
         return f"point:{self.value:g}"
+
+
+# each kind has density, sample, support, shifted (the law of z + a) and is_even (symmetric about zero)
+ScalarDist = Uniform | Normal | PointMass
 
 
 def parse_dist(text: str) -> ScalarDist:

@@ -4,14 +4,16 @@ The model is a chain of hidden blocks (dense -> optional normalization ->
 activation) feeding a final dense classifier. Normalization choices:
 'bn' (plain), 'psbn' (constant positive output shift alpha), 'none'.
 "Boundary" k names the hidden representation produced by block k; collapse
-detection and FLOPS accounting key off boundaries. ``check_arch`` checks
-the architecture fields for both ``MLP.build``, which has no defaults,
-and ``TrainConfig``, which holds the only ones.
+detection and FLOPS accounting key off boundaries. ``Arch`` holds the
+eight architecture fields and is their only check; ``MLP.build`` takes
+one, and ``TrainConfig``, which holds the only defaults, derives one.
 
-Each layer owns its arrays; ``MLP`` moves the trainable ones into one
-store: every dense w/b and BN gamma/beta is a view into the vector
-``MLP.params`` (its gradient into ``MLP.grads``), so the optimizer
-updates the model in whole-vector operations.
+``MLP`` sorts its blocks once into ``dense``, ``norms`` (one per
+boundary, or none) and ``acts``. Each layer owns its arrays; ``MLP``
+moves the trainable ones into one store: every dense w/b and BN
+gamma/beta is a view into the vector ``MLP.params`` (its gradient into
+``MLP.grads``), so the optimizer updates the model in whole-vector
+operations.
 
 Checkpoints serialize layer shapes, flat parameter arrays, running stats,
 and the training RNG state, one entry per layer array (format version 1,
@@ -25,6 +27,8 @@ from __future__ import annotations
 import copy
 import json
 import math
+import numbers
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,7 +37,7 @@ from ..sparsity import COLLAPSE_THRESHOLD, collapsed_mask
 from ..tables import atomic_write
 from .layers import BatchNorm, Dense, LeakyReLU, ReLU, accuracy, softmax_cross_entropy
 
-__all__ = ["ACTIVATIONS", "NORMS", "MLP", "check_arch", "save_checkpoint", "load_checkpoint", "pruned_copy"]
+__all__ = ["ACTIVATIONS", "NORMS", "Arch", "MLP", "save_checkpoint", "load_checkpoint", "pruned_copy"]
 
 NORMS = ("bn", "psbn", "none")
 ACTIVATIONS = ("relu", "leaky")
@@ -41,27 +45,52 @@ ACTIVATIONS = ("relu", "leaky")
 CHECKPOINT_VERSION = 1
 
 
-def check_arch(norm: str, activation: str, alpha: float, gamma_init: float, width: int, layers: int) -> None:
-    """The architecture fields' one check, shared by ``TrainConfig`` and ``MLP.build``."""
-    if norm not in NORMS:
-        raise ConfigError(f"norm must be one of {NORMS}, got {norm!r}")
-    if activation not in ACTIVATIONS:
-        raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
-    if norm == "psbn" and not 0 < alpha < math.inf:
-        raise ConfigError(f"norm 'psbn' requires a finite alpha > 0, got {alpha}")
-    if norm != "psbn" and alpha != 0:
-        raise ConfigError(f"alpha is only meaningful with norm 'psbn', got alpha={alpha}")
-    if not 0 < gamma_init < math.inf:
-        raise ConfigError(f"gamma_init must be finite and > 0, got {gamma_init}")
-    if width < 1 or layers < 1:
-        raise ConfigError(f"hidden width and layers must be >= 1, got {width} and {layers}")
+@dataclass(frozen=True)
+class Arch:
+    """A model's architecture; constructing one is the only check of its fields.
+
+    Sizes are stored as ints, ``alpha`` and ``gamma_init`` as floats."""
+
+    in_dim: int
+    classes: int
+    hidden_width: int
+    hidden_layers: int
+    norm: str
+    activation: str
+    alpha: float
+    gamma_init: float
+
+    def __post_init__(self):
+        for name in ("in_dim", "classes", "hidden_width", "hidden_layers"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("alpha", "gamma_init"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        if self.norm not in NORMS:
+            raise ConfigError(f"norm must be one of {NORMS}, got {self.norm!r}")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
+        if self.norm == "psbn" and not 0 < self.alpha < math.inf:
+            raise ConfigError(f"norm 'psbn' requires a finite alpha > 0, got {self.alpha}")
+        if self.norm != "psbn" and self.alpha != 0:
+            raise ConfigError(f"alpha is only meaningful with norm 'psbn', got alpha={self.alpha}")
+        if not 0 < self.gamma_init < math.inf:
+            raise ConfigError(f"gamma_init must be finite and > 0, got {self.gamma_init}")
 
 
 class MLP:
-    def __init__(self, arch: dict, blocks: list):
-        """Move the blocks' parameters and gradients into one flat store."""
+    def __init__(self, arch: Arch, blocks: list):
+        """Sort the blocks by kind, and move their parameters and gradients into one flat store."""
         self.arch = arch
         self.blocks = blocks
+        self.dense = [b for b in blocks if isinstance(b, Dense)]
+        self.norms = [b for b in blocks if isinstance(b, BatchNorm)]  # norms[k] normalizes boundary k
+        self.acts = [b for b in blocks if isinstance(b, (ReLU, LeakyReLU))]
         slots = []  # (layer, parameter name); its gradient is the layer's "g" + name
         for block in blocks:
             if isinstance(block, Dense):
@@ -83,39 +112,17 @@ class MLP:
         return MLP, (self.arch, self.blocks)
 
     @classmethod
-    def build(
-        cls,
-        in_dim: int,
-        classes: int,
-        hidden_width: int,
-        hidden_layers: int,
-        norm: str,
-        activation: str,
-        alpha: float,
-        gamma_init: float,
-        rng: np.random.Generator,
-    ) -> "MLP":
-        """A freshly initialized model; every architecture field is required."""
-        check_arch(norm, activation, alpha, gamma_init, hidden_width, hidden_layers)
+    def build(cls, arch: Arch, rng: np.random.Generator) -> "MLP":
+        """A freshly initialized model of ``arch``."""
         blocks: list = []
-        prev = in_dim
-        for _ in range(hidden_layers):
-            blocks.append(Dense(prev, hidden_width, rng))
-            if norm != "none":
-                blocks.append(BatchNorm(hidden_width, gamma_init, alpha if norm == "psbn" else 0.0))
-            blocks.append(ReLU() if activation == "relu" else LeakyReLU())
-            prev = hidden_width
-        blocks.append(Dense(prev, classes, rng))
-        arch = {
-            "in_dim": int(in_dim),
-            "classes": int(classes),
-            "hidden_width": int(hidden_width),
-            "hidden_layers": int(hidden_layers),
-            "norm": norm,
-            "activation": activation,
-            "alpha": float(alpha),
-            "gamma_init": float(gamma_init),
-        }
+        prev = arch.in_dim
+        for _ in range(arch.hidden_layers):
+            blocks.append(Dense(prev, arch.hidden_width, rng))
+            if arch.norm != "none":
+                blocks.append(BatchNorm(arch.hidden_width, arch.gamma_init, arch.alpha))  # alpha is 0 unless psbn
+            blocks.append(ReLU() if arch.activation == "relu" else LeakyReLU())
+            prev = arch.hidden_width
+        blocks.append(Dense(prev, arch.classes, rng))
         return cls(arch, blocks)
 
     def forward(self, x: np.ndarray, mode: str = "eval") -> np.ndarray:
@@ -142,34 +149,15 @@ class MLP:
 
     # structure accessors for sparsity accounting
 
-    def dense_blocks(self) -> list[Dense]:
-        return [b for b in self.blocks if isinstance(b, Dense)]
-
     def chain_sizes(self) -> list[tuple[int, int]]:
-        return [(d.w.shape[0], d.w.shape[1]) for d in self.dense_blocks()]
-
-    def norm_blocks(self) -> list[tuple[int, BatchNorm]]:
-        """(boundary_index, layer) for each normalization layer."""
-        out = []
-        boundary = 0
-        for block in self.blocks:
-            if isinstance(block, BatchNorm):
-                out.append((boundary, block))
-            if isinstance(block, (ReLU, LeakyReLU)):
-                boundary += 1
-        return out
+        return [d.w.shape for d in self.dense]
 
     def unit_scales(self) -> dict[int, np.ndarray]:
         """Per-boundary collapse scales: BN |gamma|, or incoming-weight L1
         for unnormalized stacks (the only shrinking quantity there)."""
-        if self.arch["norm"] != "none":
-            return {k: np.abs(layer.gamma) for k, layer in self.norm_blocks()}
-        dense = self.dense_blocks()
-        return {k: np.sum(np.abs(d.w), axis=0) for k, d in enumerate(dense[:-1])}
-
-    def filter_matrix(self, boundary: int) -> np.ndarray:
-        """Incoming weight vectors of boundary units, one unit per row."""
-        return self.dense_blocks()[boundary].w.T
+        if self.norms:
+            return {k: np.abs(layer.gamma) for k, layer in enumerate(self.norms)}
+        return {k: np.sum(np.abs(d.w), axis=0) for k, d in enumerate(self.dense[:-1])}
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {}
@@ -197,23 +185,20 @@ def pruned_copy(model: MLP, threshold: float = COLLAPSE_THRESHOLD) -> tuple[MLP,
     """
     pruned = copy.deepcopy(model)
     n_pruned = 0
-    dense = pruned.dense_blocks()
-    acts = [b for b in pruned.blocks if isinstance(b, (ReLU, LeakyReLU))]
-    norms = dict(pruned.norm_blocks())
     for boundary, scales in pruned.unit_scales().items():
         idx = np.flatnonzero(collapsed_mask(scales, threshold))
         if idx.size == 0:
             continue
         n_pruned += int(idx.size)
-        layer = norms.get(boundary)
-        if layer is None:
-            level = dense[boundary].b[idx]
-        else:
+        if pruned.norms:
+            layer = pruned.norms[boundary]
             level = layer.beta[idx] + layer.alpha
             layer.gamma[idx] = 0.0
             layer.beta[idx] = 0.0
-        following = dense[boundary + 1]
-        following.b += acts[boundary].forward(level, "eval") @ following.w[idx, :]
+        else:
+            level = pruned.dense[boundary].b[idx]
+        following = pruned.dense[boundary + 1]
+        following.b += pruned.acts[boundary].forward(level, "eval") @ following.w[idx, :]
         following.w[idx, :] = 0.0
     return pruned, n_pruned
 
@@ -221,7 +206,7 @@ def pruned_copy(model: MLP, threshold: float = COLLAPSE_THRESHOLD) -> tuple[MLP,
 def save_checkpoint(path, model: MLP, rng: np.random.Generator, extra: dict | None = None) -> None:
     payload = {
         "version": CHECKPOINT_VERSION,
-        "arch": model.arch,
+        "arch": asdict(model.arch),
         "params": {
             key: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
             for key, arr in model.state_arrays().items()
@@ -258,14 +243,17 @@ def _saved_array(key: str, entry) -> np.ndarray:
 
 
 def load_checkpoint(path) -> tuple[MLP, np.random.Generator, dict]:
-    """(model, training RNG, extra); a malformed checkpoint is a ConfigError, raised before a model is built.
+    """(model, training RNG, extra); a malformed checkpoint is a ConfigError.
 
     It is malformed when it is not a JSON object of this version, when it
     lacks ``arch``, ``params`` or ``rng_state``, when ``params`` is not an
-    object, when ``arch`` has a missing or unknown key, when an array entry lacks
-    ``data`` or ``shape``, holds anything but finite numbers or does not
-    fill its declared shape, when the shape is not the architecture's, or
-    when ``rng_state`` is not a PCG64 state.
+    object, when ``arch`` is not an ``Arch`` (a missing or unknown key, or
+    a value ``Arch`` rejects), when an array entry lacks ``data`` or
+    ``shape``, holds anything but finite numbers or does not fill its
+    declared shape, or when ``rng_state`` is not a PCG64 state; each of
+    these is raised before a model is built. An array set whose keys or
+    shapes are not the architecture's is found only once the model of
+    ``arch`` is built.
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -285,9 +273,10 @@ def load_checkpoint(path) -> tuple[MLP, np.random.Generator, dict]:
     except (TypeError, ValueError, KeyError) as exc:  # not a dict, another generator's state, or a key missing
         raise ConfigError(f"checkpoint rng_state is not a PCG64 state: {exc!r}") from None
     try:
-        model = MLP.build(**payload["arch"], rng=np.random.default_rng(0))
-    except TypeError as exc:  # MLP.build has no defaults, so a missing or unknown arch key fails its call
-        raise ConfigError(f"checkpoint arch does not match MLP.build: {exc}") from None
+        arch = Arch(**payload["arch"])
+    except (TypeError, ConfigError) as exc:  # Arch has no defaults, so a missing or unknown key fails its call
+        raise ConfigError(f"checkpoint arch is not an Arch: {exc}") from None
+    model = MLP.build(arch, np.random.default_rng(0))
     arrays = model.state_arrays()
     if set(arrays) != set(params):
         raise ConfigError("checkpoint parameter keys do not match the declared architecture")

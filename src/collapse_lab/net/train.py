@@ -15,8 +15,9 @@ the epoch budget; a desk-scale run has orders of magnitude fewer steps
 than a full image run, so lambda carries the difference. TrainConfig keeps
 5e-4 as its field default; the presets override it.
 
-``TrainConfig`` holds the architecture defaults; ``net.model.check_arch``
-checks them here and in ``MLP.build``. Each epoch permutes the training
+``TrainConfig`` holds the architecture defaults as flat fields, which
+presets and flags replace by name, and derives the ``net.model.Arch``
+they make; building it checks them. Each epoch permutes the training
 split once, gathers it in that order and slices its batches from it, as
 ``_steps_per_epoch`` plans them.
 
@@ -36,7 +37,7 @@ import numpy as np
 from ..errors import CollapseLabError, ConfigError, DivergenceError, require_seed
 from ..sparsity import COLLAPSE_THRESHOLD, SparsityReport, report_from_chain
 from .data import Dataset, make_synthetic_dataset, shuffle_labels
-from .model import MLP, check_arch
+from .model import Arch, MLP
 
 __all__ = [
     "EXPERIMENT_COLUMNS",
@@ -101,11 +102,19 @@ class TrainConfig:
             raise ConfigError(f"momentum_sgd must lie in [0, 1), got {self.momentum_sgd}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        check_arch(self.norm, self.activation, self.alpha, self.gamma_init, self.hidden_width, self.hidden_layers)
+        self.arch  # constructing the Arch checks the architecture fields
         if self.label_mode not in LABEL_MODES:
             raise ConfigError(f"label_mode must be one of {LABEL_MODES}, got {self.label_mode!r}")
         require_seed("seed", self.seed)
         require_seed("data_seed", self.data_seed)
+
+    @property
+    def arch(self) -> Arch:
+        """The model's architecture, on the dataset's dimensions."""
+        return Arch(
+            in_dim=self.dim, classes=self.classes, hidden_width=self.hidden_width, hidden_layers=self.hidden_layers,
+            norm=self.norm, activation=self.activation, alpha=self.alpha, gamma_init=self.gamma_init,
+        )
 
 
 @dataclass(frozen=True)
@@ -198,17 +207,7 @@ def run_training(cfg: TrainConfig):
     """Full multi-round run. Returns (model, [RoundReport], rng)."""
     dataset = dataset_for(cfg)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed])))
-    model = MLP.build(
-        in_dim=dataset.dim,
-        classes=dataset.classes,
-        hidden_width=cfg.hidden_width,
-        hidden_layers=cfg.hidden_layers,
-        norm=cfg.norm,
-        activation=cfg.activation,
-        alpha=cfg.alpha,
-        gamma_init=cfg.gamma_init,
-        rng=rng,
-    )
+    model = MLP.build(cfg.arch, rng)
     reports = [train_round(model, dataset, cfg, r, rng) for r in range(cfg.rounds)]
     return model, reports, rng
 

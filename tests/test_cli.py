@@ -414,9 +414,22 @@ class TestTrain:
         assert all(type(r["bin_lo"]) is float and type(r["bin_hi"]) is float for r in hist)
         model, _, extra = load_checkpoint(out / "checkpoint_custom_s0.json")
         assert extra == {"arm": "custom", "seed": 0}
-        assert model.arch["hidden_width"] == 8
+        assert model.arch.hidden_width == 8
         assert (out / "sparsity_vs_round.svg").exists()
         assert (out / "accuracy_vs_round.svg").exists()
+
+    def test_out_of_memory_is_a_runtime_error(self, tmp_path, monkeypatch, capsys):
+        """An allocation that fails (here a stand-in for one at --width 100000000000) exits 3 with one line."""
+
+        def fail(*args):
+            raise MemoryError("Unable to allocate 23.3 TiB for an array with shape (100000000000, 32)")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("collapse_lab.net.train.multi_round_experiment", fail)
+        assert main(["train", "--width", "100000000000", "--rounds", "1", "--epochs", "1", "--out", "o"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 23.3 TiB for an array with shape (100000000000, 32)\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.skipif(usable_cores() < 2, reason="a cap of 2 needs two cores to start worker processes")
     def test_deterministic_across_worker_caps(self, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from collapse_lab.errors import ConfigError
 from collapse_lab.net.layers import BatchNorm, Dense, LeakyReLU, ReLU
-from collapse_lab.net.model import MLP, load_checkpoint, pruned_copy, save_checkpoint
+from collapse_lab.net.model import Arch, MLP, load_checkpoint, pruned_copy, save_checkpoint
 from collapse_lab.net.train import TrainConfig, dataset_for, train_round
 
 
@@ -18,7 +18,7 @@ def small_model(norm="bn", **kw) -> MLP:
         in_dim=6, classes=3, hidden_width=8, hidden_layers=2, norm=norm, activation="relu", alpha=0.0, gamma_init=1.0
     )
     args.update(kw)
-    return MLP.build(rng=np.random.default_rng(0), **args)
+    return MLP.build(Arch(**args), np.random.default_rng(0))
 
 
 class TestBuild:
@@ -35,7 +35,7 @@ class TestBuild:
 
     def test_gamma_and_alpha_reach_layers(self):
         model = small_model(norm="psbn", alpha=0.2, gamma_init=0.5)
-        for _, layer in model.norm_blocks():
+        for layer in model.norms:
             assert np.all(layer.gamma == 0.5)
             assert layer.alpha == 0.2
 
@@ -58,13 +58,17 @@ class TestBuild:
 
 
 class TestStructureAccessors:
-    def test_norm_blocks_boundaries(self):
+    def test_block_lists_hold_each_kind_in_order(self):
         model = small_model()
-        assert [b for b, _ in model.norm_blocks()] == [0, 1]
+        assert model.dense == model.blocks[0::3]
+        assert model.norms == model.blocks[1::3]  # norms[k] normalizes boundary k
+        assert model.acts == model.blocks[2::3]
+        plain = small_model(norm="none")
+        assert (plain.dense, plain.norms, plain.acts) == (plain.blocks[0::2], [], plain.blocks[1::2])
 
     def test_unit_scales_bn(self):
         model = small_model()
-        model.norm_blocks()[1][1].gamma[:] = [-2, 1, 0, 1, 1, 1, 1, 1]
+        model.norms[1].gamma[:] = [-2, 1, 0, 1, 1, 1, 1, 1]
         scales = model.unit_scales()
         assert set(scales) == {0, 1}
         assert np.array_equal(scales[1], [2, 1, 0, 1, 1, 1, 1, 1])
@@ -72,14 +76,9 @@ class TestStructureAccessors:
     def test_unit_scales_none_is_incoming_l1(self):
         model = small_model(norm="none")
         scales = model.unit_scales()
-        dense = model.dense_blocks()
         assert set(scales) == {0, 1}
         for k in (0, 1):
-            assert np.array_equal(scales[k], np.sum(np.abs(dense[k].w), axis=0))
-
-    def test_filter_matrix_rows_are_units(self):
-        model = small_model()
-        assert np.array_equal(model.filter_matrix(0), model.dense_blocks()[0].w.T)
+            assert np.array_equal(scales[k], np.sum(np.abs(model.dense[k].w), axis=0))
 
     def test_state_arrays_keys(self):
         keys = set(small_model().state_arrays())
@@ -151,7 +150,7 @@ class TestFlatStore:
 
     def test_pruned_copy_binds(self):
         model = small_model()
-        model.norm_blocks()[0][1].gamma[:2] = 1e-9
+        model.norms[0].gamma[:2] = 1e-9
         pruned, n = pruned_copy(model)
         assert n == 2
         assert_bound(pruned)
@@ -185,7 +184,7 @@ class TestEvalMode:
 class TestPrunedCopy:
     def test_exactly_dead_unit_is_removable(self):
         model = small_model()
-        bn = model.norm_blocks()[0][1]
+        bn = model.norms[0]
         bn.gamma[2] = 0.0
         bn.beta[2] = 0.0
         x = np.random.default_rng(2).standard_normal((5, 6))
@@ -194,8 +193,8 @@ class TestPrunedCopy:
         assert n == 1
         assert np.array_equal(pruned.forward(x, "eval"), before)
         # removal zeroes the unit's outgoing rows, original untouched
-        assert not pruned.dense_blocks()[1].w[2].any()
-        assert model.dense_blocks()[1].w[2].any()
+        assert not pruned.dense[1].w[2].any()
+        assert model.dense[1].w[2].any()
 
     @pytest.mark.parametrize("norm", ["psbn", "none"])
     def test_constant_dead_unit_is_removable(self, norm):
@@ -204,11 +203,11 @@ class TestPrunedCopy:
         # rational, so the forward is exact and only a dropped constant
         # could move a bit
         model = small_model(norm, hidden_layers=1, **({"alpha": 0.25} if norm == "psbn" else {}))
-        first, last = model.dense_blocks()
+        first, last = model.dense
         first.w[:] = np.arange(first.w.size).reshape(first.w.shape) % 5 - 2
         last.w[:] = (np.arange(last.w.size).reshape(last.w.shape) % 7 - 3) / 4
         if norm == "psbn":
-            bn = model.norm_blocks()[0][1]
+            bn = model.norms[0]
             bn.eps = 0.0  # unit running variance then normalizes exactly
             bn.gamma[:] = 0.5
             bn.gamma[2] = 0.0
@@ -220,7 +219,7 @@ class TestPrunedCopy:
         before = model.forward(x, "eval")
         pruned, n = pruned_copy(model, threshold=1e-3)
         assert n == 1
-        assert not pruned.dense_blocks()[1].w[2].any()
+        assert not pruned.dense[1].w[2].any()
         assert np.array_equal(pruned.forward(x, "eval"), before)
 
     def test_nothing_collapsed_nothing_changes(self):
@@ -233,7 +232,7 @@ class TestPrunedCopy:
 
     def test_counts_all_boundaries(self):
         model = small_model()
-        for _, layer in model.norm_blocks():
+        for layer in model.norms:
             layer.gamma[:2] = 1e-9
         _, n = pruned_copy(model)
         assert n == 4
@@ -252,6 +251,34 @@ class TestCheckpoint:
         for key, arr in model.state_arrays().items():
             assert np.array_equal(loaded.state_arrays()[key], arr), key
         assert np.array_equal(rng2.standard_normal(5), rng.standard_normal(5))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: small_model(), id="bn-relu"),
+            pytest.param(lambda: small_model(norm="psbn", alpha=0.1), id="psbn-relu"),
+            pytest.param(lambda: small_model(norm="none", activation="leaky"), id="none-leaky"),
+            pytest.param(
+                lambda: MLP.build(
+                    TrainConfig(hidden_width=8, hidden_layers=2, classes=3, dim=6, gamma_init=1).arch,
+                    np.random.default_rng(0),
+                ),
+                id="config-int-gamma",
+            ),
+        ],
+    )
+    def test_save_load_save_keeps_bytes(self, tmp_path, build):
+        model = build()
+        rng = np.random.default_rng(5)
+        model.loss_and_grad(rng.standard_normal((6, 6)), rng.integers(0, 3, 6))
+        model.params -= 0.1 * model.grads
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_checkpoint(first, model, rng, extra={"round": 1})
+        save_checkpoint(second, *load_checkpoint(first))
+        assert second.read_bytes() == first.read_bytes()
+        # alpha and gamma_init are written as floats, whatever number type built the model
+        arch = json.loads(first.read_text())["arch"]
+        assert type(arch["alpha"]) is float and type(arch["gamma_init"]) is float
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -292,22 +319,29 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, field",
         [
-            pytest.param(lambda p: p["arch"].pop("activation"), id="arch-without-activation"),
-            pytest.param(lambda p: p["arch"].update(depth=3), id="arch-with-extra-key"),
-            pytest.param(lambda p: p.pop("params"), id="no-params"),
-            pytest.param(lambda p: p["params"]["b0.b"]["data"].pop(), id="data-shorter-than-shape"),
-            pytest.param(lambda p: p["params"]["b0.b"]["data"].__setitem__(0, None), id="null-in-data"),
-            pytest.param(lambda p: p["params"]["b0.b"]["data"].__setitem__(0, float("nan")), id="nan-in-data"),
-            pytest.param(lambda p: p["params"]["b0.b"]["data"].__setitem__(0, "0.5"), id="text-in-data"),
-            pytest.param(lambda p: p["params"]["b0.b"].pop("data"), id="entry-without-data"),
-            pytest.param(lambda p: p["params"]["b0.b"].pop("shape"), id="entry-without-shape"),
-            pytest.param(lambda p: p["rng_state"].update(bit_generator="MT19937"), id="rng-state-not-pcg64"),
-            pytest.param(lambda p: p.update(params=[]), id="params-not-an-object"),
+            pytest.param(lambda p: p["arch"].pop("activation"), "activation", id="arch-without-activation"),
+            pytest.param(lambda p: p["arch"].update(depth=3), "depth", id="arch-with-extra-key"),
+            pytest.param(lambda p: p.pop("params"), None, id="no-params"),
+            pytest.param(lambda p: p["params"]["b0.b"]["data"].pop(), None, id="data-shorter-than-shape"),
+            pytest.param(lambda p: p["params"]["b0.b"]["data"].__setitem__(0, None), None, id="null-in-data"),
+            pytest.param(lambda p: p["params"]["b0.b"]["data"].__setitem__(0, float("nan")), None, id="nan-in-data"),
+            pytest.param(lambda p: p["params"]["b0.b"]["data"].__setitem__(0, "0.5"), None, id="text-in-data"),
+            pytest.param(lambda p: p["params"]["b0.b"].pop("data"), None, id="entry-without-data"),
+            pytest.param(lambda p: p["params"]["b0.b"].pop("shape"), None, id="entry-without-shape"),
+            pytest.param(lambda p: p["rng_state"].update(bit_generator="MT19937"), None, id="rng-state-not-pcg64"),
+            pytest.param(lambda p: p.update(params=[]), None, id="params-not-an-object"),
+            pytest.param(lambda p: p["arch"].update(in_dim=-1), "in_dim", id="arch-negative-in-dim"),
+            pytest.param(lambda p: p["arch"].update(classes=0), "classes", id="arch-no-classes"),
+            pytest.param(lambda p: p["arch"].update(hidden_width=8.5), "hidden_width", id="arch-fractional-width"),
+            pytest.param(lambda p: p["arch"].update(hidden_width=True), "hidden_width", id="arch-boolean-width"),
+            pytest.param(lambda p: p["arch"].update(norm="psbn", alpha="0.1"), "alpha", id="arch-text-alpha"),
+            pytest.param(lambda p: p["arch"].update(gamma_init=None), "gamma_init", id="arch-null-gamma-init"),
         ],
     )
-    def test_malformed_input_builds_no_model(self, tmp_path, monkeypatch, corrupt):
+    def test_malformed_input_builds_no_model(self, tmp_path, monkeypatch, corrupt, field):
+        """A malformed checkpoint is a ConfigError, raised before any model is built; a bad arch value names its field."""
         path = tmp_path / "ck.json"
         save_checkpoint(path, small_model(activation="leaky"), np.random.default_rng(0))
         payload = json.loads(path.read_text())
@@ -321,7 +355,7 @@ class TestCheckpoint:
             init(self, *args)
 
         monkeypatch.setattr(MLP, "__init__", counting_init)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=field):
             load_checkpoint(path)
         assert built == []
 

@@ -43,20 +43,6 @@ TINY = TrainConfig(
 needs_two_cores = pytest.mark.skipif(usable_cores() < 2, reason="needs two worker processes")
 
 
-def model_for(cfg: TrainConfig, rng) -> MLP:
-    return MLP.build(
-        in_dim=cfg.dim,
-        classes=cfg.classes,
-        hidden_width=cfg.hidden_width,
-        hidden_layers=cfg.hidden_layers,
-        norm=cfg.norm,
-        activation=cfg.activation,
-        alpha=cfg.alpha,
-        gamma_init=cfg.gamma_init,
-        rng=rng,
-    )
-
-
 class TestCosineLr:
     def test_endpoints(self):
         assert math.isclose(cosine_lr(0, 100, 0.1, 1e-3), 0.1, rel_tol=1e-15)
@@ -92,6 +78,8 @@ class TestTrainConfigValidation:
             dict(norm="psbn", alpha=0.0),
             dict(norm="bn", alpha=0.1),
             dict(gamma_init=0.0),
+            dict(hidden_width=8.5),
+            dict(dim=0),
             dict(seed=-1),
             dict(seed=2**64),
             dict(data_seed=-5),
@@ -136,7 +124,7 @@ class TestTrainRound:
         )
         dataset = dataset_for(cfg)
         rng = np.random.default_rng(cfg.seed)
-        model = model_for(cfg, rng)
+        model = MLP.build(cfg.arch, rng)
         before = {k: v.copy() for k, v in model.state_arrays().items()}
         train_round(model, dataset, cfg, 0, rng)
         after = model.state_arrays()
@@ -150,7 +138,7 @@ class TestTrainRound:
         cfg = TINY
         dataset = dataset_for(cfg)
         rng = np.random.default_rng(cfg.seed)
-        model = model_for(cfg, rng)
+        model = MLP.build(cfg.arch, rng)
         loss0, _ = model.evaluate(dataset.x_train, dataset.y_train)
         report = train_round(model, dataset, cfg, 0, rng)
         assert report.train_loss < loss0
@@ -164,7 +152,7 @@ class TestTrainRound:
         )
         dataset = dataset_for(cfg)
         rng = np.random.default_rng(0)
-        model = model_for(cfg, rng)
+        model = MLP.build(cfg.arch, rng)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
             train_round(model, dataset, cfg, 0, rng)
         assert "round 0 diverged" in str(err.value)
@@ -178,8 +166,8 @@ class TestTrainRound:
         cfg = replace(TINY, rounds=1, activation=activation)
         dataset = dataset_for(cfg)
         rng = np.random.default_rng(0)
-        model = model_for(cfg, rng)
-        model.dense_blocks()[0].b[0] = np.nan
+        model = MLP.build(cfg.arch, rng)
+        model.dense[0].b[0] = np.nan
         with pytest.raises(DivergenceError) as err:
             train_round(model, dataset, cfg, 0, rng)
         assert err.value.partial == {"round_index": 0, "epoch": 0, "step": 0}
@@ -195,7 +183,7 @@ class TestBatchPlan:
         full = dataset_for(cfg)
         dataset = replace(full, x_train=full.x_train[:n], y_train=full.y_train[:n])
         rng = np.random.default_rng(3)
-        model = model_for(cfg, rng)
+        model = MLP.build(cfg.arch, rng)
         twin = copy.deepcopy(rng)  # draws the permutations train_round will draw
         batches = []
         step = model.loss_and_grad
