@@ -483,18 +483,15 @@ def cmd_train(params: dict) -> int:
     seeds = [params["seed"] + i for i in range(params["seeds"])]
     result = net_train.multi_round_experiment(arms, seeds)
     _save(out, "experiment", {name: [r[name] for r in result.rows] for name in net_train.EXPERIMENT_COLUMNS})
-    for (arm, seed), model in sorted(result.finals.items()):
+    for (arm, seed), (model, reports, rng) in sorted(result.runs.items()):
         tag = f"{arm}_s{seed}"
-        reports = result.reports[(arm, seed)]
         path = os.path.join(out, f"sparsity_{tag}.json")
         tables.write_json(path, sparsity.report_to_json(reports[-1].sparsity))
         print(path)
         hist = sparsity.filter_l1_histogram(model.dense[0].w.T)  # one row per first-layer unit: its incoming weights
         _write_table(out, f"l1_hist_{tag}", "csv", sparsity.histogram_csv_rows(hist))
         path = os.path.join(out, f"checkpoint_{tag}.json")
-        net_model.save_checkpoint(
-            path, model, result.rngs[(arm, seed)], extra={"arm": arm, "seed": seed}
-        )
+        net_model.save_checkpoint(path, model, rng, extra={"arm": arm, "seed": seed})
         print(path)
     if result.failures:
         columns = map(list, zip(*result.failures))

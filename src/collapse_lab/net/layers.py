@@ -28,9 +28,11 @@ in a divergence) rather than reading as inactive.
 
 Each layer is one object that owns its arrays: parameters, gradients,
 BN's running statistics, and what backward needs from the last
-train-mode forward. There is no functional API beside the layers.
-Parameter and gradient arrays may be views into a model's flat store:
-they are written in place.
+train-mode forward. Its class names them: ``params`` the trained ones,
+each with the gradient ``"g" + name``, and ``arrays`` all a checkpoint
+saves (activations name none). There is no functional API beside the
+layers. Parameter and gradient arrays may be views into a model's flat
+store: they are written in place.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ __all__ = [
 
 class Dense:
     """Affine map with fan-in scaled Gaussian weight init and zero bias."""
+
+    params = arrays = ("w", "b")
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         self.w = rng.standard_normal((in_dim, out_dim)) / np.sqrt(in_dim)
@@ -80,6 +84,8 @@ class BatchNorm:
     """Per-channel normalization with scale gamma, shift beta, running
     statistics, and the constant output shift alpha (0 for plain BN)."""
 
+    params = ("gamma", "beta")
+    arrays = params + ("running_mean", "running_var")
     eps = 1e-5
     momentum = 0.1
 
@@ -157,6 +163,7 @@ class BatchNorm:
 
 @dataclass
 class ReLU:
+    params = arrays = ()
     _mask: np.ndarray | None = field(default=None, repr=False)
 
     def forward(self, x: np.ndarray, mode: str) -> np.ndarray:
@@ -172,6 +179,7 @@ class ReLU:
 
 @dataclass
 class LeakyReLU:
+    params = arrays = ()
     slope: float = 0.01
     _mask: np.ndarray | None = field(default=None, repr=False)
 

@@ -5,15 +5,15 @@ activation) feeding a final dense classifier. Normalization choices:
 'bn' (plain), 'psbn' (constant positive output shift alpha), 'none'.
 "Boundary" k names the hidden representation produced by block k; collapse
 detection and FLOPS accounting key off boundaries. ``Arch`` holds the
-eight architecture fields and is their only check; ``MLP.build`` takes
-one, and ``TrainConfig``, which holds the only defaults, derives one.
+eight architecture fields and is their only check; ``TrainConfig``,
+which holds the only defaults, derives one. ``Arch.blocks()`` is the one
+block layout: ``MLP.build`` builds it, ``load_checkpoint`` checks by it.
 
 ``MLP`` sorts its blocks once into ``dense``, ``norms`` (one per
-boundary, or none) and ``acts``. Each layer owns its arrays; ``MLP``
-moves the trainable ones into one store: every dense w/b and BN
-gamma/beta is a view into the vector ``MLP.params`` (its gradient into
-``MLP.grads``), so the optimizer updates the model in whole-vector
-operations.
+boundary, or none) and ``acts``, and moves the arrays each layer names
+in ``params`` into one store: every dense w/b and BN gamma/beta is a
+view into the vector ``MLP.params`` (its gradient into ``MLP.grads``),
+so the optimizer updates the model in whole-vector operations.
 
 Checkpoints serialize layer shapes, flat parameter arrays, running stats,
 and the training RNG state, one entry per layer array (format version 1,
@@ -82,6 +82,16 @@ class Arch:
         if not 0 < self.gamma_init < math.inf:
             raise ConfigError(f"gamma_init must be finite and > 0, got {self.gamma_init}")
 
+    def blocks(self) -> list[tuple[type, dict[str, tuple[int, ...]]]]:
+        """Each block in order, as its layer type and the {name: shape} of the arrays a checkpoint saves of it."""
+        width = self.hidden_width
+        hidden = [(BatchNorm, dict.fromkeys(BatchNorm.arrays, (width,)))] if self.norm != "none" else []
+        hidden.append((ReLU if self.activation == "relu" else LeakyReLU, {}))
+        out = []
+        for n_in in [self.in_dim] + [width] * (self.hidden_layers - 1):
+            out += [(Dense, {"w": (n_in, width), "b": (width,)}), *hidden]
+        return out + [(Dense, {"w": (width, self.classes), "b": (self.classes,)})]
+
 
 class MLP:
     def __init__(self, arch: Arch, blocks: list):
@@ -91,12 +101,7 @@ class MLP:
         self.dense = [b for b in blocks if isinstance(b, Dense)]
         self.norms = [b for b in blocks if isinstance(b, BatchNorm)]  # norms[k] normalizes boundary k
         self.acts = [b for b in blocks if isinstance(b, (ReLU, LeakyReLU))]
-        slots = []  # (layer, parameter name); its gradient is the layer's "g" + name
-        for block in blocks:
-            if isinstance(block, Dense):
-                slots += [(block, "w"), (block, "b")]
-            elif isinstance(block, BatchNorm):
-                slots += [(block, "gamma"), (block, "beta")]
+        slots = [(block, name) for block in blocks for name in block.params]  # its gradient is "g" + name
         size = sum(getattr(layer, name).size for layer, name in slots)
         self.params, self.grads = np.empty(size), np.empty(size)
         at = 0
@@ -113,16 +118,15 @@ class MLP:
 
     @classmethod
     def build(cls, arch: Arch, rng: np.random.Generator) -> "MLP":
-        """A freshly initialized model of ``arch``."""
-        blocks: list = []
-        prev = arch.in_dim
-        for _ in range(arch.hidden_layers):
-            blocks.append(Dense(prev, arch.hidden_width, rng))
-            if arch.norm != "none":
-                blocks.append(BatchNorm(arch.hidden_width, arch.gamma_init, arch.alpha))  # alpha is 0 unless psbn
-            blocks.append(ReLU() if arch.activation == "relu" else LeakyReLU())
-            prev = arch.hidden_width
-        blocks.append(Dense(prev, arch.classes, rng))
+        """A freshly initialized model of ``arch``; each Dense draws its weights from ``rng`` in block order."""
+        blocks = []
+        for layer, shapes in arch.blocks():
+            if layer is Dense:
+                blocks.append(Dense(*shapes["w"], rng))
+            elif layer is BatchNorm:
+                blocks.append(BatchNorm(*shapes["gamma"], arch.gamma_init, arch.alpha))  # alpha is 0 unless psbn
+            else:
+                blocks.append(layer())
         return cls(arch, blocks)
 
     def forward(self, x: np.ndarray, mode: str = "eval") -> np.ndarray:
@@ -160,17 +164,12 @@ class MLP:
         return {k: np.sum(np.abs(d.w), axis=0) for k, d in enumerate(self.dense[:-1])}
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, block in enumerate(self.blocks):
-            if isinstance(block, Dense):
-                out[f"b{i}.w"] = block.w
-                out[f"b{i}.b"] = block.b
-            elif isinstance(block, BatchNorm):
-                out[f"b{i}.gamma"] = block.gamma
-                out[f"b{i}.beta"] = block.beta
-                out[f"b{i}.running_mean"] = block.running_mean
-                out[f"b{i}.running_var"] = block.running_var
-        return out
+        return _keyed({name: getattr(block, name) for name in block.arrays} for block in self.blocks)
+
+
+def _keyed(blocks) -> dict:
+    """{checkpoint key: value} from each block's {array name: value}, in block order: block i's w is "bi.w"."""
+    return {f"b{i}.{name}": value for i, named in enumerate(blocks) for name, value in named.items()}
 
 
 def pruned_copy(model: MLP, threshold: float = COLLAPSE_THRESHOLD) -> tuple[MLP, int]:
@@ -250,10 +249,9 @@ def load_checkpoint(path) -> tuple[MLP, np.random.Generator, dict]:
     object, when ``arch`` is not an ``Arch`` (a missing or unknown key, or
     a value ``Arch`` rejects), when an array entry lacks ``data`` or
     ``shape``, holds anything but finite numbers or does not fill its
-    declared shape, or when ``rng_state`` is not a PCG64 state; each of
-    these is raised before a model is built. An array set whose keys or
-    shapes are not the architecture's is found only once the model of
-    ``arch`` is built.
+    declared shape, when ``rng_state`` is not a PCG64 state, or when the
+    arrays' keys or shapes are not those ``arch.blocks()`` lists; each of
+    these is raised before a model is built.
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -276,12 +274,13 @@ def load_checkpoint(path) -> tuple[MLP, np.random.Generator, dict]:
         arch = Arch(**payload["arch"])
     except (TypeError, ConfigError) as exc:  # Arch has no defaults, so a missing or unknown key fails its call
         raise ConfigError(f"checkpoint arch is not an Arch: {exc}") from None
-    model = MLP.build(arch, np.random.default_rng(0))
-    arrays = model.state_arrays()
-    if set(arrays) != set(params):
+    shapes = _keyed(named for _, named in arch.blocks())
+    if set(shapes) != set(params):
         raise ConfigError("checkpoint parameter keys do not match the declared architecture")
-    for key, arr in arrays.items():
-        if params[key].shape != arr.shape:
-            raise ConfigError(f"checkpoint shape mismatch for {key}: {params[key].shape} vs {arr.shape}")
+    for key, shape in shapes.items():
+        if params[key].shape != shape:
+            raise ConfigError(f"checkpoint shape mismatch for {key}: {params[key].shape} vs {shape}")
+    model = MLP.build(arch, np.random.default_rng(0))
+    for key, arr in model.state_arrays().items():
         np.copyto(arr, params[key])
     return model, rng, payload.get("extra", {})

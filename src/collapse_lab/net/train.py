@@ -130,9 +130,7 @@ class RoundReport:
 class ExperimentResult:
     rows: list[dict] = field(default_factory=list)
     failures: list[tuple[str, int, str]] = field(default_factory=list)
-    finals: dict = field(default_factory=dict)  # (arm, seed) -> trained MLP
-    reports: dict = field(default_factory=dict)  # (arm, seed) -> [RoundReport]
-    rngs: dict = field(default_factory=dict)  # (arm, seed) -> post-run Generator
+    runs: dict = field(default_factory=dict)  # (arm, seed) -> run_training's (model, [RoundReport], rng)
 
 
 def cosine_lr(t: int, total: int, eta_max: float, eta_min: float) -> float:
@@ -299,11 +297,8 @@ def multi_round_experiment(arms: list[tuple[str, TrainConfig]], seeds: list[int]
             continue
         if isinstance(out, Exception):
             raise out
-        model, reports, rng = out
-        result.finals[(arm_name, cfg.seed)] = model
-        result.reports[(arm_name, cfg.seed)] = reports
-        result.rngs[(arm_name, cfg.seed)] = rng
-        for rep in reports:
+        result.runs[(arm_name, cfg.seed)] = out
+        for rep in out[1]:  # the cell's RoundReports
             result.rows.append(
                 {
                     "arm": arm_name,

@@ -257,7 +257,7 @@ def test_09_pruning_collapsed_units_is_neutral(toy_study):
     # must carry into the next layer's bias
     for arm in ("bn-relu", "psbn"):
         for seed in (0, 1, 2):
-            model = result.finals[(arm, seed)]
+            model, _, _ = result.runs[(arm, seed)]
             ds = dataset_for(replace(base, seed=seed))
             _, acc = model.evaluate(ds.x_val, ds.y_val)
             pruned, n_pruned = pruned_copy(model, threshold=1e-3)

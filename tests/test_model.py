@@ -3,6 +3,7 @@
 import copy
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,14 @@ class TestBuild:
         model = small_model(norm="none", activation="leaky")
         kinds = [type(b) for b in model.blocks]
         assert kinds == [Dense, LeakyReLU, Dense, LeakyReLU, Dense]
+
+    @pytest.mark.parametrize(
+        "kw", [{}, dict(norm="psbn", alpha=0.1, hidden_layers=3), dict(norm="none", activation="leaky", hidden_layers=1)]
+    )
+    def test_blocks_lists_each_built_layer_and_its_saved_arrays(self, kw):
+        model = small_model(**kw)
+        built = [(type(b), {name: getattr(b, name).shape for name in b.arrays}) for b in model.blocks]
+        assert built == model.arch.blocks()
 
     def test_gamma_and_alpha_reach_layers(self):
         model = small_model(norm="psbn", alpha=0.2, gamma_init=0.5)
@@ -338,6 +347,9 @@ class TestCheckpoint:
             pytest.param(lambda p: p["arch"].update(hidden_width=True), "hidden_width", id="arch-boolean-width"),
             pytest.param(lambda p: p["arch"].update(norm="psbn", alpha="0.1"), "alpha", id="arch-text-alpha"),
             pytest.param(lambda p: p["arch"].update(gamma_init=None), "gamma_init", id="arch-null-gamma-init"),
+            pytest.param(lambda p: p["arch"].update(hidden_width=3000), "b0.w", id="arch-wider-than-arrays"),
+            pytest.param(lambda p: p["arch"].update(hidden_layers=3), "keys", id="arch-deeper-than-arrays"),
+            pytest.param(lambda p: p["arch"].update(norm="none"), "keys", id="arch-without-norm-arrays-with"),
         ],
     )
     def test_malformed_input_builds_no_model(self, tmp_path, monkeypatch, corrupt, field):
@@ -358,6 +370,22 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match=field):
             load_checkpoint(path)
         assert built == []
+
+    def test_mismatched_arch_allocates_no_model(self, tmp_path):
+        """A small checkpoint whose arch claims a large model fails before that model is allocated."""
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, small_model(), np.random.default_rng(0))
+        payload = json.loads(path.read_text())
+        payload["arch"]["hidden_width"] = 3000
+        path.write_text(json.dumps(payload))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"b0\.w: \(6, 8\) vs \(6, 3000\)"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_payload_not_an_object(self, tmp_path):
         path = tmp_path / "ck.json"

@@ -271,10 +271,10 @@ class TestExperiment:
             result = multi_round_experiment([("good", TINY), ("bad", bad)], seeds=[0])
         assert [f[:2] for f in result.failures] == [("bad", 0)]
         assert "diverged" in result.failures[0][2]
-        assert set(result.finals) == {("good", 0)}
+        assert set(result.runs) == {("good", 0)}
         assert len(result.rows) == TINY.rounds
         assert all(list(row) == list(EXPERIMENT_COLUMNS) for row in result.rows)
-        assert ("good", 0) in result.rngs
+        assert isinstance(result.runs[("good", 0)][2], np.random.Generator)
 
     def test_rows_cover_arm_seed_round_grid(self):
         result = multi_round_experiment([("a", TINY)], seeds=[0, 1])
@@ -300,13 +300,13 @@ class TestExperiment:
         assert one.rows == two.rows
         assert one.failures == two.failures
         assert [f[:2] for f in one.failures] == [("bad", 0), ("bad", 1)]
-        assert set(one.finals) == set(two.finals) == {(a, s) for a in ("bn", "psbn") for s in (0, 1)}
-        for cell, model in one.finals.items():
-            other = two.finals[cell]
+        assert set(one.runs) == set(two.runs) == {(a, s) for a in ("bn", "psbn") for s in (0, 1)}
+        for cell, (model, _, rng) in one.runs.items():
+            other, _, other_rng = two.runs[cell]
             assert other.params.tobytes() == model.params.tobytes(), cell
             for key, arr in model.state_arrays().items():
                 assert other.state_arrays()[key].tobytes() == arr.tobytes(), (cell, key)
-            assert two.rngs[cell].bit_generator.state == one.rngs[cell].bit_generator.state, cell
+            assert other_rng.bit_generator.state == rng.bit_generator.state, cell
 
     @pytest.mark.parametrize("cap", ["1", "2"])
     def test_cell_error_keeps_its_type_under_any_cap(self, monkeypatch, cap):
