@@ -126,16 +126,15 @@ def k_fn(x):
     return float(out) if out.ndim == 0 else out
 
 
-def k_sign_change(lo: float = -8.0, hi: float = 0.0, tol: float = 1e-12) -> float:
-    """Locate the single zero crossing of K on the negative axis.
+def k_sign_change() -> float:
+    """Locate the single zero crossing of K on the negative axis, to 1e-12.
 
-    K is positive left of the root and negative between it and 0; the root
+    K is positive left of the root and negative between it and 0, so
+    bisection from [-8, 0] (K(-8) > 0 > K(0) = -1/pi) finds it; the root
     is reported numerically rather than claimed in closed form.
     """
-    flo, fhi = k_fn(lo), k_fn(hi)
-    if not (flo > 0 > fhi):
-        raise DomainError(f"K does not bracket a sign change on [{lo}, {hi}]")
-    while hi - lo > tol:
+    lo, hi = -8.0, 0.0
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if k_fn(mid) > 0:
             lo = mid

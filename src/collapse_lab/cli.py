@@ -47,7 +47,7 @@ import numpy as np
 
 from . import analytic, mc, sparsity, svgplot, tables
 from .dists import parse_dist
-from .errors import CollapseLabError, ConfigError, DivergenceError, DomainError, SingularityError
+from .errors import CollapseLabError, ConfigError, DivergenceError, DomainError
 from .net import model as net_model
 from .net import train as net_train
 
@@ -534,9 +534,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](merged_params(args, args.command))
-    except (ConfigError, SingularityError) as exc:
-        # a SingularityError only comes from validating user-given
-        # distributions or gammas, so it is a configuration error too
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CollapseLabError as exc:

@@ -9,12 +9,15 @@ class DomainError(CollapseLabError, ValueError):
     """An input is outside the mathematical domain of an operation."""
 
 
-class SingularityError(CollapseLabError, ValueError):
-    """A distribution support touches a non-integrable singularity (1/gamma^2 at 0)."""
-
-
 class ConfigError(CollapseLabError, ValueError):
     """Invalid configuration: bad parameter combination, unknown key, malformed value."""
+
+
+class SingularityError(ConfigError):
+    """A distribution support touches a non-integrable singularity (1/gamma^2 at 0).
+
+    The distributions and gammas it rejects are user-given, so it is a configuration error.
+    """
 
 
 class UsageError(CollapseLabError, RuntimeError):

@@ -525,11 +525,7 @@ def standard_grid() -> list[VerifyCell]:
     ]
 
 
-def verify_theorem(
-    cells: list[VerifyCell] | None = None,
-    count: int = 10_000_000,
-    seed: int = 0,
-) -> list[TheoremRow]:
+def verify_theorem(cells: list[VerifyCell], count: int = 10_000_000, seed: int = 0) -> list[TheoremRow]:
     """Run the drift estimate over a grid and tabulate agreement, one row per cell in order.
 
     All cells share the same seed, so cells differing only in eta reuse
@@ -544,7 +540,6 @@ def verify_theorem(
     empirical(eta)/empirical(eta/2), which the second-order form predicts
     to be 4.
     """
-    cells = standard_grid() if cells is None else list(cells)
     cfgs = [UpdateConfig(eta=cell.eta, c=cell.c, noise=cell.noise, seed=seed) for cell in cells]
     groups: dict[tuple[ScalarDist, ScalarDist], list[int]] = {}
     for i, cell in enumerate(cells):

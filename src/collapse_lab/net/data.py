@@ -1,9 +1,9 @@
 """Synthetic Gaussian-cluster classification data.
 
 Class means sit on a scaled, centered simplex frame (unit directions from
-the simplex centroid, times ``scale``), with unit-covariance Gaussian noise
-around each mean. With the default scale 3.0 the clusters overlap enough
-that gradients stay noisy but a linear rule is still strong, which is the
+the simplex centroid, times ``SCALE`` = 3.0), with unit-covariance Gaussian
+noise around each mean. At that radius the clusters overlap enough that
+gradients stay noisy but a linear rule is still strong, which is the
 regime the drift analysis cares about.
 """
 
@@ -17,7 +17,7 @@ from ..errors import ConfigError
 
 __all__ = ["Dataset", "make_synthetic_dataset", "shuffle_labels", "class_means"]
 
-DEFAULT_SCALE = 3.0
+SCALE = 3.0
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,8 @@ class Dataset:
     dim: int
 
 
-def class_means(classes: int, dim: int, scale: float = DEFAULT_SCALE) -> np.ndarray:
-    """(classes, dim) mean matrix: centered simplex directions at radius scale."""
+def class_means(classes: int, dim: int) -> np.ndarray:
+    """(classes, dim) mean matrix: centered simplex directions at radius SCALE."""
     if classes < 2:
         raise ConfigError(f"classes must be >= 2, got {classes}")
     if dim < classes:
@@ -39,20 +39,14 @@ def class_means(classes: int, dim: int, scale: float = DEFAULT_SCALE) -> np.ndar
     means = np.zeros((classes, dim))
     means[:, :classes] = np.eye(classes) - 1.0 / classes
     means /= np.linalg.norm(means, axis=1, keepdims=True)
-    return scale * means
+    return SCALE * means
 
 
-def make_synthetic_dataset(
-    classes: int,
-    dim: int,
-    n_per_class: int,
-    seed: int,
-    scale: float = DEFAULT_SCALE,
-) -> Dataset:
+def make_synthetic_dataset(classes: int, dim: int, n_per_class: int, seed: int) -> Dataset:
     """Deterministic dataset with an exact 80/20 per-class train/val split."""
     if n_per_class < 5:
         raise ConfigError(f"n_per_class must be >= 5 for a nonempty split, got {n_per_class}")
-    means = class_means(classes, dim, scale)
+    means = class_means(classes, dim)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
     n_train = (4 * n_per_class) // 5
     xs_tr, ys_tr, xs_va, ys_va = [], [], [], []

@@ -180,12 +180,8 @@ class ReLU:
 @dataclass
 class LeakyReLU:
     params = arrays = ()
-    slope: float = 0.01
+    slope = 0.01  # forward is max(x, slope*x)
     _mask: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if not 0 <= self.slope <= 1:  # forward is max(x, slope*x)
-            raise ConfigError(f"slope must lie in [0, 1], got {self.slope}")
 
     def forward(self, x: np.ndarray, mode: str) -> np.ndarray:
         if mode == "train":

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import ConfigError, DivergenceError
-from ..sparsity import COLLAPSE_THRESHOLD, collapsed_mask
+from ..sparsity import collapsed_mask
 from ..tables import atomic_write
 from .layers import BatchNorm, Dense, LeakyReLU, ReLU, accuracy, softmax_cross_entropy
 
@@ -172,8 +172,8 @@ def _keyed(blocks) -> dict:
     return {f"b{i}.{name}": value for i, named in enumerate(blocks) for name, value in named.items()}
 
 
-def pruned_copy(model: MLP, threshold: float = COLLAPSE_THRESHOLD) -> tuple[MLP, int]:
-    """Copy with collapsed units removed from the computation.
+def pruned_copy(model: MLP) -> tuple[MLP, int]:
+    """Copy with the units ``collapsed_mask`` marks removed from the computation.
 
     A collapsed unit still emits a constant: act(beta + alpha) behind a
     normalization layer, act(b) of its dense layer without one. That
@@ -185,7 +185,7 @@ def pruned_copy(model: MLP, threshold: float = COLLAPSE_THRESHOLD) -> tuple[MLP,
     pruned = copy.deepcopy(model)
     n_pruned = 0
     for boundary, scales in pruned.unit_scales().items():
-        idx = np.flatnonzero(collapsed_mask(scales, threshold))
+        idx = np.flatnonzero(collapsed_mask(scales))
         if idx.size == 0:
             continue
         n_pruned += int(idx.size)

@@ -29,6 +29,7 @@ __all__ = ["Series", "line_plot"]
 
 PALETTE = ("#1f6feb", "#d1242f", "#1a7f37", "#9a6700", "#8250df", "#bf3989")
 
+_WIDTH, _HEIGHT = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 34, 44
 
 
@@ -50,9 +51,9 @@ def _label(v: float) -> str:
     return f"{v:g}"
 
 
-def _linear_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _linear_ticks(lo: float, hi: float) -> list[float]:
     span = hi - lo
-    raw = span / target
+    raw = span / 5  # about five ticks: the step is the smallest 1-2-5 multiple of a power of ten >= raw
     # a subnormal span can underflow raw or mag to 0 and leave no usable step
     mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 0.0
     step = next((s * mag for s in (1.0, 2.0, 5.0, 10.0) if s * mag >= raw), 0.0)
@@ -104,8 +105,6 @@ def line_plot(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 640,
-    height: int = 420,
     xlog: bool = False,
     ylog: bool = False,
 ) -> str:
@@ -118,8 +117,8 @@ def line_plot(
         raise DomainError("series values must be finite")
     x_lo, x_hi = _axis_range(xs_all, xlog, "x")
     y_lo, y_hi = _axis_range(ys_all, ylog, "y")
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def sx(values: np.ndarray) -> list[float]:
         return (_fractions(values, x_lo, x_hi, xlog) * plot_w + _MARGIN_L).tolist()
@@ -128,13 +127,13 @@ def line_plot(
         return ((1.0 - _fractions(values, y_lo, y_hi, ylog)) * plot_h + _MARGIN_T).tolist()
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="11">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
     if title:
         out.append(
-            f'<text x="{width / 2:.0f}" y="18" text-anchor="middle" font-size="13">{escape(title, quote=False)}</text>'
+            f'<text x="{_WIDTH / 2:.0f}" y="18" text-anchor="middle" font-size="13">{escape(title, quote=False)}</text>'
         )
     x_ticks = _log_ticks(x_lo, x_hi) if xlog else _linear_ticks(x_lo, x_hi)
     y_ticks = _log_ticks(y_lo, y_hi) if ylog else _linear_ticks(y_lo, y_hi)
@@ -161,7 +160,7 @@ def line_plot(
     )
     if xlabel:
         out.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.0f}" y="{height - 8}" text-anchor="middle">'
+            f'<text x="{_MARGIN_L + plot_w / 2:.0f}" y="{_HEIGHT - 8}" text-anchor="middle">'
             f"{escape(xlabel, quote=False)}</text>"
         )
     if ylabel:

@@ -188,10 +188,6 @@ class TestKernel:
         assert abs(x0 - (-1.1532993544921277)) < 1e-9
         assert k_fn(x0 - 1e-6) > 0 > k_fn(x0 + 1e-6)
 
-    def test_sign_change_needs_bracket(self):
-        with pytest.raises(DomainError):
-            k_sign_change(lo=-0.5, hi=0.0)
-
 
 class TestJ:
     def test_point_mass_beta_is_constant(self):

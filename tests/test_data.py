@@ -14,7 +14,7 @@ class TestClassMeans:
 
     def test_equidistant_pairs(self):
         """Simplex frame: every pair of class means is the same distance apart."""
-        means = class_means(6, 10, scale=2.0)
+        means = class_means(6, 10)
         dists = [
             np.linalg.norm(means[i] - means[j])
             for i in range(6)

@@ -198,7 +198,7 @@ class TestPrunedCopy:
         bn.beta[2] = 0.0
         x = np.random.default_rng(2).standard_normal((5, 6))
         before = model.forward(x, "eval")
-        pruned, n = pruned_copy(model, threshold=1e-3)
+        pruned, n = pruned_copy(model)
         assert n == 1
         assert np.array_equal(pruned.forward(x, "eval"), before)
         # removal zeroes the unit's outgoing rows, original untouched
@@ -226,7 +226,7 @@ class TestPrunedCopy:
             first.b[2] = 0.5
         x = np.arange(30.0).reshape(5, 6) % 4 - 1
         before = model.forward(x, "eval")
-        pruned, n = pruned_copy(model, threshold=1e-3)
+        pruned, n = pruned_copy(model)
         assert n == 1
         assert not pruned.dense[1].w[2].any()
         assert np.array_equal(pruned.forward(x, "eval"), before)

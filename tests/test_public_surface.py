@@ -6,6 +6,10 @@ Python blocks must name a submodule of a package or an entry of the
 imported module's ``__all__``; names with a leading underscore and modules
 without ``__all__`` (``errors``) are exempt. Every ``__all__`` entry must
 resolve, and the packages themselves re-export nothing.
+
+Every defaulted parameter of a function or method in src/ must be passed
+by some call in src/, except the few listed with their reasons: one that
+only the tests set is a constant in disguise.
 """
 
 import ast
@@ -33,6 +37,16 @@ def _sources():
         yield readme, block
 
 
+def _from_module(path: Path, node: ast.ImportFrom) -> str:
+    """The module a ``from ... import`` in ``path`` reads, relative imports resolved."""
+    if not node.level:
+        return node.module
+    # src/collapse_lab/net/train.py: level 1 is collapse_lab.net, level 2 collapse_lab
+    parts = path.relative_to(SRC).parent.parts
+    parts = parts[: len(parts) - node.level + 1] + ((node.module,) if node.module else ())
+    return ".".join(parts)
+
+
 def _package_imports() -> list[tuple[str, str, str]]:
     """(file, module, name) for every name imported from the package."""
     found = []
@@ -40,13 +54,7 @@ def _package_imports() -> list[tuple[str, str, str]]:
         for node in ast.walk(ast.parse(text)):
             if not isinstance(node, ast.ImportFrom):
                 continue
-            if node.level:
-                # src/collapse_lab/net/train.py: level 1 is collapse_lab.net, level 2 collapse_lab
-                parts = path.relative_to(SRC).parent.parts
-                parts = parts[: len(parts) - node.level + 1] + ((node.module,) if node.module else ())
-                module = ".".join(parts)
-            else:
-                module = node.module
+            module = _from_module(path, node)
             if module == "collapse_lab" or module.startswith("collapse_lab."):
                 found.extend((path.relative_to(ROOT).as_posix(), module, a.name) for a in node.names)
     return found
@@ -95,3 +103,103 @@ def test_packages_re_export_nothing(module_name):
     assert not hasattr(module, "__all__")
     public = [n for n, v in vars(module).items() if not n.startswith("_") and not inspect.ismodule(v)]
     assert public == []
+
+
+# A defaulted parameter that no call in src/ passes is a setting only the tests vary, and so a constant in
+# disguise. These stay parameters, each for its reason.
+UNSET_DEFAULTS_KEPT = {
+    ("collapse_lab.cli.main", "argv"): "the console-script entry point calls main() bare; the tests pass argv",
+    ("collapse_lab.quadrature.integrate", "panels"): "the tests' reference quadrature, run at several panel counts",
+    ("collapse_lab.mc.sgd_trajectory", "stride"): "the multi-step route, which no command runs yet",
+}
+
+
+def _src_trees() -> dict[str, tuple[Path, ast.Module]]:
+    """{module name: (path, syntax tree)} for every module under src/."""
+    trees = {}
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        trees[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = (path, ast.parse(path.read_text()))
+    return trees
+
+
+def _signatures(trees):
+    """Per function and method, "module.qualname" -> (the parameters a call binds by position, the defaulted
+    parameters); the qualified names of the classes; and per module, each def's bare name -> its qualified names."""
+    signatures, classes, local = {}, set(), {}
+
+    def visit(module, body, prefix, in_class):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                classes.add(prefix + node.name)
+                visit(module, node.body, f"{prefix}{node.name}.", True)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                positional = [p.arg for p in a.posonlyargs + a.args]
+                defaulted = positional[len(positional) - len(a.defaults) :]
+                defaulted += [k.arg for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+                # self or cls is bound by the call's receiver
+                signatures[prefix + node.name] = (positional[1:] if in_class and not static else positional, defaulted)
+                local.setdefault(module, {}).setdefault(node.name, []).append(prefix + node.name)
+                visit(module, node.body, f"{prefix}{node.name}.", False)
+
+    for module, (_, tree) in trees.items():
+        visit(module, tree.body, module + ".", False)
+    return signatures, classes, local
+
+
+def _passed_parameters(trees, signatures, classes, local) -> set[tuple[str, str]]:
+    """(function, parameter) for each defaulted parameter some call in src/ passes, by keyword or by position.
+
+    A call by a name or through a module is resolved through the module's imports, aliases included; a call of
+    a method on an object counts for every method of that name.
+    """
+    methods = {}
+    for name in signatures:
+        owner, _, short = name.rpartition(".")
+        if owner in classes:
+            methods.setdefault(short, []).append(name)
+    passed = set()
+    for module, (path, tree) in trees.items():
+        names = {n.name: f"{module}.{n.name}" for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and _from_module(path, node).startswith("collapse_lab"):
+                names.update((a.asname or a.name, f"{_from_module(path, node)}.{a.name}") for a in node.names)
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if isinstance(func, ast.Name):
+                targets = [names[func.id]] if func.id in names else local.get(module, {}).get(func.id, [])
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in names:
+                targets = [f"{names[func.value.id]}.{func.attr}"]  # module.function or Class.method
+            elif isinstance(func, ast.Attribute):
+                targets = methods.get(func.attr, [])
+            else:
+                continue
+            for target in targets:
+                target = target + ".__init__" if target in classes else target
+                if target not in signatures:
+                    continue
+                positional, defaulted = signatures[target]
+                if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+                    given = set(defaulted)  # *args or **kwargs may pass any of them
+                else:
+                    given = set(positional[: len(call.args)]) | {k.arg for k in call.keywords}
+                passed.update((target, p) for p in given.intersection(defaulted))
+    return passed
+
+
+def test_every_default_is_a_setting_src_varies():
+    trees = _src_trees()
+    signatures, classes, local = _signatures(trees)
+    passed = _passed_parameters(trees, signatures, classes, local)
+    # the scan follows an aliased import (mc calls analytic._ndtr as ndtr) and a method call on an object
+    assert ("collapse_lab.analytic._ndtr", "out") in passed
+    assert ("collapse_lab.net.layers.Dense.backward", "input_grad") in passed
+    unset = {(name, p) for name, (_, defaulted) in signatures.items() for p in defaulted} - passed
+    only_tests = sorted(f"{name}({p})" for name, p in unset - UNSET_DEFAULTS_KEPT.keys())
+    assert only_tests == [], "no call in src/ passes these: make each a constant"
+    stale = sorted(f"{name}({p})" for name, p in UNSET_DEFAULTS_KEPT.keys() - unset)
+    assert stale == [], "src/ now passes these: take them off UNSET_DEFAULTS_KEPT"

@@ -93,10 +93,6 @@ class TestLinePlot:
         assert "id=" not in svg
         assert "date" not in svg.lower()
 
-    def test_custom_size(self):
-        svg = line_plot(demo_series(), width=300, height=200)
-        assert 'viewBox="0 0 300 200"' in svg
-
 
 class TestLinearTicks:
     def test_ordinary_axes_keep_their_ticks(self):
