@@ -15,7 +15,7 @@ no gradient.
 
 ``update_step`` is the rule's only copy and ``_fires`` its gate's. The
 caller evaluates the gate and hands it to ``update_step``: ``sgd_trajectory``
-once per step, the drift estimator once per chunk. ``one_step_drift``
+once per step, the drift estimator once per block. ``one_step_drift``
 estimates the one-step change in E[Phi((beta+alpha)/gamma)] over a fresh
 ensemble against the closed form, evaluating each neuron at +g and -g
 and averaging the pair. Every admissible noise distribution here is
@@ -29,31 +29,36 @@ below about 0.01.
 
 Parallel runs are deterministic: work is cut into fixed chunks of 10^6
 neurons, chunk i draws from PCG64 seeded by SeedSequence([seed, i]), and
-per-chunk partial sums are combined in chunk order with compensated
-summation. A chunk's sums are NumPy pairwise reductions, never BLAS calls:
-OpenBLAS splits a long dot product over its own threads, so its bits
-depend on OPENBLAS_NUM_THREADS, and its spinning threads would share the
-cores with the chunk threads. The result is a function of (seed, n) only,
-never of the worker or the BLAS thread count.
+each chunk's per-block partial sums are combined in block order, and the
+chunks' in chunk order, with compensated summation. A block's sums are
+NumPy pairwise reductions, never BLAS calls: OpenBLAS splits a long dot
+product over its own threads, so its bits depend on OPENBLAS_NUM_THREADS,
+and its spinning threads would share the cores with the chunk threads.
+The result is a function of (seed, n) and ``_BLOCK`` only, never of the
+worker or the BLAS thread count.
 
 ``one_step_drift`` estimates a group of configs at once (common random
-numbers): each chunk draws (gamma, beta, x_hat), every draw through its
-``dists`` sampler, and the baseline Phi((beta+alpha)/gamma) once per
-group, and each noise distribution's draw once for the configs that use
-it, from the generator state that follows (gamma, beta, x_hat). Every
-config therefore sees the exact stream a chunk of its own would draw, so
-grouping changes no bit of any estimate. The gate depends on neither eta
-nor g, so a chunk evaluates it once and moves only the neurons that
-fire, with no gate left to apply to them. A gated-off neuron keeps its
-ratio (x +- 0.0 == x up to a zero's sign, and ndtr(+0.0) == ndtr(-0.0)),
-so its pair term is 0 and it contributes nothing to either sum: the sums
-run over the firing neurons' terms only, and n counts every neuron. The
-firing neurons are moved in blocks of ``_BLOCK``, sized so that a
-block's temporaries stay in a core's L2 cache. Each twin builds its term
-in place in its own fresh beta' buffer: + alpha (skipped at alpha = 0,
-which can only change a zero's sign), / gamma', Phi, - the baseline;
-gamma crossings are counted only in a block whose smallest gamma' is
-<= 0.
+numbers): a chunk reads its one stream in the order gamma, beta, x_hat,
+then each noise distribution's draw from the state that follows x_hat,
+every draw through its ``dists`` sampler. The draws are made once for the
+group, and each noise kind's once for the configs that use it, so every
+config sees the exact stream a chunk of its own would draw, and grouping
+changes no bit of any estimate. A chunk holds only x_hat whole: it is
+drawn first, as a normal draw reads a varying number of words and only
+drawing x_hat finds where the noise starts. gamma, beta and each noise
+kind are then read in blocks of ``_BLOCK`` neurons, each through its own
+cursor, a generator that ``skip`` placed at the start of its segment, so
+a block's inputs and temporaries stay in a core's L2 cache. The gate
+depends on neither eta nor g, so each block is gated once, its baseline
+Phi((beta+alpha)/gamma) taken for its firing neurons, and every config
+moves only those, with no gate left to apply to them. A gated-off neuron
+keeps its ratio (x +- 0.0 == x up to a zero's sign, and ndtr(+0.0) ==
+ndtr(-0.0)), so its pair term is 0 and it contributes nothing to either
+sum: the sums run over the firing neurons' terms only, and n counts every
+neuron. Each twin builds its term in place in its own fresh beta' buffer:
++ alpha (skipped at alpha = 0, which can only change a zero's sign),
+/ gamma', Phi, - the baseline; gamma crossings are counted only in a
+block whose smallest gamma' is <= 0.
 """
 
 from __future__ import annotations
@@ -96,10 +101,10 @@ CHUNK_SIZE = 1_000_000
 # the largest ensemble: one_step_drift holds a size and a pool task for each chunk, 10^5 of them here, and
 # at a few 10^7 neurons per core-second 10^11 neurons is already an hour of work per core
 _MAX_COUNT = 10**11
-# a cell's elementwise work runs in slices this long, so its temporaries stay in a core's L2 cache: a block
-# reads five input slices and writes four step and twin buffers, 1.1 MiB at 16,384 neurons, 4.5 MiB at 65,536.
-# On a 2-vCPU Xeon (2 MiB L2 per core) one config's pass over a chunk's ~540,000 firing neurons took, best of
-# 30, 21.3 / 20.9 / 20.7 / 21.3 / 22.7 / 22.5 ms at 4,096 / 8,192 / 16,384 / 32,768 / 65,536 / 131,072
+# a drift chunk draws, gates and moves its neurons in blocks this long, so a block's inputs and temporaries
+# stay in a core's L2 cache: about 1 MiB at 16,384 drawn neurons, of which about half fire. On a 2-vCPU Xeon
+# (2 MiB L2 per core) a chunk of the six-cell grid took, best of 30 interleaved, 134.0 / 129.7 / 133.6 /
+# 138.4 ms at 8,192 / 16,384 / 32,768 / 65,536, and its tracemalloc peak is 8.6 MiB at 16,384 (x_hat is 7.6)
 _BLOCK = 1 << 14
 # the spacing of doubles at 1: a pair term, a difference of two Phi values in [0, 1], is rounded on this
 # scale, so a mean of them resolves no finer a drift
@@ -243,63 +248,70 @@ def update_step(fires, x_hat, grad, cfg: UpdateConfig):
 def _drift_chunk(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig], index: int, size: int):
     """Partial sums for one seeded chunk: one (sum d, sum d^2, gamma crossings) per config.
 
-    The configs share seed and alpha. gamma, beta and x_hat are drawn once;
-    each noise distribution is drawn from the generator state that follows
-    them, so every config sees the stream a chunk of its own would see.
+    The configs share seed and alpha. The chunk's stream is read in the
+    order gamma, beta, x_hat, then each noise kind from the state after
+    x_hat, so every config sees the stream a chunk of its own would see.
+    x_hat is drawn whole, as only drawing it finds where the noise starts;
+    gamma, beta and each noise kind are drawn block by block, each through
+    its own cursor, a generator placed at the start of its segment.
     """
     alpha = cfgs[0].alpha
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfgs[0].seed, index])))
-    gamma = spec.gamma_dist.sample(rng, size)
-    beta = spec.beta_dist.sample(rng, size)
+    seq = np.random.SeedSequence([cfgs[0].seed, index])
+
+    def cursor(state=None):
+        rng = np.random.Generator(np.random.PCG64(seq))
+        if state is not None:
+            rng.bit_generator.state = state
+        return rng
+
+    gammas, betas = cursor(), cursor()
+    spec.gamma_dist.skip(betas, size)
+    rng = cursor(betas.bit_generator.state)
+    spec.beta_dist.skip(rng, size)
     x_hat = _STANDARD_NORMAL.sample(rng, size)
     drawn = rng.bit_generator.state
-    fires = np.flatnonzero(_fires(gamma, beta, x_hat, alpha))
-    gamma, beta, x_hat = gamma[fires], beta[fires], x_hat[fires]
-    p0 = (beta + alpha if alpha else beta) / gamma  # the skip keeps the bits, as in change below
-    ndtr(p0, out=p0)
-    crossings = 0
+    noises = {noise: cursor(drawn) for noise in dict.fromkeys(cfg.noise_dist for cfg in cfgs)}
+    s1, s2 = [[] for _ in cfgs], [[] for _ in cfgs]
+    crossings = [0] * len(cfgs)
 
-    def change(b, gamma2, ratio):
-        """Phi((beta' + alpha) / gamma') - p0 of block b, built in ``ratio``, which holds beta' on entry."""
-        nonlocal crossings
+    def change(k, gamma2, ratio):
+        """Phi((beta' + alpha) / gamma') - p0 of config k, built in ``ratio``, which holds beta' on entry."""
         if alpha:  # beta' + 0.0 can only turn -0.0 into +0.0, and ndtr(+-0.0) is one value
             ratio += alpha
         if gamma2.min() <= 0:
-            crossings += int(np.count_nonzero(gamma2 <= 0))
+            crossings[k] += int(np.count_nonzero(gamma2 <= 0))
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio /= gamma2
             ratio[np.isnan(ratio)] = 0.0  # 0/0 only when beta' + alpha = gamma' = 0; treat that ratio as 0
         else:
             ratio /= gamma2
         ndtr(ratio, out=ratio)
-        ratio -= p0[b]
+        ratio -= p0
         return ratio
 
-    sums = [None] * len(cfgs)
-    pair = np.empty(fires.size)  # the pair term of each firing neuron; a neuron that does not fire has none
-    for noise in dict.fromkeys(cfg.noise_dist for cfg in cfgs):
-        rng.bit_generator.state = drawn
-        grad = noise.sample(rng, size)[fires]
+    for lo in range(0, size, _BLOCK):
+        n = min(_BLOCK, size - lo)
+        gamma, beta, x = spec.gamma_dist.sample(gammas, n), spec.beta_dist.sample(betas, n), x_hat[lo : lo + n]
+        fires = np.flatnonzero(_fires(gamma, beta, x, alpha))
+        # every cursor reads its block whether or not a neuron fires, so each stays at its segment's next draw
+        grads = {noise: noise.sample(at, n)[fires] for noise, at in noises.items()}
+        if not fires.size:
+            continue
+        gamma, beta, x = gamma[fires], beta[fires], x[fires]
+        p0 = (beta + alpha if alpha else beta) / gamma  # the skip keeps the bits, as in change
+        ndtr(p0, out=p0)
         for k, cfg in enumerate(cfgs):
-            if cfg.noise_dist != noise:
-                continue
-            crossings = 0
-            for lo in range(0, fires.size, _BLOCK):
-                b = slice(lo, lo + _BLOCK)
-                g, bt = gamma[b], beta[b]
-                # every neuron here fires; the gate does not depend on g, so the -g twin moves by exactly -delta
-                d_gamma, d_beta = update_step(True, x_hat[b], grad[b], cfg)
-                term = change(b, g + d_gamma, bt + d_beta)
-                # the -g twin reuses the step's own buffers, as the +g twin is done with them
-                term += change(b, np.subtract(g, d_gamma, out=d_gamma), np.subtract(bt, d_beta, out=d_beta))
-                np.multiply(term, 0.5, out=pair[b])
-            # reduced over the whole buffer, so no sum depends on _BLOCK or the skip; squared in place, as the
-            # next config rewrites every entry, and by np.sum, never BLAS np.dot
-            total = float(np.sum(pair))
+            # every neuron here fires; the gate does not depend on g, so the -g twin moves by exactly -delta
+            d_gamma, d_beta = update_step(True, x, grads[cfg.noise_dist], cfg)
+            pair = change(k, gamma + d_gamma, beta + d_beta)
+            # the -g twin reuses the step's own buffers, as the +g twin is done with them
+            pair += change(k, np.subtract(gamma, d_gamma, out=d_gamma), np.subtract(beta, d_beta, out=d_beta))
+            pair *= 0.5
+            # by np.sum, never BLAS np.dot; squared in place, as the pair terms are done with
+            s1[k].append(float(np.sum(pair)))
             pair *= pair
-            sums[k] = (total, float(np.sum(pair)), crossings)
-        del grad  # before the next kind's draw, so one noise array is live at a time
-    return sums
+            s2[k].append(float(np.sum(pair)))
+    return [(math.fsum(a), math.fsum(b), c) for a, b, c in zip(s1, s2, crossings)]
 
 
 def one_step_drift(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig]) -> list[DriftEstimate]:
@@ -326,7 +338,10 @@ def one_step_drift(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig]) -> list[Dri
     (x +- 0.0 == x, and ndtr(+-0.0) is one value), so its pair term is 0
     and it contributes nothing to the sums, which run over the firing
     neurons' terms only. Both sums, of the pair terms and of their squares,
-    are NumPy reductions, so no bit depends on the BLAS thread count. A
+    are NumPy reductions over each block of ``_BLOCK`` drawn neurons,
+    combined with math.fsum in block and then chunk order, so they depend
+    on ``_BLOCK`` but never on the worker or the BLAS thread count. A chunk
+    holds its x_hat draw (8 MB) and a few blocks, about 9 MiB per thread. A
     prediction that overflows is a ConfigError, raised before any chunk.
     The chunks run on resolve_threads(chunks) pool threads, in order at
     one; SciPy, which the package loads on its first Phi evaluation, is

@@ -538,8 +538,8 @@ class TestPinnedBytes:
     The first digests were recorded with the per-cell CSV writer and reader
     and the per-point plotter; the columnar ones must write the same bytes.
     The ``mc`` digests are those of the drift chunk whose sums run over
-    its firing neurons' pair terms only: a gated-off neuron contributes
-    nothing.
+    its firing neurons' pair terms only, a gated-off neuron contributing
+    nothing, summed per block and the block sums combined by math.fsum.
     """
 
     PINNED = {
@@ -583,7 +583,7 @@ class TestPinnedBytes:
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted((tmp_path / "m").iterdir())}
         assert got == {
             "drift_vs_eta.svg": "89ba0caaad5a093f9eaf4655873349c21bf52f7ba774cecdc9482aaccd275c43",
-            "mc_verify.csv": "9c0b464e38f6ea29c3020d82d837a4799907663d9292702e27b6ab0329f0674c",
+            "mc_verify.csv": "a1032f5245844bbc89751e9b56854e9f9acbc371a585b51f184541b87a6578d3",
         }
 
 

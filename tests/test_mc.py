@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,21 @@ class TestOneStepDrift:
         assert a.empirical_mean == b.empirical_mean
         assert a.std_error == b.std_error
 
+    def test_chunk_working_memory(self, monkeypatch):
+        # one chunk of the six-cell grid holds x_hat (8 MB) and a few L2-sized blocks, not chunk-long arrays
+        cells = standard_grid()
+        cfgs = [UpdateConfig(eta=cell.eta, c=cell.c, noise=cell.noise) for cell in cells]
+        monkeypatch.setenv("COLLAPSE_LAB_THREADS", "1")
+        one_step_drift(SPEC_UU, cfgs)  # SciPy and the thread pool's imports, outside the trace
+        spec = EnsembleSpec(cells[0].gamma_dist, cells[0].beta_dist, count=CHUNK_SIZE)
+        tracemalloc.start()
+        try:
+            one_step_drift(spec, cfgs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB"
+
     def test_respects_thread_env(self, monkeypatch):
         (baseline,) = one_step_drift(SPEC_UU, [cfg_with(eta=0.01, seed=3)])
         monkeypatch.setenv("COLLAPSE_LAB_THREADS", "1")
@@ -275,9 +291,9 @@ def both_noise_kinds(eta, seed, alpha=0.0):
             for kind in ("normal", "uniform")]
 
 
-# (gamma_dist, beta_dist, count, alpha, eta, seed, want): specs with gamma crossings, alpha > 0 and a
-# partial chunk, and for each, as float.hex (empirical_mean, std_error) plus gamma_crossings, the normal
-# then the uniform noise config
+# (gamma_dist, beta_dist, count, alpha, eta, seed, want): specs with gamma crossings, alpha > 0, a
+# partial chunk and each kind of segment skip, and for each, as float.hex (empirical_mean, std_error) plus
+# gamma_crossings, the normal then the uniform noise config
 FROZEN = [
     (Uniform(0.5, 1.5), Uniform(-1.0, 1.0), 200_000, 0.0, 0.01, 7, [
         ("-0x1.85fb1dcae6a93p-17", "0x1.0c272627069b8p-23", 0),
@@ -287,15 +303,20 @@ FROZEN = [
         ("-0x1.9c64ffe0a5f68p-17", "0x1.a71865632a901p-24", 0)]),
     # steps large enough that gammas cross 0
     (Uniform(0.2, 0.4), Uniform(-1.0, 1.0), 200_000, 0.0, 0.3, 3, [
-        ("-0x1.465036b0a1a32p-5", "0x1.8d7e5ce20f316p-12", 21604),
-        ("-0x1.7d783ecda403ap-5", "0x1.ad261f3666c79p-12", 25507)]),
+        ("-0x1.465036b0a1a32p-5", "0x1.8d7e5ce20f315p-12", 21604),
+        ("-0x1.7d783ecda403bp-5", "0x1.ad261f3666c79p-12", 25507)]),
     (Uniform(0.8, 1.6), Normal(0.1, 0.5), 200_000, 0.1, 0.02, 5, [
         ("-0x1.286fa3d340e24p-15", "0x1.45910e8642cd2p-22", 0),
-        ("-0x1.2838b7a5e34d5p-15", "0x1.d2e3f44c39b21p-23", 0)]),
+        ("-0x1.2838b7a5e34d5p-15", "0x1.d2e3f44c39b1fp-23", 0)]),
     # a partial last chunk whose length is not a whole number of blocks
     (Uniform(0.5, 1.5), Uniform(-1.0, 1.0), CHUNK_SIZE + 20_123, 0.0, 0.005, 11, [
         ("-0x1.87957bd697281p-19", "0x1.d915f823e86d9p-27", 0),
         ("-0x1.899bb1f17d0a6p-19", "0x1.6f4b15e46db72p-27", 0)]),
+    # a point-mass gamma and a normal beta: the chunk's cursors skip one segment that reads no word and one
+    # that must be drawn, over a partial last block and a partial last chunk
+    (PointMass(1.0), Normal(0.1, 0.5), CHUNK_SIZE + 20_123, 0.2, 0.02, 13, [
+        ("-0x1.5aa8dadd138bap-15", "0x1.351d6dde5fde3p-23", 0),
+        ("-0x1.5aa9ecab4965dp-15", "0x1.d20b92b7fe096p-24", 0)]),
 ]
 
 
@@ -352,7 +373,7 @@ class TestFrozenDrift:
         assert np.all(gamma * rng.standard_normal(spec.count) + beta > 0)
         ests = one_step_drift(spec, both_noise_kinds(0.3, 2))
         assert [(e.empirical_mean.hex(), e.std_error.hex(), e.gamma_crossings) for e in ests] == [
-            ("-0x1.47d7975ac2d64p-6", "0x1.6bb6e5768d07ap-11", 798),
+            ("-0x1.47d7975ac2d64p-6", "0x1.6bb6e5768d079p-11", 798),
             ("-0x1.4201a45097244p-6", "0x1.684d744a3d869p-11", 785),
         ]
 
