@@ -14,11 +14,12 @@ only through the Heaviside argument, since a constant output shift changes
 no gradient.
 
 ``update_step`` is the rule's only copy and ``_fires`` its gate's. The
-caller evaluates the gate and hands it to ``update_step``: ``sgd_trajectory``
-once per step, the drift estimator once per block. ``one_step_drift``
-estimates the one-step change in E[Phi((beta+alpha)/gamma)] over a fresh
-ensemble against the closed form, evaluating each neuron at +g and -g
-and averaging the pair. Every admissible noise distribution here is
+caller evaluates the gate and hands it to ``update_step`` with the step
+size: ``sgd_trajectory`` once per step with its config's eta, the drift
+estimator once per block and noise kind with a column of etas, one per
+config. ``one_step_drift`` estimates the one-step change in
+E[Phi((beta+alpha)/gamma)] over a fresh ensemble against the closed
+form, evaluating each neuron at +g and -g and averaging the pair. Every admissible noise distribution here is
 symmetric (mean-0 uniform and normal, and the point mass at 0), so the
 pair average has the same expectation as a single draw while cancelling
 the first-order term of the Taylor expansion exactly; what remains is the
@@ -51,19 +52,27 @@ cursor, a generator that ``skip`` placed at the start of its segment, so
 a block's inputs and temporaries stay in a core's L2 cache. The gate
 depends on neither eta nor g, so each block is gated once, its baseline
 Phi((beta+alpha)/gamma) taken for its firing neurons, and every config
-moves only those, with no gate left to apply to them. A gated-off neuron
-keeps its ratio (x +- 0.0 == x up to a zero's sign, and ndtr(+0.0) ==
-ndtr(-0.0)), so its pair term is 0 and it contributes nothing to either
-sum: the sums run over the firing neurons' terms only, and n counts every
-neuron. Each twin builds its term in place in its own fresh beta' buffer:
+moves only those, with no gate left to apply to them. The configs that
+share a noise kind move as one stacked (configs, firing) array, a row
+per config, so each step of a twin is one NumPy call per noise kind,
+not one per config; every element sees the operations a config of its
+own would apply, and each row is summed by its own pairwise reduction,
+so stacking changes no bit. The two noise kinds stay separate stacks,
+each small enough for L2. A gated-off neuron keeps its ratio (x +- 0.0
+== x up to a zero's sign, and ndtr(+0.0) == ndtr(-0.0)), so its pair
+term is 0 and it contributes nothing to either sum: the sums run over
+the firing neurons' terms only, and n counts every neuron. Each twin builds its term in place in its own fresh beta' buffer:
 + alpha (skipped at alpha = 0, which can only change a zero's sign),
-/ gamma', Phi, - the baseline; gamma crossings are counted only in a
-block whose smallest gamma' is <= 0.
+/ gamma', Phi, - the baseline; gamma crossings are counted per row only
+in a stack whose smallest gamma' is <= 0. A row's sums are of the twins'
+sum, and the chunk halves the first and quarters the second: scaling by
+a power of two is exact, and no firing neuron's pair term is subnormal.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -103,8 +112,9 @@ CHUNK_SIZE = 1_000_000
 _MAX_COUNT = 10**11
 # a drift chunk draws, gates and moves its neurons in blocks this long, so a block's inputs and temporaries
 # stay in a core's L2 cache: about 1 MiB at 16,384 drawn neurons, of which about half fire. On a 2-vCPU Xeon
-# (2 MiB L2 per core) a chunk of the six-cell grid took, best of 30 interleaved, 134.0 / 129.7 / 133.6 /
-# 138.4 ms at 8,192 / 16,384 / 32,768 / 65,536, and its tracemalloc peak is 8.6 MiB at 16,384 (x_hat is 7.6)
+# (2 MiB L2 per core), median of 12 interleaved, at 8,192 / 16,384 / 32,768 / 65,536: a chunk of the six-cell
+# grid took 118.7 / 120.5 / 127.1 / 129.1 ms at one thread, and the 10-chunk grid 738 / 660 / 687 / 685 ms at
+# two. The sums depend on it. Its tracemalloc peak is 9.1 MiB at 16,384 (x_hat is 7.6)
 _BLOCK = 1 << 14
 # the spacing of doubles at 1: a pair term, a difference of two Phi values in [0, 1], is rounded on this
 # scale, so a mean of them resolves no finer a drift
@@ -158,6 +168,9 @@ class EnsembleSpec:
     count: int
 
     def __post_init__(self):
+        if not isinstance(self.count, numbers.Integral) or isinstance(self.count, bool):
+            raise ConfigError(f"count must be an integer, got {self.count!r}")
+        object.__setattr__(self, "count", int(self.count))
         if self.count < 10_000:
             raise ConfigError(f"count must be >= 10^4 for a meaningful estimate, got {self.count}")
         if self.count > _MAX_COUNT:
@@ -230,16 +243,18 @@ def _fires(gamma, beta, x_hat, alpha):
     return pre > -alpha
 
 
-def update_step(fires, x_hat, grad, cfg: UpdateConfig):
+def update_step(fires, x_hat, grad, eta):
     """One gradient update of an ensemble of (gamma, beta); decay is applied separately.
 
-    ``fires`` is the gate ``_fires(gamma, beta, x_hat, cfg.alpha)``, which
-    the caller evaluates once, or True when it has kept only neurons that
-    fire. Elementwise over arrays (or scalars) of one shape, with no
-    finiteness scan (callers validate). Returns (delta_gamma, delta_beta),
-    both 0 where the gate is False; delta_gamma = x_hat * delta_beta exactly.
+    ``fires`` is the gate ``_fires(gamma, beta, x_hat, alpha)``, which the
+    caller evaluates once, or True when it has kept only neurons that fire.
+    ``eta`` is the step size: a float, or a column of them, one per row of
+    a stack of configs that share ``grad``. Elementwise over arrays (or
+    scalars) that broadcast, with no finiteness scan (callers validate).
+    Returns (delta_gamma, delta_beta), both 0 where the gate is False;
+    delta_gamma = x_hat * delta_beta exactly.
     """
-    delta_beta = -cfg.eta * grad
+    delta_beta = -eta * grad
     if fires is not True:
         delta_beta = np.where(fires, delta_beta, 0.0)
     return x_hat * delta_beta, delta_beta
@@ -253,7 +268,8 @@ def _drift_chunk(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig], index: int, s
     x_hat, so every config sees the stream a chunk of its own would see.
     x_hat is drawn whole, as only drawing it finds where the noise starts;
     gamma, beta and each noise kind are drawn block by block, each through
-    its own cursor, a generator placed at the start of its segment.
+    its own cursor, a generator placed at the start of its segment. The
+    configs of one noise kind move as one stack, a row each.
     """
     alpha = cfgs[0].alpha
     seq = np.random.SeedSequence([cfgs[0].seed, index])
@@ -270,16 +286,20 @@ def _drift_chunk(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig], index: int, s
     spec.beta_dist.skip(rng, size)
     x_hat = _STANDARD_NORMAL.sample(rng, size)
     drawn = rng.bit_generator.state
-    noises = {noise: cursor(drawn) for noise in dict.fromkeys(cfg.noise_dist for cfg in cfgs)}
+    rows: dict[ScalarDist, list[int]] = {}
+    for k, cfg in enumerate(cfgs):
+        rows.setdefault(cfg.noise_dist, []).append(k)
+    # per noise kind: its cursor, its configs' rows and their step sizes as a column
+    kinds = [(noise, cursor(drawn), ks, np.array([[cfgs[k].eta] for k in ks])) for noise, ks in rows.items()]
     s1, s2 = [[] for _ in cfgs], [[] for _ in cfgs]
-    crossings = [0] * len(cfgs)
+    crossings = np.zeros(len(cfgs), dtype=np.int64)
 
-    def change(k, gamma2, ratio):
-        """Phi((beta' + alpha) / gamma') - p0 of config k, built in ``ratio``, which holds beta' on entry."""
+    def change(ks, gamma2, ratio):
+        """Phi((beta' + alpha) / gamma') - p0 of the rows ``ks``, built in ``ratio``, which holds beta' on entry."""
         if alpha:  # beta' + 0.0 can only turn -0.0 into +0.0, and ndtr(+-0.0) is one value
             ratio += alpha
         if gamma2.min() <= 0:
-            crossings[k] += int(np.count_nonzero(gamma2 <= 0))
+            crossings[ks] += np.count_nonzero(gamma2 <= 0, axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio /= gamma2
             ratio[np.isnan(ratio)] = 0.0  # 0/0 only when beta' + alpha = gamma' = 0; treat that ratio as 0
@@ -294,24 +314,27 @@ def _drift_chunk(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig], index: int, s
         gamma, beta, x = spec.gamma_dist.sample(gammas, n), spec.beta_dist.sample(betas, n), x_hat[lo : lo + n]
         fires = np.flatnonzero(_fires(gamma, beta, x, alpha))
         # every cursor reads its block whether or not a neuron fires, so each stays at its segment's next draw
-        grads = {noise: noise.sample(at, n)[fires] for noise, at in noises.items()}
+        grads = [noise.sample(at, n)[fires] for noise, at, _, _ in kinds]
         if not fires.size:
             continue
         gamma, beta, x = gamma[fires], beta[fires], x[fires]
         p0 = (beta + alpha if alpha else beta) / gamma  # the skip keeps the bits, as in change
         ndtr(p0, out=p0)
-        for k, cfg in enumerate(cfgs):
+        for (_, _, ks, etas), grad in zip(kinds, grads):
             # every neuron here fires; the gate does not depend on g, so the -g twin moves by exactly -delta
-            d_gamma, d_beta = update_step(True, x, grads[cfg.noise_dist], cfg)
-            pair = change(k, gamma + d_gamma, beta + d_beta)
+            d_gamma, d_beta = update_step(True, x, grad, etas)
+            pair = change(ks, gamma + d_gamma, beta + d_beta)
             # the -g twin reuses the step's own buffers, as the +g twin is done with them
-            pair += change(k, np.subtract(gamma, d_gamma, out=d_gamma), np.subtract(beta, d_beta, out=d_beta))
-            pair *= 0.5
-            # by np.sum, never BLAS np.dot; squared in place, as the pair terms are done with
-            s1[k].append(float(np.sum(pair)))
+            pair += change(ks, np.subtract(gamma, d_gamma, out=d_gamma), np.subtract(beta, d_beta, out=d_beta))
+            # each row by its own pairwise NumPy reduction, never BLAS; squared in place, as the terms are done with
+            firsts = np.add.reduce(pair, axis=1).tolist()
             pair *= pair
-            s2[k].append(float(np.sum(pair)))
-    return [(math.fsum(a), math.fsum(b), c) for a, b, c in zip(s1, s2, crossings)]
+            for k, a, b in zip(ks, firsts, np.add.reduce(pair, axis=1).tolist()):
+                s1[k].append(a)
+                s2[k].append(b)
+    # a pair term is half the twins' sum: halving, and quartering its square, are exact and so commute with
+    # every rounding of the sums, as no firing neuron's term is subnormal
+    return [(0.5 * math.fsum(a), 0.25 * math.fsum(b), int(c)) for a, b, c in zip(s1, s2, crossings)]
 
 
 def one_step_drift(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig]) -> list[DriftEstimate]:
@@ -322,8 +345,9 @@ def one_step_drift(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig]) -> list[Dri
     configs must share seed and alpha: every config is estimated on the
     same (gamma, beta, x_hat) draws, and configs with one noise
     distribution on the same noise draws, each chunk drawn once for all of
-    them. A config's estimate is the one a call with that config alone
-    returns, bit for bit.
+    them; the configs of one noise kind move as one stacked array. A
+    config's estimate is the one a call with that config alone returns,
+    bit for bit.
 
     Since (gamma, beta + alpha) follows the unshifted rule, the prediction
     is the closed form for beta shifted by alpha: computed once at unit eta
@@ -429,7 +453,7 @@ def sgd_trajectory(gamma, beta, steps: int, cfg: UpdateConfig, stride: int = 1):
         x_block = rng.standard_normal((block, gamma.size))
         g_block = cfg.noise_dist.sample(rng, (block, gamma.size))
         for x_hat, grad in zip(x_block, g_block):
-            d_gamma, d_beta = update_step(_fires(gamma, beta, x_hat, cfg.alpha), x_hat, grad, cfg)
+            d_gamma, d_beta = update_step(_fires(gamma, beta, x_hat, cfg.alpha), x_hat, grad, cfg.eta)
             gamma = (gamma + d_gamma) * shrink
             beta = (beta + d_beta) * shrink
             done += 1
@@ -553,7 +577,13 @@ def verify_theorem(cells: list[VerifyCell], count: int = 10_000_000, seed: int =
     halved eta also appears in the grid (same noise, c, and
     distributions), ratio_to_half_eta reports
     empirical(eta)/empirical(eta/2), which the second-order form predicts
-    to be 4.
+    to be 4. The same sharing ties the verdicts: cells of one noise kind
+    share every draw, so their estimates are near-proportional (seed-20
+    ratios 3.9990 and 3.9994 on the standard grid at 10^7 neurons) and
+    their 3-sigma verdicts move together. At seed 20 all three uniform
+    cells sit 3.1-3.3 standard errors from the prediction and disagree at
+    once; the grid's agreement is close to one test per noise kind, not
+    one per cell.
     """
     cfgs = [UpdateConfig(eta=cell.eta, c=cell.c, noise=cell.noise, seed=seed) for cell in cells]
     groups: dict[tuple[ScalarDist, ScalarDist], list[int]] = {}

@@ -173,7 +173,10 @@ def line_plot(
         color = PALETTE[i % len(PALETTE)]
         pxs, pys = sx(xs), sy(ys)
         if len(pxs) > 1:
-            pts = " ".join(map("{:.2f},{:.2f}".format, pxs, pys))
+            # x, y interleaved and formatted by one %, which is quicker than a format call per point
+            flat = [0.0] * (2 * len(pxs))
+            flat[::2], flat[1::2] = pxs, pys
+            pts = " ".join(["%.2f,%.2f"] * len(pxs)) % tuple(flat)
             out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         if s.marker or len(pxs) == 1:
             circle = '<circle cx="{:.2f}" cy="{:.2f}" r="2.5" fill="' + color + '"/>'

@@ -25,6 +25,8 @@ from collapse_lab.mc import (
     usable_cores,
     sgd_trajectory,
     standard_grid,
+    _BLOCK,
+    _drift_chunk,
     _fires,
     update_step,
     verify_theorem,
@@ -42,7 +44,7 @@ def cfg_with(**kw) -> UpdateConfig:
 
 def step(gamma, beta, x_hat, grad, cfg):
     """update_step with its gate evaluated by _fires, as sgd_trajectory calls it."""
-    return update_step(_fires(gamma, beta, x_hat, cfg.alpha), x_hat, grad, cfg)
+    return update_step(_fires(gamma, beta, x_hat, cfg.alpha), x_hat, grad, cfg.eta)
 
 
 class TestUpdateStep:
@@ -104,7 +106,7 @@ class TestUpdateStep:
         cfg = cfg_with(eta=0.05, alpha=alpha)
         fires = _fires(gamma, beta, x_hat, alpha)
         want = step(gamma[fires], beta[fires], x_hat[fires], grad[fires], cfg)
-        got = update_step(True, x_hat[fires], grad[fires], cfg)
+        got = update_step(True, x_hat[fires], grad[fires], cfg.eta)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
 
@@ -236,6 +238,41 @@ class TestOneStepDrift:
             tracemalloc.stop()
         assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB"
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_stacked_rows_equal_each_config_alone(self, monkeypatch, threads):
+        # two etas stacked on one normal draw, of which only eta 0.3 crosses, a uniform row and a c = 0 row,
+        # over a partial last chunk and block: each row is the estimate of its config run alone
+        spec = EnsembleSpec(Uniform(0.2, 0.4), Uniform(-1, 1), CHUNK_SIZE + 20_123)
+        cfgs = [
+            UpdateConfig(eta=0.01, c=1.0, noise="normal", alpha=0.1, seed=5),
+            UpdateConfig(eta=0.3, c=1.0, noise="normal", alpha=0.1, seed=5),
+            UpdateConfig(eta=0.01, c=1.0, noise="uniform", alpha=0.1, seed=5),
+            UpdateConfig(eta=0.01, c=0.0, alpha=0.1, seed=5),
+        ]
+        monkeypatch.setenv("COLLAPSE_LAB_THREADS", threads)
+        ests = one_step_drift(spec, cfgs)
+        assert [e.gamma_crossings for e in ests] == [0, 120_855, 0, 0]
+        for cfg, est in zip(cfgs, ests):
+            (alone,) = one_step_drift(spec, [cfg])
+            assert (est.empirical_mean, est.std_error, est.gamma_crossings) == (
+                alone.empirical_mean, alone.std_error, alone.gamma_crossings)
+
+    def test_one_phi_call_per_noise_kind_and_twin(self, monkeypatch):
+        # per block: the baseline, then each twin of each noise kind over all of that kind's configs at once
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return ndtr(*args, **kwargs)
+
+        cells = standard_grid()
+        cfgs = [UpdateConfig(eta=cell.eta, c=cell.c, noise=cell.noise) for cell in cells]
+        spec = EnsembleSpec(cells[0].gamma_dist, cells[0].beta_dist, count=CHUNK_SIZE)
+        monkeypatch.setattr("collapse_lab.mc.ndtr", counted)
+        _drift_chunk(spec, cfgs, 0, CHUNK_SIZE)
+        blocks = -(-CHUNK_SIZE // _BLOCK)
+        assert (blocks, len(calls)) == (62, 5 * 62)
+
     def test_respects_thread_env(self, monkeypatch):
         (baseline,) = one_step_drift(SPEC_UU, [cfg_with(eta=0.01, seed=3)])
         monkeypatch.setenv("COLLAPSE_LAB_THREADS", "1")
@@ -246,6 +283,15 @@ class TestOneStepDrift:
         with pytest.raises(ConfigError, match="count must be >= 10\\^4"):
             EnsembleSpec(Uniform(0.5, 1.5), Uniform(-1, 1), count=9_999)
         EnsembleSpec(Uniform(0.5, 1.5), Uniform(-1, 1), count=10_000)
+
+    @pytest.mark.parametrize("count", [1e5, "100000", True])
+    def test_count_must_be_an_integer(self, count):
+        # a float, a string and a bool each fail when the spec is made, naming the count, not in a chunk
+        with pytest.raises(ConfigError, match="count must be an integer"):
+            EnsembleSpec(Uniform(0.5, 1.5), Uniform(-1, 1), count=count)
+
+    def test_integral_count_is_stored_as_int(self):
+        assert type(EnsembleSpec(Uniform(0.5, 1.5), Uniform(-1, 1), count=np.int64(10_000)).count) is int
 
     @pytest.mark.parametrize("count", [10**11 + 1, 10**30])
     def test_count_ceiling(self, count):
@@ -341,7 +387,7 @@ class TestFrozenDrift:
             p0 = ndtr((beta + alpha) / gamma)
             for cfg in cfgs:
                 rng.bit_generator.state = drawn
-                d_gamma, d_beta = update_step(fires, x_hat, cfg.noise_dist.sample(rng, size), cfg)
+                d_gamma, d_beta = update_step(fires, x_hat, cfg.noise_dist.sample(rng, size), cfg.eta)
                 twins = []
                 for sign in (1.0, -1.0):
                     with np.errstate(divide="ignore", invalid="ignore"):
