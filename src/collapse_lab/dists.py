@@ -5,8 +5,6 @@ Three kinds cover every distribution used by the lab: ``Uniform``,
 density and is only legal where an expectation collapses to evaluation at
 the point. All sampling goes through a caller-supplied
 ``numpy.random.Generator`` so that every consumer stays seed-deterministic.
-``skip(rng, size)`` leaves ``rng`` where ``sample(rng, size)`` would, so a
-consumer can read one stream at several offsets without keeping the draws.
 """
 
 from __future__ import annotations
@@ -19,9 +17,6 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 __all__ = ["ScalarDist", "Uniform", "Normal", "PointMass", "parse_dist"]
-
-# Normal.skip draws and discards in blocks this long, so skipping n draws holds 512 KiB, not 8n bytes
-_SKIP_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -43,10 +38,6 @@ class Uniform:
 
     def sample(self, rng, size):
         return rng.uniform(self.lo, self.hi, size)
-
-    def skip(self, rng, size):
-        # a uniform double reads one 64-bit word of the bit generator
-        rng.bit_generator.advance(size)
 
     def support(self):
         return (self.lo, self.hi)
@@ -82,12 +73,6 @@ class Normal:
     def sample(self, rng, size):
         return rng.normal(self.loc, self.scale, size)
 
-    def skip(self, rng, size):
-        # the ziggurat reads a varying number of words per draw, so the only way past size draws is to make them
-        buf = np.empty(min(size, _SKIP_BLOCK))
-        for lo in range(0, size, _SKIP_BLOCK):
-            rng.standard_normal(out=buf[: size - lo])
-
     def support(self):
         return (-math.inf, math.inf)
 
@@ -116,9 +101,6 @@ class PointMass:
     def sample(self, rng, size):
         return np.full(size, self.value, dtype=np.float64)
 
-    def skip(self, rng, size):
-        pass
-
     def support(self):
         return (self.value, self.value)
 
@@ -133,8 +115,7 @@ class PointMass:
         return f"point:{self.value:g}"
 
 
-# each kind has density, sample, skip (moves rng as sample would, keeping nothing), support, shifted (the
-# law of z + a) and is_even (symmetric about zero)
+# each kind has density, sample, support, shifted (the law of z + a) and is_even (symmetric about zero)
 ScalarDist = Uniform | Normal | PointMass
 
 

@@ -29,27 +29,28 @@ the drift sign is unresolvable at any practical sample count for eta
 below about 0.01.
 
 Parallel runs are deterministic: work is cut into fixed chunks of 10^6
-neurons, chunk i draws from PCG64 seeded by SeedSequence([seed, i]), and
-each chunk's per-block partial sums are combined in block order, and the
-chunks' in chunk order, with compensated summation. A block's sums are
-NumPy pairwise reductions, never BLAS calls: OpenBLAS splits a long dot
-product over its own threads, so its bits depend on OPENBLAS_NUM_THREADS,
-and its spinning threads would share the cores with the chunk threads.
+neurons, chunk i draws from PCG64 streams spawned by
+SeedSequence([seed, i]), and each chunk's per-block partial sums are
+combined in block order, and the chunks' in chunk order, with
+compensated summation. A block's sums are NumPy pairwise reductions,
+never BLAS calls: OpenBLAS splits a long dot product over its own
+threads, so its bits depend on OPENBLAS_NUM_THREADS, and its spinning
+threads would share the cores with the chunk threads.
 The result is a function of (seed, n) and ``_BLOCK`` only, never of the
 worker or the BLAS thread count.
 
 ``one_step_drift`` estimates a group of configs at once (common random
-numbers): a chunk reads its one stream in the order gamma, beta, x_hat,
-then each noise distribution's draw from the state that follows x_hat,
-every draw through its ``dists`` sampler. The draws are made once for the
-group, and each noise kind's once for the configs that use it, so every
-config sees the exact stream a chunk of its own would draw, and grouping
-changes no bit of any estimate. A chunk holds only x_hat whole: it is
-drawn first, as a normal draw reads a varying number of words and only
-drawing x_hat finds where the noise starts. gamma, beta and each noise
-kind are then read in blocks of ``_BLOCK`` neurons, each through its own
-cursor, a generator that ``skip`` placed at the start of its segment, so
-a block's inputs and temporaries stay in a core's L2 cache. The gate
+numbers): a chunk's SeedSequence spawns four child streams, one each for
+gamma, beta and x_hat, and one for the noise, which every noise
+distribution reads from its start, every draw through its ``dists``
+sampler. The draws are made once for the group, and each noise kind's
+once for the configs that use it, so every config sees the exact streams
+a chunk of its own would draw, and grouping changes no bit of any
+estimate. No stream starts where another's draws end (on one stream, a
+normal draw reads a varying number of words, so x_hat would have to be
+drawn whole before the noise could start), so a chunk reads every stream
+in blocks of ``_BLOCK`` neurons and holds no chunk-long array: a block's
+inputs and temporaries stay in a core's L2 cache. The gate
 depends on neither eta nor g, so each block is gated once, its baseline
 Phi((beta+alpha)/gamma) taken for its firing neurons, and every config
 moves only those, with no gate left to apply to them. The configs that
@@ -113,8 +114,8 @@ _MAX_COUNT = 10**11
 # a drift chunk draws, gates and moves its neurons in blocks this long, so a block's inputs and temporaries
 # stay in a core's L2 cache: about 1 MiB at 16,384 drawn neurons, of which about half fire. On a 2-vCPU Xeon
 # (2 MiB L2 per core), median of 12 interleaved, at 8,192 / 16,384 / 32,768 / 65,536: a chunk of the six-cell
-# grid took 118.7 / 120.5 / 127.1 / 129.1 ms at one thread, and the 10-chunk grid 738 / 660 / 687 / 685 ms at
-# two. The sums depend on it. Its tracemalloc peak is 9.1 MiB at 16,384 (x_hat is 7.6)
+# grid took 118.0 / 118.8 / 123.7 / 131.5 ms at one thread, and the 10-chunk grid 718 / 661 / 650 / 716 ms at
+# two. The sums depend on it. A six-config chunk's tracemalloc peak is 1.5 MiB at 16,384
 _BLOCK = 1 << 14
 # the spacing of doubles at 1: a pair term, a difference of two Phi values in [0, 1], is rounded on this
 # scale, so a mean of them resolves no finer a drift
@@ -263,34 +264,23 @@ def update_step(fires, x_hat, grad, eta):
 def _drift_chunk(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig], index: int, size: int):
     """Partial sums for one seeded chunk: one (sum d, sum d^2, gamma crossings) per config.
 
-    The configs share seed and alpha. The chunk's stream is read in the
-    order gamma, beta, x_hat, then each noise kind from the state after
-    x_hat, so every config sees the stream a chunk of its own would see.
-    x_hat is drawn whole, as only drawing it finds where the noise starts;
-    gamma, beta and each noise kind are drawn block by block, each through
-    its own cursor, a generator placed at the start of its segment. The
-    configs of one noise kind move as one stack, a row each.
+    The configs share seed and alpha. SeedSequence([seed, index]) spawns
+    one child stream each for gamma, beta and x_hat, and one for the
+    noise, which every noise kind reads from its start, so every config
+    sees the streams a chunk of its own would see. No stream starts where
+    another's draws end, so each is read block by block and no chunk-long
+    array exists. The configs of one noise kind move as one stack, a row
+    each.
     """
     alpha = cfgs[0].alpha
-    seq = np.random.SeedSequence([cfgs[0].seed, index])
-
-    def cursor(state=None):
-        rng = np.random.Generator(np.random.PCG64(seq))
-        if state is not None:
-            rng.bit_generator.state = state
-        return rng
-
-    gammas, betas = cursor(), cursor()
-    spec.gamma_dist.skip(betas, size)
-    rng = cursor(betas.bit_generator.state)
-    spec.beta_dist.skip(rng, size)
-    x_hat = _STANDARD_NORMAL.sample(rng, size)
-    drawn = rng.bit_generator.state
+    *children, noise_seq = np.random.SeedSequence([cfgs[0].seed, index]).spawn(4)
+    gammas, betas, xs = (np.random.Generator(np.random.PCG64(s)) for s in children)
     rows: dict[ScalarDist, list[int]] = {}
     for k, cfg in enumerate(cfgs):
         rows.setdefault(cfg.noise_dist, []).append(k)
-    # per noise kind: its cursor, its configs' rows and their step sizes as a column
-    kinds = [(noise, cursor(drawn), ks, np.array([[cfgs[k].eta] for k in ks])) for noise, ks in rows.items()]
+    # per noise kind: its own generator on the noise stream, its configs' rows and their step sizes as a column
+    kinds = [(noise, np.random.Generator(np.random.PCG64(noise_seq)), ks, np.array([[cfgs[k].eta] for k in ks]))
+             for noise, ks in rows.items()]
     s1, s2 = [[] for _ in cfgs], [[] for _ in cfgs]
     crossings = np.zeros(len(cfgs), dtype=np.int64)
 
@@ -311,9 +301,10 @@ def _drift_chunk(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig], index: int, s
 
     for lo in range(0, size, _BLOCK):
         n = min(_BLOCK, size - lo)
-        gamma, beta, x = spec.gamma_dist.sample(gammas, n), spec.beta_dist.sample(betas, n), x_hat[lo : lo + n]
+        gamma, beta = spec.gamma_dist.sample(gammas, n), spec.beta_dist.sample(betas, n)
+        x = _STANDARD_NORMAL.sample(xs, n)
         fires = np.flatnonzero(_fires(gamma, beta, x, alpha))
-        # every cursor reads its block whether or not a neuron fires, so each stays at its segment's next draw
+        # every stream reads its block whether or not a neuron fires, so a block's draws never depend on the gate
         grads = [noise.sample(at, n)[fires] for noise, at, _, _ in kinds]
         if not fires.size:
             continue
@@ -365,8 +356,9 @@ def one_step_drift(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig]) -> list[Dri
     are NumPy reductions over each block of ``_BLOCK`` drawn neurons,
     combined with math.fsum in block and then chunk order, so they depend
     on ``_BLOCK`` but never on the worker or the BLAS thread count. A chunk
-    holds its x_hat draw (8 MB) and a few blocks, about 9 MiB per thread. A
-    prediction that overflows is a ConfigError, raised before any chunk.
+    draws every stream block by block and holds a few blocks, about
+    1.5 MiB per thread. A prediction that overflows is a ConfigError,
+    raised before any chunk.
     The chunks run on resolve_threads(chunks) pool threads, in order at
     one; SciPy, which the package loads on its first Phi evaluation, is
     loaded before they start.
@@ -578,9 +570,9 @@ def verify_theorem(cells: list[VerifyCell], count: int = 10_000_000, seed: int =
     distributions), ratio_to_half_eta reports
     empirical(eta)/empirical(eta/2), which the second-order form predicts
     to be 4. The same sharing ties the verdicts: cells of one noise kind
-    share every draw, so their estimates are near-proportional (seed-20
-    ratios 3.9990 and 3.9994 on the standard grid at 10^7 neurons) and
-    their 3-sigma verdicts move together. At seed 20 all three uniform
+    share every draw, so their estimates are near-proportional (seed-22
+    ratios 3.9989 and 3.9994 on the standard grid at 10^7 neurons) and
+    their 3-sigma verdicts move together. At seed 22 all three normal
     cells sit 3.1-3.3 standard errors from the prediction and disagree at
     once; the grid's agreement is close to one test per noise kind, not
     one per cell.

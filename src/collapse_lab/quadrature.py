@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["PANELS", "TRUNCATION_RADIUS", "panel_nodes", "integrate"]
+__all__ = ["PANELS", "TRUNCATION_RADIUS", "panel_nodes"]
 
 PANELS = 256
 TRUNCATION_RADIUS = 8.0
@@ -38,11 +38,3 @@ def panel_nodes(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarr
     nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return nodes, weights
-
-
-def integrate(fn, lo: float, hi: float, panels: int = PANELS) -> float:
-    """Integrate a vectorized function over [lo, hi] with the panel rule."""
-    nodes, weights = panel_nodes(lo, hi, panels)
-    # the package integrates on PANELS (1,024 nodes); OpenBLAS splits a dot product over its threads,
-    # and so changes its bits with their count, only above 10,000 elements
-    return float(np.dot(fn(nodes), weights))

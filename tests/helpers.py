@@ -1,5 +1,6 @@
-"""Shared test utilities: finite-difference oracles, the partial moments of
-the drift derivation, and runners for fresh interpreters and the CLI."""
+"""Shared test utilities: finite-difference oracles, the reference
+quadrature, the partial moments of the drift derivation, and runners for
+fresh interpreters and the CLI."""
 
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 
 from collapse_lab.analytic import std_normal_cdf, std_normal_pdf
 from collapse_lab.errors import DomainError
-from collapse_lab.quadrature import TRUNCATION_RADIUS, integrate
+from collapse_lab.quadrature import PANELS, TRUNCATION_RADIUS, panel_nodes
 
 FD_STEP = 1e-3
 
@@ -45,6 +46,12 @@ def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """
     scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)
     return float(np.abs(analytic - numeric).max() / scale)
+
+
+def integrate(fn, lo: float, hi: float, panels: int = PANELS) -> float:
+    """The tests' reference quadrature: a vectorized function over [lo, hi] with the package's panel rule."""
+    nodes, weights = panel_nodes(lo, hi, panels)
+    return float(np.dot(fn(nodes), weights))
 
 
 def g_closed(y):

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import g_closed, h_tail_closed, partial_moment_numeric
+from helpers import g_closed, h_tail_closed, integrate, partial_moment_numeric
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
@@ -33,7 +33,6 @@ from collapse_lab.analytic import (
 )
 from collapse_lab.dists import Normal, PointMass, Uniform
 from collapse_lab.errors import DomainError, SingularityError
-from collapse_lab.quadrature import integrate
 
 
 def phi_oracle(x: float) -> float:

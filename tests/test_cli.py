@@ -582,8 +582,8 @@ class TestPinnedBytes:
         capsys.readouterr()
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted((tmp_path / "m").iterdir())}
         assert got == {
-            "drift_vs_eta.svg": "89ba0caaad5a093f9eaf4655873349c21bf52f7ba774cecdc9482aaccd275c43",
-            "mc_verify.csv": "a1032f5245844bbc89751e9b56854e9f9acbc371a585b51f184541b87a6578d3",
+            "drift_vs_eta.svg": "e453bbb57d487fa133fa01699c6c22913308e57096576f815b00b3cd54ab7c7b",
+            "mc_verify.csv": "c1acb4abf0ab1f52f263b450539a4683aa083599af998a9c31103444bb3093e6",
         }
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from collapse_lab.dists import Normal, PointMass, Uniform, parse_dist
 from collapse_lab.errors import ConfigError, DomainError
-from collapse_lab.mc import _BLOCK
 
 FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -142,15 +141,6 @@ class TestSampling:
     def test_point_mass_samples(self):
         x = PointMass(-1.25).sample(np.random.default_rng(0), 50)
         np.testing.assert_array_equal(x, np.full(50, -1.25))
-
-    @pytest.mark.parametrize("d", [Uniform(-1, 1), Normal(0.5, 1.5), PointMass(0.5)], ids=str)
-    @pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK + 1, 10**6])
-    def test_skip_leaves_the_generator_where_sample_does(self, d, size):
-        # a drift chunk places its cursors by skip: Uniform's rests on one 64-bit word per uniform double
-        drawn, skipped = (np.random.Generator(np.random.PCG64(np.random.SeedSequence([5, size]))) for _ in range(2))
-        d.sample(drawn, size)
-        d.skip(skipped, size)
-        assert skipped.bit_generator.state == drawn.bit_generator.state
 
 
 @given(lo=FINITE, width=st.floats(min_value=1e-6, max_value=1e6))

@@ -224,7 +224,7 @@ class TestOneStepDrift:
         assert a.std_error == b.std_error
 
     def test_chunk_working_memory(self, monkeypatch):
-        # one chunk of the six-cell grid holds x_hat (8 MB) and a few L2-sized blocks, not chunk-long arrays
+        # one chunk of the six-cell grid holds a few L2-sized blocks and no chunk-long array (about 1.5 MiB)
         cells = standard_grid()
         cfgs = [UpdateConfig(eta=cell.eta, c=cell.c, noise=cell.noise) for cell in cells]
         monkeypatch.setenv("COLLAPSE_LAB_THREADS", "1")
@@ -236,7 +236,7 @@ class TestOneStepDrift:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB"
+        assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_stacked_rows_equal_each_config_alone(self, monkeypatch, threads):
@@ -251,7 +251,7 @@ class TestOneStepDrift:
         ]
         monkeypatch.setenv("COLLAPSE_LAB_THREADS", threads)
         ests = one_step_drift(spec, cfgs)
-        assert [e.gamma_crossings for e in ests] == [0, 120_855, 0, 0]
+        assert [e.gamma_crossings for e in ests] == [0, 121_041, 0, 0]
         for cfg, est in zip(cfgs, ests):
             (alone,) = one_step_drift(spec, [cfg])
             assert (est.empirical_mean, est.std_error, est.gamma_crossings) == (
@@ -337,32 +337,38 @@ def both_noise_kinds(eta, seed, alpha=0.0):
             for kind in ("normal", "uniform")]
 
 
+def chunk_streams(seed, index):
+    """A drift chunk's generators of gamma, beta and x_hat, and the SeedSequence of its noise stream."""
+    *children, noise = np.random.SeedSequence([seed, index]).spawn(4)
+    return (*(np.random.Generator(np.random.PCG64(s)) for s in children), noise)
+
+
 # (gamma_dist, beta_dist, count, alpha, eta, seed, want): specs with gamma crossings, alpha > 0, a
-# partial chunk and each kind of segment skip, and for each, as float.hex (empirical_mean, std_error) plus
-# gamma_crossings, the normal then the uniform noise config
+# partial chunk, and gamma and beta of each law kind, and for each, as float.hex (empirical_mean, std_error)
+# plus gamma_crossings, the normal then the uniform noise config
 FROZEN = [
     (Uniform(0.5, 1.5), Uniform(-1.0, 1.0), 200_000, 0.0, 0.01, 7, [
-        ("-0x1.85fb1dcae6a93p-17", "0x1.0c272627069b8p-23", 0),
-        ("-0x1.8b03112c06140p-17", "0x1.a5dbba1cbee1bp-24", 0)]),
+        ("-0x1.894d396b7d91dp-17", "0x1.064e44c596d7fp-23", 0),
+        ("-0x1.8bba46919ae0dp-17", "0x1.a26bbc1f89a9bp-24", 0)]),
     (Uniform(0.5, 1.5), Uniform(-1.0, 1.0), 200_000, 0.1, 0.01, 7, [
-        ("-0x1.9854405b34058p-17", "0x1.0c70265ad3995p-23", 0),
-        ("-0x1.9c64ffe0a5f68p-17", "0x1.a71865632a901p-24", 0)]),
+        ("-0x1.99e4a5f236a34p-17", "0x1.095e3cda31141p-23", 0),
+        ("-0x1.9b74b75d1b632p-17", "0x1.9f327117ffae9p-24", 0)]),
     # steps large enough that gammas cross 0
     (Uniform(0.2, 0.4), Uniform(-1.0, 1.0), 200_000, 0.0, 0.3, 3, [
-        ("-0x1.465036b0a1a32p-5", "0x1.8d7e5ce20f315p-12", 21604),
-        ("-0x1.7d783ecda403bp-5", "0x1.ad261f3666c79p-12", 25507)]),
+        ("-0x1.4145c65a2052dp-5", "0x1.8de2ff00f8231p-12", 21747),
+        ("-0x1.7d2e047f76827p-5", "0x1.ac35ee996a7fbp-12", 25408)]),
     (Uniform(0.8, 1.6), Normal(0.1, 0.5), 200_000, 0.1, 0.02, 5, [
-        ("-0x1.286fa3d340e24p-15", "0x1.45910e8642cd2p-22", 0),
-        ("-0x1.2838b7a5e34d5p-15", "0x1.d2e3f44c39b1fp-23", 0)]),
+        ("-0x1.272aeaceaf69dp-15", "0x1.3cd3cb11279f3p-22", 0),
+        ("-0x1.2789ed60d4f39p-15", "0x1.d9c42dc0792e3p-23", 0)]),
     # a partial last chunk whose length is not a whole number of blocks
     (Uniform(0.5, 1.5), Uniform(-1.0, 1.0), CHUNK_SIZE + 20_123, 0.0, 0.005, 11, [
-        ("-0x1.87957bd697281p-19", "0x1.d915f823e86d9p-27", 0),
-        ("-0x1.899bb1f17d0a6p-19", "0x1.6f4b15e46db72p-27", 0)]),
-    # a point-mass gamma and a normal beta: the chunk's cursors skip one segment that reads no word and one
-    # that must be drawn, over a partial last block and a partial last chunk
+        ("-0x1.8a56902c3bf15p-19", "0x1.dd039f152f283p-27", 0),
+        ("-0x1.89ac51bacf7abp-19", "0x1.70930c162809bp-27", 0)]),
+    # a point-mass gamma, whose stream is never read, and a normal beta, over a partial last block and a
+    # partial last chunk
     (PointMass(1.0), Normal(0.1, 0.5), CHUNK_SIZE + 20_123, 0.2, 0.02, 13, [
-        ("-0x1.5aa8dadd138bap-15", "0x1.351d6dde5fde3p-23", 0),
-        ("-0x1.5aa9ecab4965dp-15", "0x1.d20b92b7fe096p-24", 0)]),
+        ("-0x1.5801fdb709393p-15", "0x1.3385bf027aff1p-23", 0),
+        ("-0x1.5920a90191e33p-15", "0x1.d0cc30693b537p-24", 0)]),
 ]
 
 
@@ -376,18 +382,20 @@ class TestFrozenDrift:
 
     @pytest.mark.parametrize("gamma_dist, beta_dist, count, alpha, eta, seed, want", FROZEN)
     def test_estimate_is_the_mean_of_the_pair_terms(self, gamma_dist, beta_dist, count, alpha, eta, seed, want):
-        # every neuron's pair term, recomputed over each whole chunk from its replayed draws, then summed exactly
+        # every neuron's pair term, recomputed over each whole chunk from its replayed draws, then summed exactly;
+        # each child stream is drawn whole here, where the chunk reads it block by block
         cfgs = both_noise_kinds(eta, seed, alpha)
         terms = {cfg.noise: [] for cfg in cfgs}
         for index, lo in enumerate(range(0, count, CHUNK_SIZE)):
             size = min(CHUNK_SIZE, count - lo)
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index])))
-            gamma, beta, x_hat = gamma_dist.sample(rng, size), beta_dist.sample(rng, size), rng.standard_normal(size)
-            fires, drawn = _fires(gamma, beta, x_hat, alpha), rng.bit_generator.state
+            gammas, betas, xs, noise = chunk_streams(seed, index)
+            gamma, beta, x_hat = gamma_dist.sample(gammas, size), beta_dist.sample(betas, size), xs.standard_normal(size)
+            fires = _fires(gamma, beta, x_hat, alpha)
             p0 = ndtr((beta + alpha) / gamma)
             for cfg in cfgs:
-                rng.bit_generator.state = drawn
-                d_gamma, d_beta = update_step(fires, x_hat, cfg.noise_dist.sample(rng, size), cfg.eta)
+                # every noise kind reads the noise stream from its start
+                grad = cfg.noise_dist.sample(np.random.Generator(np.random.PCG64(noise)), size)
+                d_gamma, d_beta = update_step(fires, x_hat, grad, cfg.eta)
                 twins = []
                 for sign in (1.0, -1.0):
                     with np.errstate(divide="ignore", invalid="ignore"):
@@ -414,13 +422,13 @@ class TestFrozenDrift:
     def test_every_neuron_fires(self):
         spec = EnsembleSpec(Uniform(0.5, 1.0), Uniform(5.0, 6.0), 20_000)
         # replay the one chunk's (gamma, beta, x_hat) draws: each pre-activation is positive
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([2, 0])))
-        gamma, beta = spec.gamma_dist.sample(rng, spec.count), spec.beta_dist.sample(rng, spec.count)
-        assert np.all(gamma * rng.standard_normal(spec.count) + beta > 0)
+        gammas, betas, xs, _ = chunk_streams(2, 0)
+        gamma, beta = spec.gamma_dist.sample(gammas, spec.count), spec.beta_dist.sample(betas, spec.count)
+        assert np.all(gamma * xs.standard_normal(spec.count) + beta > 0)
         ests = one_step_drift(spec, both_noise_kinds(0.3, 2))
         assert [(e.empirical_mean.hex(), e.std_error.hex(), e.gamma_crossings) for e in ests] == [
-            ("-0x1.47d7975ac2d64p-6", "0x1.6bb6e5768d079p-11", 798),
-            ("-0x1.4201a45097244p-6", "0x1.684d744a3d869p-11", 785),
+            ("-0x1.60f2f61766948p-6", "0x1.78cef606419efp-11", 859),
+            ("-0x1.44e12cd221bf9p-6", "0x1.69d975249d08cp-11", 792),
         ]
 
 

@@ -109,7 +109,6 @@ def test_packages_re_export_nothing(module_name):
 # disguise. These stay parameters, each for its reason.
 UNSET_DEFAULTS_KEPT = {
     ("collapse_lab.cli.main", "argv"): "the console-script entry point calls main() bare; the tests pass argv",
-    ("collapse_lab.quadrature.integrate", "panels"): "the tests' reference quadrature, run at several panel counts",
     ("collapse_lab.mc.sgd_trajectory", "stride"): "the multi-step route, which no command runs yet",
 }
 

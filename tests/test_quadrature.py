@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from helpers import integrate
 
 from collapse_lab.errors import ConfigError
-from collapse_lab.quadrature import PANELS, TRUNCATION_RADIUS, integrate, panel_nodes
+from collapse_lab.quadrature import PANELS, TRUNCATION_RADIUS, panel_nodes
 
 
 def phi(x):
