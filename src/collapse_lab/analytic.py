@@ -33,16 +33,17 @@ The erf difference goes through erfc on the side of zero where the ends
 lie, so two ends deep in one tail do not cancel; a narrow interval does:
 J's absolute error is about 2e-16 |gamma| / (hi - lo), 2e-11 for a width
 of 1e-5 at gamma = 1. For beta ~ N(mu, s), X = beta/gamma is normal, phi^2
-is N(0, 1/2)/(2 sqrt(pi)), and a product of normal densities is a constant
-times a normal density, so E[K(X)] reduces to moments E[Y^k] and
+is N(0, 1/2)/(2 sqrt(pi)), and a product of normal pdfs is a constant
+times a normal pdf, so E[K(X)] reduces to moments E[Y^k] and
 E[Y^k Phi(Y)], k <= 3, of some Y ~ N(a, u^2). Stein's identity
 E[(Y - a) h(Y)] = u^2 E[h'(Y)] gives those from E[Phi(Y)] = Phi(a/r) and
 E[phi(Y)] = phi(a/r)/r, r = sqrt(1 + u^2).
 
-Phi is evaluated with ``scipy.special.ndtr`` (the Cephes rational erf/erfc
-approximation, relative error of a few ulp across the real line). The test
-suite pins it against a quadrature-of-phi oracle to 1e-12 on [-8, 8] and
-against an arbitrary-precision oracle to 1e-13 on spot points. SciPy is
+Phi is ``_ndtr``, ``scipy.special.ndtr`` (the Cephes rational erf/erfc
+approximation, relative error of a few ulp across the real line), the one
+Phi every route calls. The test suite pins it against a quadrature-of-phi
+oracle to 1e-12 on [-8, 8] and against an arbitrary-precision oracle to
+1e-13 on spot points. SciPy is
 imported on the first Phi or erfc evaluation, not with this module, so a
 command that never takes one (``train``, and ``report`` of tables without
 a K grid) never loads it.
@@ -61,8 +62,6 @@ from .quadrature import PANELS, panel_nodes
 
 __all__ = [
     "GAMMA_MIN",
-    "std_normal_pdf",
-    "std_normal_cdf",
     "k_fn",
     "k_sign_change",
     "j_fn",
@@ -99,20 +98,6 @@ def _as_finite_array(x):
     if not np.all(np.isfinite(arr)):
         raise DomainError("x must be finite")
     return arr
-
-
-def std_normal_pdf(x):
-    """phi(x) = exp(-x^2/2) / sqrt(2 pi). Scalar in, scalar out; arrays pass through."""
-    arr = _as_finite_array(x)
-    out = _INV_SQRT_2PI * np.exp(-0.5 * arr * arr)
-    return float(out) if out.ndim == 0 else out
-
-
-def std_normal_cdf(x):
-    """Phi(x), the standard normal cdf, via the Cephes ndtr approximation."""
-    arr = _as_finite_array(x)
-    out = _ndtr(arr)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def k_fn(x):
@@ -223,7 +208,8 @@ def j_fn(gamma, beta_dist: ScalarDist):
 def drift_prediction(eta: float, c: float, gamma_dist: ScalarDist, beta_dist: ScalarDist) -> float:
     """(eta^2 c^2 / 2) * E_gamma[gamma^-2 J(gamma)].
 
-    One PANELS-panel quadrature over gamma of closed-form J values.
+    One PANELS-panel quadrature over a uniform gamma of closed-form J
+    values, or one J value at a point gamma.
     Scales exactly with eta^2 c^2: the expectation factor is computed once
     from the distributions, so doubling eta multiplies the value by
     exactly 4.
@@ -237,11 +223,13 @@ def drift_prediction(eta: float, c: float, gamma_dist: ScalarDist, beta_dist: Sc
         g0 = gamma_dist.value
         factor = _j_values(np.asarray([g0]), beta_dist)[0] / (g0 * g0)
     else:
+        # require_gamma_support rejects every normal gamma, so this one is uniform: its pdf is 1/(hi - lo) at
+        # every node, as each lies strictly inside (lo, hi)
         lo, hi = gamma_dist.support()
         nodes, weights = panel_nodes(lo, hi, PANELS)
         jvals = _j_values(nodes, beta_dist)
         # 1,024 nodes, below the length at which OpenBLAS splits a dot product over its threads
-        factor = float(np.dot(jvals * gamma_dist.density(nodes) / (nodes * nodes), weights))
+        factor = float(np.dot(jvals * (1.0 / (hi - lo)) / (nodes * nodes), weights))
     drift = float(0.5 * eta * eta * c * c * factor)
     if not math.isfinite(drift):
         raise DomainError(f"the drift overflows at eta = {eta:g}, c = {c:g}")

@@ -46,7 +46,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import analytic, mc, sparsity, svgplot, tables
-from .dists import parse_dist
+from .dists import Uniform, parse_dist
 from .errors import CollapseLabError, ConfigError, DivergenceError, DomainError
 from .net import model as net_model
 from .net import train as net_train
@@ -66,6 +66,8 @@ def parse_grid(text: str) -> np.ndarray:
         raise ConfigError(f"grid values must be finite, got {text!r}")
     if step <= 0 or hi <= lo:
         raise ConfigError(f"grid needs hi > lo and step > 0, got {text!r}")
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"grid span hi - lo overflows, got {text!r}")
     spans = (hi - lo) / step
     if not spans < 10_000_000:
         raise ConfigError(f"grid too large ({spans:.4g} steps): {text!r}")
@@ -166,9 +168,9 @@ _OPTIONS = {
     ],
 }
 
-# mc flags that describe the single cell, and the VerifyCell field each
-# sets; a field left unset takes VerifyCell's default
-_MC_CELL_FIELD = {"eta": "eta", "c": "c", "noise": "noise", "gamma": "gamma_dist", "beta": "beta_dist"}
+# mc flags that describe the single cell, each with the value it takes when
+# not given; --verify's grid runs on these gamma and beta distributions
+_MC_CELL = {"eta": 0.005, "c": 1.0, "noise": "normal", "gamma": Uniform(0.5, 1.5), "beta": Uniform(-1.0, 1.0)}
 
 # train flags that set a TrainConfig field of another name; each train flag
 # but preset, seed, seeds and random_labels sets the field of its own name
@@ -415,17 +417,18 @@ def _print_agreement(rows: list[mc.TheoremRow]) -> None:
 
 def cmd_mc(params: dict) -> int:
     out = params["out"]
-    given = [flag for flag in _MC_CELL_FIELD if params[flag] is not None]
+    given = [flag for flag in _MC_CELL if params[flag] is not None]
     if params["grid"] != "standard":
         raise ConfigError(f"unknown grid {params['grid']!r}; only 'standard' is defined")
+    cell = _MC_CELL | {flag: params[flag] for flag in given}
     if params["verify"]:
         if given:
             flags = ", ".join("--" + flag for flag in given)
             raise ConfigError(f"--verify runs the standard grid, which sets every cell: drop {flags} (flag or [mc] key)")
-        cells = mc.standard_grid()
+        cfgs = mc.standard_grid(params["seed"])
     else:
-        cells = [mc.VerifyCell(**{_MC_CELL_FIELD[flag]: params[flag] for flag in given})]
-    rows = mc.verify_theorem(cells, count=params["n"], seed=params["seed"])
+        cfgs = [mc.UpdateConfig(eta=cell["eta"], c=cell["c"], noise=cell["noise"], seed=params["seed"])]
+    rows = mc.verify_theorem(mc.EnsembleSpec(cell["gamma"], cell["beta"], params["n"]), cfgs)
     _save(out, "mc_verify", _columns("mc_verify", rows))
     if params["verify"]:
         _print_agreement(rows)

@@ -1,10 +1,10 @@
 """One-dimensional parameter distributions.
 
 Three kinds cover every distribution used by the lab: ``Uniform``,
-``Normal``, and ``PointMass``. A point mass is a formal Dirac: it has no
-density and is only legal where an expectation collapses to evaluation at
-the point. All sampling goes through a caller-supplied
-``numpy.random.Generator`` so that every consumer stays seed-deterministic.
+``Normal``, and ``PointMass``. A point mass is a formal Dirac, legal only
+where an expectation collapses to evaluation at the point. All sampling
+goes through a caller-supplied ``numpy.random.Generator`` so that every
+consumer stays seed-deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 
 __all__ = ["ScalarDist", "Uniform", "Normal", "PointMass", "parse_dist"]
 
@@ -29,12 +29,6 @@ class Uniform:
             raise ConfigError("uniform bounds must be finite")
         if not self.lo < self.hi:
             raise ConfigError(f"uniform requires lo < hi, got [{self.lo}, {self.hi}]")
-
-    def density(self, z):
-        z = np.asarray(z, dtype=np.float64)
-        inside = (z >= self.lo) & (z <= self.hi)
-        out = np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
-        return out if out.ndim else float(out)
 
     def sample(self, rng, size):
         return rng.uniform(self.lo, self.hi, size)
@@ -64,12 +58,6 @@ class Normal:
         if not self.scale > 0:
             raise ConfigError(f"normal requires sd > 0, got {self.scale}")
 
-    def density(self, z):
-        z = np.asarray(z, dtype=np.float64)
-        u = (z - self.loc) / self.scale
-        out = np.exp(-0.5 * u * u) / (self.scale * math.sqrt(2.0 * math.pi))
-        return out if out.ndim else float(out)
-
     def sample(self, rng, size):
         return rng.normal(self.loc, self.scale, size)
 
@@ -95,9 +83,6 @@ class PointMass:
         if not math.isfinite(self.value):
             raise ConfigError("point mass value must be finite")
 
-    def density(self, z):
-        raise DomainError("PointMass is a formal Dirac and has no density")
-
     def sample(self, rng, size):
         return np.full(size, self.value, dtype=np.float64)
 
@@ -115,7 +100,7 @@ class PointMass:
         return f"point:{self.value:g}"
 
 
-# each kind has density, sample, support, shifted (the law of z + a) and is_even (symmetric about zero)
+# each kind has sample, support, shifted (the law of z + a) and is_even (symmetric about zero)
 ScalarDist = Uniform | Normal | PointMass
 
 

@@ -76,7 +76,7 @@ import math
 import numbers
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -95,7 +95,6 @@ __all__ = [
     "TrajectoryRecord",
     "DecayResult",
     "TheoremRow",
-    "VerifyCell",
     "noise_for",
     "resolve_threads",
     "usable_cores",
@@ -208,7 +207,6 @@ class DriftEstimate:
 
     empirical_mean: float
     std_error: float
-    n: int
     predicted: float
     agree: bool
     gamma_crossings: int
@@ -399,7 +397,6 @@ def one_step_drift(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig]) -> list[Dri
             DriftEstimate(
                 empirical_mean=mean,
                 std_error=se,
-                n=n,
                 predicted=predicted[k],
                 agree=abs(mean - predicted[k]) <= max(3.0 * se, _RESOLUTION),
                 gamma_crossings=sum(p[k][2] for p in parts),
@@ -484,7 +481,11 @@ def decay_trajectory(
     if cfg.alpha <= 0:
         raise DomainError("decay_trajectory requires alpha > 0; with alpha = 0 the margin C never moves")
     if cfg.eta * cfg.weight_decay <= 0:
-        raise DomainError("decay_trajectory requires eta > 0 and weight_decay > 0")
+        # both may be > 0 and their product still underflow to 0
+        raise DomainError(
+            f"decay_trajectory requires eta * weight_decay > 0, got {cfg.eta * cfg.weight_decay:g}"
+            f" for eta = {cfg.eta:g}, weight_decay = {cfg.weight_decay:g}"
+        )
     shrink = _shrink(cfg, steps, stride)
     gamma, beta = float(initial[0]), float(initial[1])
     if not (math.isfinite(gamma) and math.isfinite(beta)):
@@ -536,40 +537,27 @@ class TheoremRow:
     ratio_to_half_eta: float | None = None
 
 
-@dataclass(frozen=True)
-class VerifyCell:
-    """One verification cell; the defaults are ``collapse-lab mc``'s single cell."""
-
-    eta: float = 0.005
-    c: float = 1.0
-    noise: str = "normal"
-    gamma_dist: ScalarDist = field(default_factory=lambda: Uniform(0.5, 1.5))
-    beta_dist: ScalarDist = field(default_factory=lambda: Uniform(-1.0, 1.0))
-
-
-def standard_grid() -> list[VerifyCell]:
-    """The headline verification grid: three learning rates, both noise kinds."""
+def standard_grid(seed: int) -> list[UpdateConfig]:
+    """The headline verification grid: three learning rates, both noise kinds, c = 1."""
     return [
-        VerifyCell(eta=eta, noise=noise)
+        UpdateConfig(eta=eta, c=1.0, noise=noise, seed=seed)
         for noise in ("normal", "uniform")
         for eta in (0.002, 0.005, 0.01)
     ]
 
 
-def verify_theorem(cells: list[VerifyCell], count: int = 10_000_000, seed: int = 0) -> list[TheoremRow]:
-    """Run the drift estimate over a grid and tabulate agreement, one row per cell in order.
+def verify_theorem(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig]) -> list[TheoremRow]:
+    """Run the drift estimate of each config on one ensemble and tabulate agreement, one row per config in order.
 
-    All cells share the same seed, so cells differing only in eta reuse
+    The configs share the seed, so configs differing only in eta reuse
     the same draws (common random numbers); their empirical ratio then
     isolates the eta scaling with almost no Monte Carlo spread. The
-    common draws are made once per chunk per group: cells with one
-    (gamma, beta) distribution pair run as one ``one_step_drift`` call,
-    which draws each chunk's (gamma, beta, x_hat) once for all of them
-    and each noise kind's draw once for its cells. For each cell whose
-    halved eta also appears in the grid (same noise, c, and
-    distributions), ratio_to_half_eta reports
+    common draws are made once per chunk: one ``one_step_drift`` call
+    draws each chunk's (gamma, beta, x_hat) once for every config and each
+    noise kind's draw once for its configs. For each config whose halved
+    eta also appears (same noise and c), ratio_to_half_eta reports
     empirical(eta)/empirical(eta/2), which the second-order form predicts
-    to be 4. The same sharing ties the verdicts: cells of one noise kind
+    to be 4. The same sharing ties the verdicts: configs of one noise kind
     share every draw, so their estimates are near-proportional (seed-22
     ratios 3.9989 and 3.9994 on the standard grid at 10^7 neurons) and
     their 3-sigma verdicts move together. At seed 22 all three normal
@@ -577,29 +565,20 @@ def verify_theorem(cells: list[VerifyCell], count: int = 10_000_000, seed: int =
     once; the grid's agreement is close to one test per noise kind, not
     one per cell.
     """
-    cfgs = [UpdateConfig(eta=cell.eta, c=cell.c, noise=cell.noise, seed=seed) for cell in cells]
-    groups: dict[tuple[ScalarDist, ScalarDist], list[int]] = {}
-    for i, cell in enumerate(cells):
-        groups.setdefault((cell.gamma_dist, cell.beta_dist), []).append(i)
-    estimates: list[DriftEstimate | None] = [None] * len(cells)
-    for (gamma_dist, beta_dist), members in groups.items():
-        spec = EnsembleSpec(gamma_dist=gamma_dist, beta_dist=beta_dist, count=count)
-        for i, est in zip(members, one_step_drift(spec, [cfgs[i] for i in members])):
-            estimates[i] = est
-    # eta-doubling ratios within cells of one noise, c and distribution pair
-    mean_of = {cell: est.empirical_mean for cell, est in zip(cells, estimates)}
+    estimates = one_step_drift(spec, cfgs)
+    mean_of = {(cfg.noise, cfg.c, cfg.eta): est.empirical_mean for cfg, est in zip(cfgs, estimates)}
     rows: list[TheoremRow] = []
-    for cell, est in zip(cells, estimates):
-        half = mean_of.get(replace(cell, eta=cell.eta / 2.0))
+    for cfg, est in zip(cfgs, estimates):
+        half = mean_of.get((cfg.noise, cfg.c, cfg.eta / 2.0))
         rows.append(
             TheoremRow(
-                run_id=f"eta{cell.eta:g}-c{cell.c:g}-{cell.noise}",
-                eta=cell.eta,
-                c=cell.c,
-                noise=cell.noise,
-                gamma_dist=str(cell.gamma_dist),
-                beta_dist=str(cell.beta_dist),
-                n=count,
+                run_id=f"eta{cfg.eta:g}-c{cfg.c:g}-{cfg.noise}",
+                eta=cfg.eta,
+                c=cfg.c,
+                noise=cfg.noise,
+                gamma_dist=str(spec.gamma_dist),
+                beta_dist=str(spec.beta_dist),
+                n=spec.count,
                 empirical_mean=est.empirical_mean,
                 std_error=est.std_error,
                 predicted=est.predicted,

@@ -26,8 +26,6 @@ class Dataset:
     y_train: np.ndarray
     x_val: np.ndarray
     y_val: np.ndarray
-    classes: int
-    dim: int
 
 
 def class_means(classes: int, dim: int) -> np.ndarray:
@@ -64,7 +62,7 @@ def make_synthetic_dataset(classes: int, dim: int, n_per_class: int, seed: int) 
     x_train, y_train = x_train[order], y_train[order]
     order = rng.permutation(len(y_val))
     x_val, y_val = x_val[order], y_val[order]
-    return Dataset(x_train, y_train, x_val, y_val, classes, dim)
+    return Dataset(x_train, y_train, x_val, y_val)
 
 
 def shuffle_labels(dataset: Dataset, seed: int) -> Dataset:

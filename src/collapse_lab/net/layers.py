@@ -37,8 +37,6 @@ store: they are written in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..errors import ConfigError, DomainError, UsageError
@@ -161,10 +159,11 @@ class BatchNorm:
         return grad_in
 
 
-@dataclass
 class ReLU:
     params = arrays = ()
-    _mask: np.ndarray | None = field(default=None, repr=False)
+
+    def __init__(self):
+        self._mask = None
 
     def forward(self, x: np.ndarray, mode: str) -> np.ndarray:
         if mode == "train":
@@ -177,11 +176,12 @@ class ReLU:
         return grad_out * self._mask
 
 
-@dataclass
 class LeakyReLU:
     params = arrays = ()
     slope = 0.01  # forward is max(x, slope*x)
-    _mask: np.ndarray | None = field(default=None, repr=False)
+
+    def __init__(self):
+        self._mask = None
 
     def forward(self, x: np.ndarray, mode: str) -> np.ndarray:
         if mode == "train":

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -128,9 +128,9 @@ class RoundReport:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    rows: list[dict] = field(default_factory=list)
-    failures: list[tuple[str, int, str]] = field(default_factory=list)
-    runs: dict = field(default_factory=dict)  # (arm, seed) -> run_training's (model, [RoundReport], rng)
+    rows: list[dict]
+    failures: list[tuple[str, int, str]]
+    runs: dict  # (arm, seed) -> run_training's (model, [RoundReport], rng)
 
 
 def cosine_lr(t: int, total: int, eta_max: float, eta_min: float) -> float:
@@ -290,16 +290,16 @@ def multi_round_experiment(arms: list[tuple[str, TrainConfig]], seeds: list[int]
     # not at the top: a spawned worker imports this module, and needs none of mc, analytic or quadrature
     from ..mc import resolve_threads
     cells = [(arm_name, replace(arm_cfg, seed=seed)) for arm_name, arm_cfg in arms for seed in seeds]
-    result = ExperimentResult()
+    rows, failures, runs = [], [], {}
     for (arm_name, cfg), out in zip(cells, _map_cells(cells, resolve_threads(len(cells)))):
         if isinstance(out, DivergenceError):
-            result.failures.append((arm_name, cfg.seed, str(out)))
+            failures.append((arm_name, cfg.seed, str(out)))
             continue
         if isinstance(out, Exception):
             raise out
-        result.runs[(arm_name, cfg.seed)] = out
+        runs[(arm_name, cfg.seed)] = out
         for rep in out[1]:  # the cell's RoundReports
-            result.rows.append(
+            rows.append(
                 {
                     "arm": arm_name,
                     "seed": cfg.seed,
@@ -311,7 +311,7 @@ def multi_round_experiment(arms: list[tuple[str, TrainConfig]], seeds: list[int]
                     "flops_reduction": rep.sparsity.flops_reduction,
                 }
             )
-    return result
+    return ExperimentResult(rows=rows, failures=failures, runs=runs)
 
 
 # Desk-scale arm sets for the three stock comparisons. The shared base,

@@ -4,10 +4,7 @@ A fixed-order panel rule keeps every integral deterministic: no adaptive
 recursion, no tolerance-driven early exit. With the default 256 panels and
 an order-4 rule per panel, any smooth integrand used in this package is
 resolved far below 1e-12; doubling the panel count moves results by less
-than 1e-9 (asserted in the test suite). Integrands over the whole real
-line are truncated to [-TRUNCATION_RADIUS, TRUNCATION_RADIUS]; the
-standard normal kernel phi(x)^2 is below 1e-14 beyond |x| = 8, so the
-truncation loses nothing at double precision.
+than 1e-9 (asserted in the test suite).
 """
 
 from __future__ import annotations
@@ -16,10 +13,9 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["PANELS", "TRUNCATION_RADIUS", "panel_nodes"]
+__all__ = ["PANELS", "panel_nodes"]
 
 PANELS = 256
-TRUNCATION_RADIUS = 8.0
 
 _PANEL_ORDER = 4
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_ORDER)

@@ -1,6 +1,6 @@
 """Shared test utilities: finite-difference oracles, the reference
-quadrature, the partial moments of the drift derivation, and runners for
-fresh interpreters and the CLI."""
+quadrature and densities, the partial moments of the drift derivation, and
+runners for fresh interpreters and the CLI."""
 
 import math
 import os
@@ -10,11 +10,15 @@ from pathlib import Path
 
 import numpy as np
 
-from collapse_lab.analytic import std_normal_cdf, std_normal_pdf
+from collapse_lab.analytic import _ndtr
+from collapse_lab.dists import Uniform
 from collapse_lab.errors import DomainError
-from collapse_lab.quadrature import PANELS, TRUNCATION_RADIUS, panel_nodes
+from collapse_lab.quadrature import PANELS, panel_nodes
 
 FD_STEP = 1e-3
+
+# integrands over the whole real line are truncated to [-8, 8]: phi(x)^2 is below 1e-14 beyond |x| = 8
+TRUNCATION_RADIUS = 8.0
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -54,14 +58,27 @@ def integrate(fn, lo: float, hi: float, panels: int = PANELS) -> float:
     return float(np.dot(fn(nodes), weights))
 
 
+def phi(x):
+    """phi(x) = exp(-x^2/2) / sqrt(2 pi), elementwise."""
+    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def density(dist, z):
+    """The pdf of a uniform or normal law at the points z."""
+    z = np.asarray(z, dtype=np.float64)
+    if isinstance(dist, Uniform):
+        return np.where((z >= dist.lo) & (z <= dist.hi), 1.0 / (dist.hi - dist.lo), 0.0)
+    return phi((z - dist.loc) / dist.scale) / dist.scale
+
+
 def g_closed(y):
     """int_{-inf}^{y} x phi(x) dx, which collapses to -phi(y)."""
-    return -std_normal_pdf(y)
+    return -phi(y)
 
 
 def h_tail_closed(y):
     """int_{-y}^{inf} x^2 phi(x) dx = -y phi(y) + Phi(y)."""
-    return -y * std_normal_pdf(y) + std_normal_cdf(y)
+    return -y * phi(y) + _ndtr(y)
 
 
 def partial_moment_numeric(power: int, y: float) -> float:
@@ -76,7 +93,7 @@ def partial_moment_numeric(power: int, y: float) -> float:
         raise DomainError("y must be finite")
     if y <= -TRUNCATION_RADIUS:
         return 0.0
-    return integrate(lambda x: x**power * std_normal_pdf(x), -TRUNCATION_RADIUS, y)
+    return integrate(lambda x: x**power * phi(x), -TRUNCATION_RADIUS, y)
 
 
 def run_python(args, cwd, env=None):

@@ -131,6 +131,14 @@ class TestAnalytic:
         assert "whole number of steps" in res.stderr
         assert not (tmp_path / "o").exists()  # nothing written, not even the directory
 
+    def test_grid_span_overflow_is_named(self, tmp_path):
+        # a 20-step grid whose span hi - lo exceeds the largest double
+        res = run_cli(["analytic", "--k-grid=-1e308:1e308:1e307", "--out", "o"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "grid span hi - lo overflows" in res.stderr
+        assert "too large" not in res.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_gamma_support_through_zero_is_config_error(self, tmp_path):
         res = run_cli(
             ["analytic", "--drift", "--gamma", "normal:1:0.1", "--beta", "uniform:-1:1", "--out", "o"],
@@ -318,7 +326,7 @@ class TestDecay:
         rows = read_rows(tmp_path / "o" / "decay.csv")
         assert rows[-1]["step"] == 2397
         for row in rows:
-            assert row["activation_prob"] == analytic.std_normal_cdf(row["c_margin"])
+            assert row["activation_prob"] == analytic._ndtr(row["c_margin"])
         assert rows[-1]["activation_prob"] >= 0.5
 
     def test_alpha_zero_is_a_flag_error(self, tmp_path):
@@ -349,6 +357,13 @@ class TestDecay:
         assert res.returncode == 2, res.stderr
         assert reason in res.stderr
         assert "Traceback" not in res.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_underflowing_decay_rate_is_named(self, tmp_path):
+        # lr and wd are both > 0, but their product underflows to 0
+        res = run_cli(["decay", "--lr", "1e-300", "--wd", "1e-300", "--out", "o"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "eta * weight_decay > 0, got 0 for eta = 1e-300, weight_decay = 1e-300" in res.stderr
         assert not (tmp_path / "o").exists()
 
 

@@ -40,7 +40,6 @@ class TestMakeDataset:
         assert ds.x_val.shape == (1000, 32)
         assert np.array_equal(np.bincount(ds.y_train), np.full(10, 400))
         assert np.array_equal(np.bincount(ds.y_val), np.full(10, 100))
-        assert ds.classes == 10 and ds.dim == 32
 
     def test_deterministic(self):
         a = make_synthetic_dataset(4, 8, 50, seed=9)

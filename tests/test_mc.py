@@ -10,14 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from collapse_lab.analytic import _ndtr as ndtr
-from collapse_lab.analytic import drift_prediction, std_normal_cdf
+from collapse_lab.analytic import drift_prediction
 from collapse_lab.dists import Normal, PointMass, Uniform
 from collapse_lab.errors import ConfigError, DivergenceError, DomainError, SingularityError
 from collapse_lab.mc import (
     CHUNK_SIZE,
     EnsembleSpec,
     UpdateConfig,
-    VerifyCell,
     decay_trajectory,
     noise_for,
     one_step_drift,
@@ -202,7 +201,6 @@ class TestOneStepDrift:
         assert est.empirical_mean < 0
         assert est.agree
         assert abs(est.empirical_mean - est.predicted) <= 3 * est.std_error
-        assert est.n == SPEC_UU.count
         assert est.gamma_crossings == 0
 
     def test_point_point_cell(self):
@@ -225,11 +223,10 @@ class TestOneStepDrift:
 
     def test_chunk_working_memory(self, monkeypatch):
         # one chunk of the six-cell grid holds a few L2-sized blocks and no chunk-long array (about 1.5 MiB)
-        cells = standard_grid()
-        cfgs = [UpdateConfig(eta=cell.eta, c=cell.c, noise=cell.noise) for cell in cells]
+        cfgs = standard_grid(0)
         monkeypatch.setenv("COLLAPSE_LAB_THREADS", "1")
         one_step_drift(SPEC_UU, cfgs)  # SciPy and the thread pool's imports, outside the trace
-        spec = EnsembleSpec(cells[0].gamma_dist, cells[0].beta_dist, count=CHUNK_SIZE)
+        spec = EnsembleSpec(SPEC_UU.gamma_dist, SPEC_UU.beta_dist, count=CHUNK_SIZE)
         tracemalloc.start()
         try:
             one_step_drift(spec, cfgs)
@@ -265,9 +262,8 @@ class TestOneStepDrift:
             calls.append(1)
             return ndtr(*args, **kwargs)
 
-        cells = standard_grid()
-        cfgs = [UpdateConfig(eta=cell.eta, c=cell.c, noise=cell.noise) for cell in cells]
-        spec = EnsembleSpec(cells[0].gamma_dist, cells[0].beta_dist, count=CHUNK_SIZE)
+        cfgs = standard_grid(0)
+        spec = EnsembleSpec(SPEC_UU.gamma_dist, SPEC_UU.beta_dist, count=CHUNK_SIZE)
         monkeypatch.setattr("collapse_lab.mc.ndtr", counted)
         _drift_chunk(spec, cfgs, 0, CHUNK_SIZE)
         blocks = -(-CHUNK_SIZE // _BLOCK)
@@ -560,7 +556,7 @@ class TestDecayTrajectory:
         result = decay_trajectory((1.0, -1.1), self.CFG, steps=50, stride=7)
         for r in result.records:
             assert r.c_margin == (r.beta + 0.1) / abs(r.gamma)
-            assert r.activation_prob == std_normal_cdf(r.c_margin)
+            assert r.activation_prob == ndtr(r.c_margin)
 
     def test_recurrence_every_step(self):
         """Each recorded increment matches the closed form to 1e-12."""
@@ -621,14 +617,14 @@ class TestDecayTrajectory:
 
 class TestVerifyTheorem:
     def test_standard_grid_shape(self):
-        cells = standard_grid()
-        assert len(cells) == 6
-        assert {c.noise for c in cells} == {"normal", "uniform"}
-        assert {c.eta for c in cells} == {0.002, 0.005, 0.01}
+        cfgs = standard_grid(3)
+        assert len(cfgs) == 6
+        assert {c.noise for c in cfgs} == {"normal", "uniform"}
+        assert {c.eta for c in cfgs} == {0.002, 0.005, 0.01}
+        assert {(c.c, c.seed) for c in cfgs} == {(1.0, 3)}
 
     def test_small_grid_agreement_and_ratio(self):
-        cells = [VerifyCell(eta=0.004), VerifyCell(eta=0.002)]
-        rows = verify_theorem(cells, count=200_000, seed=0)
+        rows = verify_theorem(SPEC_UU, [cfg_with(eta=0.004), cfg_with(eta=0.002)])
         assert all(r.agree for r in rows)
         assert all(r.empirical_mean < 0 for r in rows)
         double = next(r for r in rows if r.eta == 0.004)
@@ -637,50 +633,42 @@ class TestVerifyTheorem:
         half = next(r for r in rows if r.eta == 0.002)
         assert half.ratio_to_half_eta is None
 
-    def test_ratio_only_within_one_distribution_pair(self):
-        # both gamma distributions print as uniform:0.5:1.5, but they differ
-        cells = [VerifyCell(eta=0.01), VerifyCell(eta=0.005, gamma_dist=Uniform(0.5000001, 1.5))]
-        rows = verify_theorem(cells, count=20_000, seed=0)
-        assert rows[0].gamma_dist == rows[1].gamma_dist
-        assert [r.ratio_to_half_eta for r in rows] == [None, None]
+    def test_ratio_only_within_one_noise_kind_and_c(self):
+        spec = EnsembleSpec(SPEC_UU.gamma_dist, SPEC_UU.beta_dist, count=20_000)
+        cfgs = [cfg_with(eta=0.01), cfg_with(eta=0.005, noise="uniform"), cfg_with(eta=0.005, c=2.0)]
+        assert [r.ratio_to_half_eta for r in verify_theorem(spec, cfgs)] == [None, None, None]
 
     def test_zero_eta_row(self):
-        rows = verify_theorem([VerifyCell(eta=0.0)], count=20_000, seed=0)
+        spec = EnsembleSpec(SPEC_UU.gamma_dist, SPEC_UU.beta_dist, count=20_000)
+        rows = verify_theorem(spec, [cfg_with(eta=0.0)])
         assert rows[0].empirical_mean == 0.0
         assert rows[0].predicted == 0.0
         assert rows[0].agree
 
     def test_grouped_equals_per_cell(self, monkeypatch):
-        """One call over interleaved noise kinds, etas and distribution pairs
-        gives rows in input order, each bit-equal to its cell estimated alone,
-        over two chunks of which the last is partial."""
-        other = dict(gamma_dist=Uniform(0.8, 1.6), beta_dist=Normal(0.1, 0.5))
-        cells = [
-            VerifyCell(eta=0.01, noise="uniform"),
-            VerifyCell(eta=0.005, noise="normal", **other),
-            VerifyCell(eta=0.005, noise="normal"),
-            VerifyCell(eta=0.01, noise="uniform", **other),
-            VerifyCell(eta=0.01, noise="normal"),
-            VerifyCell(eta=0.005, noise="uniform", **other),
+        """One call over interleaved noise kinds and etas gives rows in input
+        order, each bit-equal to its config estimated alone, over two chunks
+        of which the last is partial."""
+        spec = EnsembleSpec(Uniform(0.8, 1.6), Normal(0.1, 0.5), count=CHUNK_SIZE + 20_000)
+        cfgs = [
+            UpdateConfig(eta=eta, c=1.0, noise=noise, seed=11)
+            for eta, noise in [(0.01, "uniform"), (0.005, "normal"), (0.01, "normal"), (0.005, "uniform")]
         ]
-        count = CHUNK_SIZE + 20_000
         monkeypatch.setenv("COLLAPSE_LAB_THREADS", "1")
-        rows = verify_theorem(cells, count=count, seed=11)
-        assert [(r.eta, r.noise, r.gamma_dist, r.beta_dist) for r in rows] == [
-            (c.eta, c.noise, str(c.gamma_dist), str(c.beta_dist)) for c in cells
+        rows = verify_theorem(spec, cfgs)
+        assert [(r.eta, r.noise, r.gamma_dist, r.beta_dist, r.n) for r in rows] == [
+            (c.eta, c.noise, "uniform:0.8:1.6", "normal:0.1:0.5", spec.count) for c in cfgs
         ]
-        for cell, row in zip(cells, rows):
-            spec = EnsembleSpec(cell.gamma_dist, cell.beta_dist, count=count)
-            cfg = UpdateConfig(eta=cell.eta, c=cell.c, noise=cell.noise, seed=11)
+        for cfg, row in zip(cfgs, rows):
             (alone,) = one_step_drift(spec, [cfg])
             assert row.empirical_mean == alone.empirical_mean
             assert row.std_error == alone.std_error
             assert row.predicted == alone.predicted
         monkeypatch.setenv("COLLAPSE_LAB_THREADS", "4")
-        assert verify_theorem(cells, count=count, seed=11) == rows
+        assert verify_theorem(spec, cfgs) == rows
 
     def test_deterministic(self):
-        cells = [VerifyCell(eta=0.005)]
-        a = verify_theorem(cells, count=50_000, seed=7)
-        b = verify_theorem(cells, count=50_000, seed=7)
+        spec = EnsembleSpec(SPEC_UU.gamma_dist, SPEC_UU.beta_dist, count=50_000)
+        a = verify_theorem(spec, [cfg_with(eta=0.005, seed=7)])
+        b = verify_theorem(spec, [cfg_with(eta=0.005, seed=7)])
         assert a == b

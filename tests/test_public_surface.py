@@ -7,9 +7,10 @@ imported module's ``__all__``; names with a leading underscore and modules
 without ``__all__`` (``errors``) are exempt. Every ``__all__`` entry must
 resolve, and the packages themselves re-export nothing.
 
-Every defaulted parameter of a function or method in src/ must be passed
-by some call in src/, except the few listed with their reasons: one that
-only the tests set is a constant in disguise.
+Every defaulted parameter of a function or method in src/, and every
+defaulted init field of a dataclass there, must be passed by some call in
+src/, except the few listed with their reasons: one that only the tests set
+is a constant in disguise.
 """
 
 import ast
@@ -19,6 +20,7 @@ import inspect
 import pkgutil
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -74,7 +76,7 @@ def test_every_imported_name_is_declared():
     imports = _package_imports()
     # the scan reaches relative imports, the tests and the README
     assert ("src/collapse_lab/net/train.py", "collapse_lab.net.model", "MLP") in imports
-    assert ("tests/test_mc.py", "collapse_lab.mc", "VerifyCell") in imports
+    assert ("tests/test_mc.py", "collapse_lab.mc", "EnsembleSpec") in imports
     assert ("README.md", "collapse_lab", "mc") in imports
     undeclared = []
     for where, module_name, name in imports:
@@ -148,27 +150,113 @@ def _signatures(trees):
     return signatures, classes, local
 
 
-def _passed_parameters(trees, signatures, classes, local) -> set[tuple[str, str]]:
-    """(function, parameter) for each defaulted parameter some call in src/ passes, by keyword or by position.
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether the class is decorated with @dataclass or @dataclass(...)."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+
+
+def _dataclass_inits(trees) -> dict[str, tuple[list[str], list[str]]]:
+    """Per dataclass, "module.qualname.__init__" -> (its init fields in order, the defaulted ones), as
+    ``_signatures`` gives a function's: a field(init=False) is no parameter, a field(default=...) or
+    field(default_factory=...) is a defaulted one."""
+    inits = {}
+    for module, (_, tree) in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                continue
+            fields, defaulted = [], []
+            for stmt in node.body:
+                if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+                    continue
+                default = stmt.value
+                if isinstance(default, ast.Call) and isinstance(default.func, ast.Name) and default.func.id == "field":
+                    options = {k.arg: k.value for k in default.keywords}
+                    if "init" in options and ast.literal_eval(options["init"]) is False:
+                        continue
+                    default = options.get("default", options.get("default_factory"))
+                fields.append(stmt.target.id)
+                if default is not None:
+                    defaulted.append(stmt.target.id)
+            inits[f"{module}.{node.name}.__init__"] = (fields, defaulted)
+    return inits
+
+
+def _double_star_fields() -> dict[tuple[str, str], tuple[str, set[str]]]:
+    """(the def around it, name) -> (dataclass, the fields it sets) for each ``**name`` that src/ passes to a
+    dataclass or to dataclasses.replace. Any other such ``**`` fails the guard: it sets no field here.
+
+    ``cli._train_arms`` passes ``replace(cfg, **overrides)``: overrides holds the TrainConfig fields that the
+    train flags name through _OPTIONS["train"] and _TRAIN_FIELD_FOR, found by running it with every flag given.
+    """
+    from collapse_lab import cli
+
+    fields = set()
+    params = {flag: object() for flag, *_ in cli._OPTIONS["train"]} | {"preset": None}
+    with mock.patch.object(cli, "replace", lambda cfg, **kw: fields.update(kw)):
+        cli._train_arms(params)
+    return {("collapse_lab.cli._train_arms", "overrides"): ("collapse_lab.net.train.TrainConfig.__init__", fields)}
+
+
+def _scoped_calls(module: str, tree: ast.Module):
+    """(the qualified name of the def or class around it, or the module's, call) for every call in the tree."""
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                yield scope, child
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            yield from walk(child, f"{scope}.{child.name}" if inner else scope)
+
+    yield from walk(tree, module)
+
+
+def _passed_parameters(trees, signatures, classes, local, inits):
+    """(function, parameter) -> the defs whose calls pass it, for each defaulted parameter some call in src/ passes,
+    by keyword or by position; and the ``**`` arguments into a dataclass that ``_double_star_fields`` does not resolve.
 
     A call by a name or through a module is resolved through the module's imports, aliases included; a call of
-    a method on an object counts for every method of that name.
+    a method on an object counts for every method of that name. A dataclass's defaulted fields are the defaulted
+    parameters of its __init__ (``inits``); dataclasses.replace(obj, name=...) sets the field ``name`` of every
+    dataclass that has it.
     """
     methods = {}
-    for name in signatures:
+    for name in signatures.keys() - inits.keys():  # no call on an object reaches a dataclass's generated __init__
         owner, _, short = name.rpartition(".")
         if owner in classes:
             methods.setdefault(short, []).append(name)
-    passed = set()
+    double_stars = _double_star_fields()
+    passed, unresolved = {}, []
+
+    def record(target, given, scope):
+        for p in set(given).intersection(signatures[target][1]):
+            passed.setdefault((target, p), set()).add(scope)
+
+    def pass_fields(targets, scope, call, given):
+        """Record the fields of the dataclasses ``targets`` that a call sets: ``given``, its keywords and a ``**``."""
+        given = given | {k.arg for k in call.keywords if k.arg is not None}
+        for k in call.keywords:
+            key = (scope, k.value.id) if k.arg is None and isinstance(k.value, ast.Name) else None
+            if key in double_stars:
+                record(*double_stars[key], scope)
+            elif k.arg is None and any(inits[t][1] for t in targets):
+                unresolved.append(f"{scope}: {ast.unparse(call)}")
+        for target in targets:
+            record(target, given, scope)
+
     for module, (path, tree) in trees.items():
         names = {n.name: f"{module}.{n.name}" for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        replace_names = set()
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and _from_module(path, node).startswith("collapse_lab"):
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                replace_names.update(a.asname or a.name for a in node.names if a.name == "replace")
+            elif isinstance(node, ast.ImportFrom) and _from_module(path, node).startswith("collapse_lab"):
                 names.update((a.asname or a.name, f"{_from_module(path, node)}.{a.name}") for a in node.names)
-        for call in ast.walk(tree):
-            if not isinstance(call, ast.Call):
-                continue
+        for scope, call in _scoped_calls(module, tree):
             func = call.func
+            if isinstance(func, ast.Name) and func.id in replace_names:
+                pass_fields(list(inits), scope, call, set())
+                continue
             if isinstance(func, ast.Name):
                 targets = [names[func.id]] if func.id in names else local.get(module, {}).get(func.id, [])
             elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in names:
@@ -182,22 +270,34 @@ def _passed_parameters(trees, signatures, classes, local) -> set[tuple[str, str]
                 if target not in signatures:
                     continue
                 positional, defaulted = signatures[target]
-                if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
-                    given = set(defaulted)  # *args or **kwargs may pass any of them
+                # *args may pass any parameter a positional argument can reach
+                starred = any(isinstance(a, ast.Starred) for a in call.args)
+                given = set(positional if starred else positional[: len(call.args)])
+                if target in inits:
+                    pass_fields([target], scope, call, given)
+                elif any(k.arg is None for k in call.keywords):
+                    record(target, defaulted, scope)  # **kwargs into a function may pass any of them
                 else:
-                    given = set(positional[: len(call.args)]) | {k.arg for k in call.keywords}
-                passed.update((target, p) for p in given.intersection(defaulted))
-    return passed
+                    record(target, given | {k.arg for k in call.keywords}, scope)
+    return passed, unresolved
 
 
 def test_every_default_is_a_setting_src_varies():
     trees = _src_trees()
     signatures, classes, local = _signatures(trees)
-    passed = _passed_parameters(trees, signatures, classes, local)
+    inits = _dataclass_inits(trees)
+    signatures |= inits
+    passed, unresolved = _passed_parameters(trees, signatures, classes, local, inits)
     # the scan follows an aliased import (mc calls analytic._ndtr as ndtr) and a method call on an object
     assert ("collapse_lab.analytic._ndtr", "out") in passed
     assert ("collapse_lab.net.layers.Dense.backward", "input_grad") in passed
-    unset = {(name, p) for name, (_, defaulted) in signatures.items() for p in defaulted} - passed
+    # a dataclass field is set by a keyword to its class, and by the train flags' replace(cfg, **overrides)
+    assert "collapse_lab.cli.cmd_decay" in passed.get(("collapse_lab.mc.UpdateConfig.__init__", "weight_decay"), ())
+    assert "collapse_lab.cli._train_arms" in passed.get(
+        ("collapse_lab.net.train.TrainConfig.__init__", "hidden_width"), ())
+    assert "noise_dist" not in inits["collapse_lab.mc.UpdateConfig.__init__"][0]  # field(init=False)
+    assert unresolved == [], "a ** into a dataclass or replace that _double_star_fields does not resolve"
+    unset = {(name, p) for name, (_, defaulted) in signatures.items() for p in defaulted} - passed.keys()
     only_tests = sorted(f"{name}({p})" for name, p in unset - UNSET_DEFAULTS_KEPT.keys())
     assert only_tests == [], "no call in src/ passes these: make each a constant"
     stale = sorted(f"{name}({p})" for name, p in UNSET_DEFAULTS_KEPT.keys() - unset)

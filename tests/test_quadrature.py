@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from helpers import integrate
+from helpers import TRUNCATION_RADIUS, integrate
 
 from collapse_lab.errors import ConfigError
-from collapse_lab.quadrature import PANELS, TRUNCATION_RADIUS, panel_nodes
+from collapse_lab.quadrature import PANELS, panel_nodes
 
 
 def phi(x):
@@ -13,7 +13,6 @@ def phi(x):
 
 
 def test_defaults():
-    assert TRUNCATION_RADIUS == 8.0
     assert PANELS >= 64
 
 
