@@ -8,12 +8,12 @@ from existing CSV files).
 
 A table is one form from producer to file to plot: {column name:
 column}. Every plotted artifact is registered in ``_ARTIFACTS`` as its
-declared columns ({name: type}) and a plot function: a command writes the
-table and draws the SVG from the columns it wrote, and ``report`` reads
-the table back, each column parsed as its declared type, and draws the
-same SVG from it, so the two files are byte-identical. A table whose
-header or cells do not match its declared columns is a configuration
-error.
+declared columns ({name: type}; a route's table is its row type's fields)
+and a plot function: a command writes the table and draws the SVG from
+the columns it wrote, and ``report`` reads the table back, each column
+parsed as its declared type, and draws the same SVG from it, so the two
+files are byte-identical. A table whose header or cells do not match its
+declared columns is a configuration error.
 
 Distribution arguments use a kind:param:param mini-grammar:
 ``uniform:-1:1``, ``normal:0:0.5``, ``point:0``. Grids are ``lo:hi:step``
@@ -329,7 +329,7 @@ _ARTIFACTS = {
     "j_grid": ({"gamma": float, "j": float, "beta_dist": str, "beta_even": bool}, _j_plot),
     "mc_verify": (typing.get_type_hints(mc.TheoremRow), _mc_plot),
     "decay": (typing.get_type_hints(mc.TrajectoryRecord), _decay_plot),
-    "experiment": (net_train.EXPERIMENT_COLUMNS, _experiment_plot),
+    "experiment": (typing.get_type_hints(net_train.ExperimentRow), _experiment_plot),
 }
 
 
@@ -428,7 +428,7 @@ def cmd_mc(params: dict) -> int:
         cfgs = mc.standard_grid(params["seed"])
     else:
         cfgs = [mc.UpdateConfig(eta=cell["eta"], c=cell["c"], noise=cell["noise"], seed=params["seed"])]
-    rows = mc.verify_theorem(mc.EnsembleSpec(cell["gamma"], cell["beta"], params["n"]), cfgs)
+    rows = mc.one_step_drift(mc.EnsembleSpec(cell["gamma"], cell["beta"], params["n"]), cfgs)
     _save(out, "mc_verify", _columns("mc_verify", rows))
     if params["verify"]:
         _print_agreement(rows)
@@ -456,7 +456,7 @@ def cmd_decay(params: dict) -> int:
         path,
         {
             "reactivation_step": result.reactivation_step,
-            "alpha": result.alpha,
+            "alpha": cfg.alpha,
             "steps_recorded": len(result.records),
         },
     )
@@ -485,7 +485,7 @@ def cmd_train(params: dict) -> int:
     arms = _train_arms(params)
     seeds = [params["seed"] + i for i in range(params["seeds"])]
     result = net_train.multi_round_experiment(arms, seeds)
-    _save(out, "experiment", {name: [r[name] for r in result.rows] for name in net_train.EXPERIMENT_COLUMNS})
+    _save(out, "experiment", _columns("experiment", result.rows))
     for (arm, seed), (model, reports, rng) in sorted(result.runs.items()):
         tag = f"{arm}_s{seed}"
         path = os.path.join(out, f"sparsity_{tag}.json")

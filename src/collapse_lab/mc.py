@@ -91,7 +91,6 @@ __all__ = [
     "CHUNK_SIZE",
     "EnsembleSpec",
     "UpdateConfig",
-    "DriftEstimate",
     "TrajectoryRecord",
     "DecayResult",
     "TheoremRow",
@@ -103,7 +102,6 @@ __all__ = [
     "sgd_trajectory",
     "decay_trajectory",
     "standard_grid",
-    "verify_theorem",
 ]
 
 CHUNK_SIZE = 1_000_000
@@ -202,13 +200,21 @@ class UpdateConfig:
 
 
 @dataclass(frozen=True)
-class DriftEstimate:
-    """Empirical one-step drift, its standard error, and the prediction."""
+class TheoremRow:
+    """One verification cell: empirical drift against the prediction, a row of mc_verify.csv."""
 
+    run_id: str
+    eta: float
+    c: float
+    noise: str
+    gamma_dist: str
+    beta_dist: str
+    n: int
     empirical_mean: float
     std_error: float
     predicted: float
     agree: bool
+    ratio_to_half_eta: float | None
     gamma_crossings: int
 
 
@@ -232,7 +238,6 @@ class DecayResult:
 
     records: tuple[TrajectoryRecord, ...]
     reactivation_step: int | None
-    alpha: float
 
 
 def _fires(gamma, beta, x_hat, alpha):
@@ -326,8 +331,8 @@ def _drift_chunk(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig], index: int, s
     return [(0.5 * math.fsum(a), 0.25 * math.fsum(b), int(c)) for a, b, c in zip(s1, s2, crossings)]
 
 
-def one_step_drift(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig]) -> list[DriftEstimate]:
-    """Estimate the one-step change in E[Phi((beta+alpha)/gamma)], one estimate per config.
+def one_step_drift(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig]) -> list[TheoremRow]:
+    """Estimate the one-step change in E[Phi((beta+alpha)/gamma)], one ``TheoremRow`` per config in order.
 
     Samples spec.count neurons, applies one gradient update to each (no
     decay), and averages the change over each antithetic +/-g pair. The
@@ -338,6 +343,17 @@ def one_step_drift(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig]) -> list[Dri
     config's estimate is the one a call with that config alone returns,
     bit for bit.
 
+    Configs that differ only in eta thus share every draw (common random
+    numbers), so their ratio isolates the eta scaling with almost no Monte
+    Carlo spread: ratio_to_half_eta is empirical(eta)/empirical(eta/2) for
+    each config whose halved eta appears with the same noise and c, and
+    the second-order form predicts 4. The sharing also ties the verdicts:
+    the estimates of one noise kind are near-proportional (seed-22 ratios
+    3.9989 and 3.9994 on the standard grid at 10^7 neurons), so at seed 22
+    all three normal cells sit 3.1-3.3 standard errors from the prediction
+    and disagree at once; the grid's agreement is close to one test per
+    noise kind, not one per cell.
+
     Since (gamma, beta + alpha) follows the unshifted rule, the prediction
     is the closed form for beta shifted by alpha: computed once at unit eta
     and c and scaled by eta^2 c^2, which is exact. ``agree`` holds when
@@ -346,17 +362,16 @@ def one_step_drift(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig]) -> list[Dri
     less: an ensemble in which no neuron fires has mean and standard error
     exactly 0 and cannot resolve a smaller predicted drift. Neurons whose
     gamma crosses <= 0 (step too large for the second-order regime) are
-    counted in gamma_crossings but still included via the cdf's own sign
-    convention. A gated-off neuron is not moved: its ratio is unchanged
-    (x +- 0.0 == x, and ndtr(+-0.0) is one value), so its pair term is 0
-    and it contributes nothing to the sums, which run over the firing
-    neurons' terms only. Both sums, of the pair terms and of their squares,
-    are NumPy reductions over each block of ``_BLOCK`` drawn neurons,
-    combined with math.fsum in block and then chunk order, so they depend
-    on ``_BLOCK`` but never on the worker or the BLAS thread count. A chunk
-    draws every stream block by block and holds a few blocks, about
-    1.5 MiB per thread. A prediction that overflows is a ConfigError,
-    raised before any chunk.
+    still included via the cdf's own sign convention. gamma_crossings
+    counts them: the neurons one of whose twins has gamma' <= 0 (at most
+    one can, as gamma > 0). A nonzero count marks a cell outside the
+    regime the prediction covers. Both sums, of the firing neurons' pair
+    terms and of their squares, are NumPy reductions over each block of
+    ``_BLOCK`` drawn neurons, combined with math.fsum in block and then
+    chunk order, so they depend on ``_BLOCK`` but never on the worker or
+    the BLAS thread count. A chunk draws every stream block by block and
+    holds a few blocks, about 1.5 MiB per thread. A prediction that
+    overflows is a ConfigError, raised before any chunk.
     The chunks run on resolve_threads(chunks) pool threads, in order at
     one; SciPy, which the package loads on its first Phi evaluation, is
     loaded before they start.
@@ -386,23 +401,32 @@ def one_step_drift(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig]) -> list[Dri
 
     with ThreadPoolExecutor(max_workers=resolve_threads(len(sizes))) as pool:
         parts = list(pool.map(lambda i: _drift_chunk(spec, cfgs, i, sizes[i]), range(len(sizes))))
-    estimates = []
-    for k, cfg in enumerate(cfgs):
-        s1 = math.fsum(p[k][0] for p in parts)
-        s2 = math.fsum(p[k][1] for p in parts)
+    per_config = (zip(*chunks) for chunks in zip(*parts))  # each config's (s1, s2, crossings) of every chunk
+    totals = [(math.fsum(s1), math.fsum(s2), sum(crossings)) for s1, s2, crossings in per_config]
+    mean_of = {(cfg.noise, cfg.c, cfg.eta): s1 / n for cfg, (s1, _, _) in zip(cfgs, totals)}
+    rows = []
+    for cfg, pred, (s1, s2, crossings) in zip(cfgs, predicted, totals):
         mean = s1 / n
-        var = max(s2 - s1 * s1 / n, 0.0) / (n - 1) if n > 1 else 0.0
-        se = math.sqrt(var / n)
-        estimates.append(
-            DriftEstimate(
+        se = math.sqrt(max(s2 - s1 * s1 / n, 0.0) / (n - 1) / n)
+        half = mean_of.get((cfg.noise, cfg.c, cfg.eta / 2.0))
+        rows.append(
+            TheoremRow(
+                run_id=f"eta{cfg.eta:g}-c{cfg.c:g}-{cfg.noise}",
+                eta=cfg.eta,
+                c=cfg.c,
+                noise=cfg.noise,
+                gamma_dist=str(spec.gamma_dist),
+                beta_dist=str(spec.beta_dist),
+                n=n,
                 empirical_mean=mean,
                 std_error=se,
-                predicted=predicted[k],
-                agree=abs(mean - predicted[k]) <= max(3.0 * se, _RESOLUTION),
-                gamma_crossings=sum(p[k][2] for p in parts),
+                predicted=pred,
+                agree=abs(mean - pred) <= max(3.0 * se, _RESOLUTION),
+                ratio_to_half_eta=mean / half if half not in (None, 0.0) else None,
+                gamma_crossings=crossings,
             )
         )
-    return estimates
+    return rows
 
 
 def _shrink(cfg: UpdateConfig, steps: int, stride: int) -> float:
@@ -516,25 +540,7 @@ def decay_trajectory(
     probs = ndtr(margins).tolist()
     collapsed = collapsed_mask(gammas).tolist()
     records = [TrajectoryRecord(t, g, b, p, k, c) for (t, g, b, c), p, k in zip(states, probs, collapsed)]
-    return DecayResult(records=tuple(records), reactivation_step=reactivation, alpha=cfg.alpha)
-
-
-@dataclass(frozen=True)
-class TheoremRow:
-    """One verification cell: empirical drift against the prediction."""
-
-    run_id: str
-    eta: float
-    c: float
-    noise: str
-    gamma_dist: str
-    beta_dist: str
-    n: int
-    empirical_mean: float
-    std_error: float
-    predicted: float
-    agree: bool
-    ratio_to_half_eta: float | None = None
+    return DecayResult(records=tuple(records), reactivation_step=reactivation)
 
 
 def standard_grid(seed: int) -> list[UpdateConfig]:
@@ -544,46 +550,3 @@ def standard_grid(seed: int) -> list[UpdateConfig]:
         for noise in ("normal", "uniform")
         for eta in (0.002, 0.005, 0.01)
     ]
-
-
-def verify_theorem(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig]) -> list[TheoremRow]:
-    """Run the drift estimate of each config on one ensemble and tabulate agreement, one row per config in order.
-
-    The configs share the seed, so configs differing only in eta reuse
-    the same draws (common random numbers); their empirical ratio then
-    isolates the eta scaling with almost no Monte Carlo spread. The
-    common draws are made once per chunk: one ``one_step_drift`` call
-    draws each chunk's (gamma, beta, x_hat) once for every config and each
-    noise kind's draw once for its configs. For each config whose halved
-    eta also appears (same noise and c), ratio_to_half_eta reports
-    empirical(eta)/empirical(eta/2), which the second-order form predicts
-    to be 4. The same sharing ties the verdicts: configs of one noise kind
-    share every draw, so their estimates are near-proportional (seed-22
-    ratios 3.9989 and 3.9994 on the standard grid at 10^7 neurons) and
-    their 3-sigma verdicts move together. At seed 22 all three normal
-    cells sit 3.1-3.3 standard errors from the prediction and disagree at
-    once; the grid's agreement is close to one test per noise kind, not
-    one per cell.
-    """
-    estimates = one_step_drift(spec, cfgs)
-    mean_of = {(cfg.noise, cfg.c, cfg.eta): est.empirical_mean for cfg, est in zip(cfgs, estimates)}
-    rows: list[TheoremRow] = []
-    for cfg, est in zip(cfgs, estimates):
-        half = mean_of.get((cfg.noise, cfg.c, cfg.eta / 2.0))
-        rows.append(
-            TheoremRow(
-                run_id=f"eta{cfg.eta:g}-c{cfg.c:g}-{cfg.noise}",
-                eta=cfg.eta,
-                c=cfg.c,
-                noise=cfg.noise,
-                gamma_dist=str(spec.gamma_dist),
-                beta_dist=str(spec.beta_dist),
-                n=spec.count,
-                empirical_mean=est.empirical_mean,
-                std_error=est.std_error,
-                predicted=est.predicted,
-                agree=est.agree,
-                ratio_to_half_eta=est.empirical_mean / half if half not in (None, 0.0) else None,
-            )
-        )
-    return rows

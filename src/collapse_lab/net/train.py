@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .data import Dataset, make_synthetic_dataset, shuffle_labels
 from .model import Arch, MLP
 
 __all__ = [
-    "EXPERIMENT_COLUMNS",
+    "ExperimentRow",
     "TrainConfig",
     "RoundReport",
     "ExperimentResult",
@@ -56,11 +57,6 @@ __all__ = [
 
 LABEL_MODES = ("true", "random")
 
-# the columns of experiment.csv, {name: type}: one row per (arm, seed, round)
-EXPERIMENT_COLUMNS = {
-    "arm": str, "seed": int, "round": int,
-    "train_loss": float, "train_acc": float, "val_acc": float, "sparsity_ratio": float, "flops_reduction": float,
-}
 
 
 @dataclass(frozen=True)
@@ -126,9 +122,22 @@ class RoundReport:
     sparsity: SparsityReport
 
 
+class ExperimentRow(NamedTuple):
+    """One row of experiment.csv: an (arm, seed, round) cell's fit and collapse accounting."""
+
+    arm: str
+    seed: int
+    round: int
+    train_loss: float
+    train_acc: float
+    val_acc: float
+    sparsity_ratio: float
+    flops_reduction: float
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
-    rows: list[dict]
+    rows: list[ExperimentRow]
     failures: list[tuple[str, int, str]]
     runs: dict  # (arm, seed) -> run_training's (model, [RoundReport], rng)
 
@@ -281,9 +290,10 @@ def multi_round_experiment(arms: list[tuple[str, TrainConfig]], seeds: list[int]
     Any other error a cell raises is raised here once every cell has run,
     the first in (arm, seed) order, so the worker count does not change it.
 
-    Rows are dicts keyed by EXPERIMENT_COLUMNS. All arms sharing a data_seed see the
-    identical dataset, so arm differences are architectural/hyperparameter
-    effects, not data resampling. The cells run in resolve_threads(cells)
+    Rows are ``ExperimentRow``s, one per (arm, seed, round): the rows of
+    experiment.csv. All arms sharing a data_seed see the identical
+    dataset, so arm differences are architectural/hyperparameter effects,
+    not data resampling. The cells run in resolve_threads(cells)
     one-BLAS-thread worker processes (in this one at 1); results keep
     (arm, seed) order, so they do not depend on the worker count.
     """
@@ -298,19 +308,11 @@ def multi_round_experiment(arms: list[tuple[str, TrainConfig]], seeds: list[int]
         if isinstance(out, Exception):
             raise out
         runs[(arm_name, cfg.seed)] = out
-        for rep in out[1]:  # the cell's RoundReports
-            rows.append(
-                {
-                    "arm": arm_name,
-                    "seed": cfg.seed,
-                    "round": rep.round_index,
-                    "train_loss": rep.train_loss,
-                    "train_acc": rep.train_acc,
-                    "val_acc": rep.val_acc,
-                    "sparsity_ratio": rep.sparsity.sparsity_ratio,
-                    "flops_reduction": rep.sparsity.flops_reduction,
-                }
-            )
+        rows += [
+            ExperimentRow(arm_name, cfg.seed, rep.round_index, rep.train_loss, rep.train_acc, rep.val_acc,
+                          rep.sparsity.sparsity_ratio, rep.sparsity.flops_reduction)
+            for rep in out[1]  # the cell's RoundReports
+        ]
     return ExperimentResult(rows=rows, failures=failures, runs=runs)
 
 

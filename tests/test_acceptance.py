@@ -48,7 +48,7 @@ def theorem_grid():
     """Six-cell drift verification at 10M samples per cell, timed once."""
     t0 = time.perf_counter()
     spec = mc.EnsembleSpec(Uniform(0.5, 1.5), Uniform(-1.0, 1.0), count=10_000_000)
-    rows = mc.verify_theorem(spec, mc.standard_grid(0))
+    rows = mc.one_step_drift(spec, mc.standard_grid(0))
     return rows, time.perf_counter() - t0
 
 
@@ -230,7 +230,7 @@ def test_07_layer_gradients_match_fd():
 def test_08_toy_collapse_trends(toy_study):
     result, base, elapsed = toy_study
     assert result.failures == []
-    spars = {(r["arm"], r["seed"], r["round"]): r["sparsity_ratio"] for r in result.rows}
+    spars = {(r.arm, r.seed, r.round): r.sparsity_ratio for r in result.rows}
     last = base.rounds - 1
     seeds = (0, 1, 2)
 

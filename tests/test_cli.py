@@ -193,6 +193,7 @@ class TestMc:
         assert lines[:2] == ["o/mc_verify.csv", "o/drift_vs_eta.svg"]
         assert lines[2].split() == ["cell", "empirical", "predicted", "se", "ratio", "agree"]
         assert [line.split()[0] for line in lines[4:10]] == [r["run_id"] for r in rows]
+        assert [r["gamma_crossings"] for r in rows] == [0] * 6  # no gamma of the standard grid crosses 0
         bad = sum(not r["agree"] for r in rows)
         if bad:
             assert f"{bad} cell(s) disagree" in res.stderr
@@ -287,6 +288,12 @@ class TestMc:
             res = run_cli(args + ["--out", out], cwd=tmp_path, env={"OPENBLAS_NUM_THREADS": blas})
             assert res.returncode == 0, res.stderr
         assert tree_bytes(tmp_path / "b") == tree_bytes(tmp_path / "a")
+        # the third FROZEN cell of test_mc.py: steps this large carry gammas across 0, and the file says how many
+        (row,) = read_rows(tmp_path / "a" / "mc_verify.csv")
+        assert (row["gamma_crossings"], row["agree"]) == (21747, False)
+        res = run_cli(["report", "--source", "a", "--out", "r"], cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / "r" / "drift_vs_eta.svg").read_bytes() == (tmp_path / "a" / "drift_vs_eta.svg").read_bytes()
 
     def test_invalid_thread_env(self, tmp_path):
         res = run_cli(
@@ -598,7 +605,8 @@ class TestPinnedBytes:
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted((tmp_path / "m").iterdir())}
         assert got == {
             "drift_vs_eta.svg": "e453bbb57d487fa133fa01699c6c22913308e57096576f815b00b3cd54ab7c7b",
-            "mc_verify.csv": "c1acb4abf0ab1f52f263b450539a4683aa083599af998a9c31103444bb3093e6",
+            # its first 12 columns hash to c1acb4ab...: the file before gamma_crossings became its 13th column
+            "mc_verify.csv": "20a70b19af94740e3a9338ccbca005c62371ef1e40945bf71eccb7a62a7c547b",
         }
 
 

@@ -28,7 +28,6 @@ from collapse_lab.mc import (
     _drift_chunk,
     _fires,
     update_step,
-    verify_theorem,
 )
 from collapse_lab.sparsity import COLLAPSE_THRESHOLD
 
@@ -616,6 +615,8 @@ class TestDecayTrajectory:
 
 
 class TestVerifyTheorem:
+    """The verification rows ``one_step_drift`` returns: one per config, with ratios paired within a run."""
+
     def test_standard_grid_shape(self):
         cfgs = standard_grid(3)
         assert len(cfgs) == 6
@@ -624,7 +625,7 @@ class TestVerifyTheorem:
         assert {(c.c, c.seed) for c in cfgs} == {(1.0, 3)}
 
     def test_small_grid_agreement_and_ratio(self):
-        rows = verify_theorem(SPEC_UU, [cfg_with(eta=0.004), cfg_with(eta=0.002)])
+        rows = one_step_drift(SPEC_UU, [cfg_with(eta=0.004), cfg_with(eta=0.002)])
         assert all(r.agree for r in rows)
         assert all(r.empirical_mean < 0 for r in rows)
         double = next(r for r in rows if r.eta == 0.004)
@@ -636,11 +637,11 @@ class TestVerifyTheorem:
     def test_ratio_only_within_one_noise_kind_and_c(self):
         spec = EnsembleSpec(SPEC_UU.gamma_dist, SPEC_UU.beta_dist, count=20_000)
         cfgs = [cfg_with(eta=0.01), cfg_with(eta=0.005, noise="uniform"), cfg_with(eta=0.005, c=2.0)]
-        assert [r.ratio_to_half_eta for r in verify_theorem(spec, cfgs)] == [None, None, None]
+        assert [r.ratio_to_half_eta for r in one_step_drift(spec, cfgs)] == [None, None, None]
 
     def test_zero_eta_row(self):
         spec = EnsembleSpec(SPEC_UU.gamma_dist, SPEC_UU.beta_dist, count=20_000)
-        rows = verify_theorem(spec, [cfg_with(eta=0.0)])
+        rows = one_step_drift(spec, [cfg_with(eta=0.0)])
         assert rows[0].empirical_mean == 0.0
         assert rows[0].predicted == 0.0
         assert rows[0].agree
@@ -655,7 +656,7 @@ class TestVerifyTheorem:
             for eta, noise in [(0.01, "uniform"), (0.005, "normal"), (0.01, "normal"), (0.005, "uniform")]
         ]
         monkeypatch.setenv("COLLAPSE_LAB_THREADS", "1")
-        rows = verify_theorem(spec, cfgs)
+        rows = one_step_drift(spec, cfgs)
         assert [(r.eta, r.noise, r.gamma_dist, r.beta_dist, r.n) for r in rows] == [
             (c.eta, c.noise, "uniform:0.8:1.6", "normal:0.1:0.5", spec.count) for c in cfgs
         ]
@@ -664,11 +665,14 @@ class TestVerifyTheorem:
             assert row.empirical_mean == alone.empirical_mean
             assert row.std_error == alone.std_error
             assert row.predicted == alone.predicted
+            assert row.gamma_crossings == alone.gamma_crossings == 0
+        # each eta 0.01 row pairs with the eta 0.005 row of its own noise kind, wherever that row stands
+        assert [r.ratio_to_half_eta is None for r in rows] == [False, True, False, True]
         monkeypatch.setenv("COLLAPSE_LAB_THREADS", "4")
-        assert verify_theorem(spec, cfgs) == rows
+        assert one_step_drift(spec, cfgs) == rows
 
     def test_deterministic(self):
         spec = EnsembleSpec(SPEC_UU.gamma_dist, SPEC_UU.beta_dist, count=50_000)
-        a = verify_theorem(spec, [cfg_with(eta=0.005, seed=7)])
-        b = verify_theorem(spec, [cfg_with(eta=0.005, seed=7)])
+        a = one_step_drift(spec, [cfg_with(eta=0.005, seed=7)])
+        b = one_step_drift(spec, [cfg_with(eta=0.005, seed=7)])
         assert a == b

@@ -16,8 +16,8 @@ from collapse_lab.mc import usable_cores
 from collapse_lab.net import train as net_train
 from collapse_lab.net.model import MLP, load_checkpoint, save_checkpoint
 from collapse_lab.net.train import (
-    EXPERIMENT_COLUMNS,
     PRESETS,
+    ExperimentRow,
     TrainConfig,
     cosine_lr,
     dataset_for,
@@ -273,12 +273,13 @@ class TestExperiment:
         assert "diverged" in result.failures[0][2]
         assert set(result.runs) == {("good", 0)}
         assert len(result.rows) == TINY.rounds
-        assert all(list(row) == list(EXPERIMENT_COLUMNS) for row in result.rows)
+        assert all(type(row) is ExperimentRow and row.arm == "good" for row in result.rows)
+        assert [row.round for row in result.rows] == list(range(TINY.rounds))
         assert isinstance(result.runs[("good", 0)][2], np.random.Generator)
 
     def test_rows_cover_arm_seed_round_grid(self):
         result = multi_round_experiment([("a", TINY)], seeds=[0, 1])
-        got = {(r["arm"], r["seed"], r["round"]) for r in result.rows}
+        got = {(r.arm, r.seed, r.round) for r in result.rows}
         assert got == {("a", s, r) for s in (0, 1) for r in range(TINY.rounds)}
 
     @needs_two_cores
