@@ -161,7 +161,6 @@ _OPTIONS = {
         ("n_per_class", _parse_count, None, "points per class"),
         ("data_seed", int, None, "dataset seed (shared across arms)"),
         ("threshold", float, None, "collapse threshold"),
-        ("random_labels", _parse_bool, None, "train against a fixed random label permutation"),
     ],
     "report": [
         ("source", str, None, "directory holding CSV files to re-plot (defaults to --out)"),
@@ -173,7 +172,7 @@ _OPTIONS = {
 _MC_CELL = {"eta": 0.005, "c": 1.0, "noise": "normal", "gamma": Uniform(0.5, 1.5), "beta": Uniform(-1.0, 1.0)}
 
 # train flags that set a TrainConfig field of another name; each train flag
-# but preset, seed, seeds and random_labels sets the field of its own name
+# but preset, seed and seeds sets the field of its own name
 _TRAIN_FIELD_FOR = {
     "epochs": "epochs_per_round",
     "momentum": "momentum_sgd",
@@ -471,10 +470,8 @@ def _train_arms(params: dict) -> list[tuple[str, net_train.TrainConfig]]:
         arms = [("custom", net_train.TOY_BASE)]
     overrides = {}
     for flag, *_ in _OPTIONS["train"]:
-        if flag not in ("preset", "seed", "seeds", "random_labels") and params[flag] is not None:
+        if flag not in ("preset", "seed", "seeds") and params[flag] is not None:
             overrides[_TRAIN_FIELD_FOR.get(flag, flag)] = params[flag]
-    if params["random_labels"]:
-        overrides["label_mode"] = "random"
     if overrides:
         arms = [(name, replace(cfg, **overrides)) for name, cfg in arms]
     return arms

@@ -13,11 +13,12 @@ needed for determinism). alpha > 0 is the post-shift variant: it enters
 only through the Heaviside argument, since a constant output shift changes
 no gradient.
 
-``update_step`` is the rule's only copy and ``_fires`` its gate's. The
-caller evaluates the gate and hands it to ``update_step`` with the step
-size: ``sgd_trajectory`` once per step with its config's eta, the drift
-estimator once per block and noise kind with a column of etas, one per
-config. ``one_step_drift`` estimates the one-step change in
+``_fires`` is the gate's only copy, and the trainer's ``net.train.sgd_step``
+the step's: ``sgd_trajectory`` writes each step's gated gradients into one
+(gamma, beta) store and calls it, with no momentum. The drift estimator
+keeps its own one-step kernel, as its +g and -g twins start from one base,
+which an in-place step would copy twice per block. ``one_step_drift``
+estimates the one-step change in
 E[Phi((beta+alpha)/gamma)] over a fresh ensemble against the closed
 form, evaluating each neuron at +g and -g and averaging the pair. Every admissible noise distribution here is
 symmetric (mean-0 uniform and normal, and the point mass at 0), so the
@@ -85,6 +86,7 @@ from .analytic import _ndtr as ndtr
 from .analytic import _special, drift_prediction, require_gamma_support
 from .dists import Normal, PointMass, ScalarDist, Uniform
 from .errors import ConfigError, DivergenceError, DomainError, require_seed
+from .net.train import sgd_step
 from .sparsity import collapsed_mask
 
 __all__ = [
@@ -97,7 +99,6 @@ __all__ = [
     "noise_for",
     "resolve_threads",
     "usable_cores",
-    "update_step",
     "one_step_drift",
     "sgd_trajectory",
     "decay_trajectory",
@@ -247,23 +248,6 @@ def _fires(gamma, beta, x_hat, alpha):
     return pre > -alpha
 
 
-def update_step(fires, x_hat, grad, eta):
-    """One gradient update of an ensemble of (gamma, beta); decay is applied separately.
-
-    ``fires`` is the gate ``_fires(gamma, beta, x_hat, alpha)``, which the
-    caller evaluates once, or True when it has kept only neurons that fire.
-    ``eta`` is the step size: a float, or a column of them, one per row of
-    a stack of configs that share ``grad``. Elementwise over arrays (or
-    scalars) that broadcast, with no finiteness scan (callers validate).
-    Returns (delta_gamma, delta_beta), both 0 where the gate is False;
-    delta_gamma = x_hat * delta_beta exactly.
-    """
-    delta_beta = -eta * grad
-    if fires is not True:
-        delta_beta = np.where(fires, delta_beta, 0.0)
-    return x_hat * delta_beta, delta_beta
-
-
 def _drift_chunk(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig], index: int, size: int):
     """Partial sums for one seeded chunk: one (sum d, sum d^2, gamma crossings) per config.
 
@@ -315,11 +299,13 @@ def _drift_chunk(spec: EnsembleSpec, cfgs: Sequence[UpdateConfig], index: int, s
         p0 = (beta + alpha if alpha else beta) / gamma  # the skip keeps the bits, as in change
         ndtr(p0, out=p0)
         for (_, _, ks, etas), grad in zip(kinds, grads):
-            # every neuron here fires; the gate does not depend on g, so the -g twin moves by exactly -delta
-            d_gamma, d_beta = update_step(True, x, grad, etas)
-            pair = change(ks, gamma + d_gamma, beta + d_beta)
+            # every neuron here fires, and the gate does not depend on g: the +g twin steps by -(d_gamma, d_beta),
+            # the -g twin by exactly +(d_gamma, d_beta), as negation is exact
+            d_beta = etas * grad
+            d_gamma = x * d_beta
+            pair = change(ks, gamma - d_gamma, beta - d_beta)
             # the -g twin reuses the step's own buffers, as the +g twin is done with them
-            pair += change(ks, np.subtract(gamma, d_gamma, out=d_gamma), np.subtract(beta, d_beta, out=d_beta))
+            pair += change(ks, np.add(gamma, d_gamma, out=d_gamma), np.add(beta, d_beta, out=d_beta))
             # each row by its own pairwise NumPy reduction, never BLAS; squared in place, as the terms are done with
             firsts = np.add.reduce(pair, axis=1).tolist()
             pair *= pair
@@ -442,7 +428,7 @@ def _shrink(cfg: UpdateConfig, steps: int, stride: int) -> float:
 
 
 def sgd_trajectory(gamma, beta, steps: int, cfg: UpdateConfig, stride: int = 1):
-    """Ensemble trace: gradient update then coupled decay, every step.
+    """Ensemble trace: ``net.train.sgd_step``, without momentum, on the gradients ``_fires`` gates, every step.
 
     ``gamma`` and ``beta`` hold N neurons' initial state (1-D arrays of one
     shape, or scalars for N = 1). Returns (recorded steps, gamma, beta), the
@@ -450,15 +436,17 @@ def sgd_trajectory(gamma, beta, steps: int, cfg: UpdateConfig, stride: int = 1):
     steps, the final step always included. Raises DivergenceError carrying
     that triple for the rows so far if the state leaves the finite range.
     """
-    shrink = _shrink(cfg, steps, stride)
+    _shrink(cfg, steps, stride)
     gamma, beta = (np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in (gamma, beta))
     if gamma.ndim != 1 or gamma.shape != beta.shape:
         raise DomainError(f"gamma and beta must be scalars or 1-D arrays of one shape, got {gamma.shape}, {beta.shape}")
     if not (np.isfinite(gamma).all() and np.isfinite(beta).all()):
         raise DomainError("initial gamma and beta must be finite")
     recorded = np.unique(np.append(np.arange(0, steps, stride), steps))
-    gammas, betas = np.empty((2, recorded.size, gamma.size))
-    gammas[0], betas[0] = gamma, beta
+    records = np.empty((2, recorded.size, gamma.size))
+    state = np.stack([gamma, beta])  # one store: row 0 gamma, row 1 beta
+    records[:, 0] = state
+    velocity, grads = np.zeros_like(state), np.empty_like(state)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed])))
     done = row = 0
     while done < steps:
@@ -466,18 +454,19 @@ def sgd_trajectory(gamma, beta, steps: int, cfg: UpdateConfig, stride: int = 1):
         x_block = rng.standard_normal((block, gamma.size))
         g_block = cfg.noise_dist.sample(rng, (block, gamma.size))
         for x_hat, grad in zip(x_block, g_block):
-            d_gamma, d_beta = update_step(_fires(gamma, beta, x_hat, cfg.alpha), x_hat, grad, cfg.eta)
-            gamma = (gamma + d_gamma) * shrink
-            beta = (beta + d_beta) * shrink
+            # d/d(beta) = g*H and d/d(gamma) = x_hat*g*H, then the gradient step and the coupled decay
+            np.multiply(grad, _fires(state[0], state[1], x_hat, cfg.alpha), out=grads[1])
+            np.multiply(x_hat, grads[1], out=grads[0])
+            sgd_step(state, velocity, grads, cfg.eta, 0.0, cfg.weight_decay)
             done += 1
             if done == recorded[row + 1]:
                 # inf and nan persist, so checking each record catches any divergence
-                if not (np.isfinite(gamma).all() and np.isfinite(beta).all()):
-                    partial = (recorded[: row + 1], gammas[: row + 1], betas[: row + 1])
+                if not np.isfinite(state).all():
+                    partial = (recorded[: row + 1], records[0, : row + 1], records[1, : row + 1])
                     raise DivergenceError(f"non-finite state by step {done}", partial=partial)
                 row += 1
-                gammas[row], betas[row] = gamma, beta
-    return recorded, gammas, betas
+                records[:, row] = state
+    return recorded, records[0], records[1]
 
 
 def decay_trajectory(

@@ -9,13 +9,13 @@ regime the drift analysis cares about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigError
 
-__all__ = ["Dataset", "make_synthetic_dataset", "shuffle_labels", "class_means"]
+__all__ = ["Dataset", "make_synthetic_dataset", "class_means"]
 
 SCALE = 3.0
 
@@ -64,14 +64,3 @@ def make_synthetic_dataset(classes: int, dim: int, n_per_class: int, seed: int) 
     x_val, y_val = x_val[order], y_val[order]
     return Dataset(x_train, y_train, x_val, y_val)
 
-
-def shuffle_labels(dataset: Dataset, seed: int) -> Dataset:
-    """Permute the training labels once; the new pairing is then fixed.
-
-    Validation labels stay untouched, so validation accuracy measures
-    generalization against the real classes (chance level under pure
-    memorization).
-    """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
-    perm = rng.permutation(len(dataset.y_train))
-    return replace(dataset, y_train=dataset.y_train[perm])

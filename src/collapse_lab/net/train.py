@@ -6,7 +6,9 @@ round. Momentum buffers reset at each round start so the restart effect is
 purely the learning-rate jump. Weight decay is the coupled multiplicative
 shrink by (1 - eta_t * lambda) after each gradient step and applies to
 every parameter, the BN scale and bias included; that coupling is what
-lets inactive units decay all the way to the collapse threshold.
+lets inactive units decay all the way to the collapse threshold. The
+factor must stay > 0, so eta_max * lambda < 1. ``sgd_step`` is the step's
+one copy, which ``mc.sgd_trajectory`` takes on its (gamma, beta) too.
 
 Defaults for the toy experiments use a larger weight decay (0.05) than the
 conventional 5e-4. The collapse endgame needs the cumulative shrink
@@ -37,7 +39,7 @@ import numpy as np
 
 from ..errors import CollapseLabError, ConfigError, DivergenceError, require_seed
 from ..sparsity import COLLAPSE_THRESHOLD, SparsityReport, report_from_chain
-from .data import Dataset, make_synthetic_dataset, shuffle_labels
+from .data import Dataset, make_synthetic_dataset
 from .model import Arch, MLP
 
 __all__ = [
@@ -47,6 +49,7 @@ __all__ = [
     "ExperimentResult",
     "cosine_lr",
     "dataset_for",
+    "sgd_step",
     "train_round",
     "run_training",
     "multi_round_experiment",
@@ -54,9 +57,6 @@ __all__ = [
     "PRESETS",
     "TOY_BASE",
 ]
-
-LABEL_MODES = ("true", "random")
-
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,6 @@ class TrainConfig:
     weight_decay: float = 5e-4
     activation: str = "relu"
     gamma_init: float = 1.0
-    label_mode: str = "true"
     seed: int = 0
     norm: str = "bn"
     alpha: float = 0.0
@@ -98,9 +97,9 @@ class TrainConfig:
             raise ConfigError(f"momentum_sgd must lie in [0, 1), got {self.momentum_sgd}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.eta_max * self.weight_decay >= 1:  # the cosine eta never exceeds eta_max
+            raise ConfigError(f"eta_max * weight_decay must be < 1, got {self.eta_max * self.weight_decay}")
         self.arch  # constructing the Arch checks the architecture fields
-        if self.label_mode not in LABEL_MODES:
-            raise ConfigError(f"label_mode must be one of {LABEL_MODES}, got {self.label_mode!r}")
         require_seed("seed", self.seed)
         require_seed("data_seed", self.data_seed)
 
@@ -155,6 +154,17 @@ def _steps_per_epoch(n: int, batch_size: int) -> int:
     return full + (1 if rem >= 2 else 0)
 
 
+def sgd_step(params, velocity, grads, eta, momentum, weight_decay) -> None:
+    """One SGD step, in place: heavy-ball momentum, the step, then the coupled decay at the same eta.
+
+    ``train_round`` takes it once per batch, ``mc.sgd_trajectory`` once per step.
+    """
+    velocity *= momentum
+    velocity += grads
+    params -= eta * velocity
+    params *= 1.0 - eta * weight_decay
+
+
 def train_round(
     model: MLP,
     dataset: Dataset,
@@ -186,10 +196,7 @@ def train_round(
                     f"round {round_index} diverged at epoch {epoch}, step {t}: {exc}",
                     partial={"round_index": round_index, "epoch": epoch, "step": t},
                 ) from exc
-            velocity *= cfg.momentum_sgd
-            velocity += model.grads
-            model.params -= eta * velocity
-            model.params *= 1.0 - eta * cfg.weight_decay
+            sgd_step(model.params, velocity, model.grads, eta, cfg.momentum_sgd, cfg.weight_decay)
             t += 1
     train_loss, train_acc = model.evaluate(dataset.x_train, dataset.y_train)
     _, val_acc = model.evaluate(dataset.x_val, dataset.y_val)
@@ -204,10 +211,7 @@ def train_round(
 
 
 def dataset_for(cfg: TrainConfig) -> Dataset:
-    dataset = make_synthetic_dataset(cfg.classes, cfg.dim, cfg.n_per_class, cfg.data_seed)
-    if cfg.label_mode == "random":
-        dataset = shuffle_labels(dataset, cfg.data_seed + 1)
-    return dataset
+    return make_synthetic_dataset(cfg.classes, cfg.dim, cfg.n_per_class, cfg.data_seed)
 
 
 def run_training(cfg: TrainConfig):

@@ -54,14 +54,10 @@ def theorem_grid():
 
 @pytest.fixture(scope="module")
 def toy_study():
-    """Four arms x three seeds of the toy collapse experiment, timed once."""
-    base = dict(PRESETS["norm-variants"])["bn-relu"]
-    arms = [
-        ("bn-relu", base),
-        ("psbn", replace(base, norm="psbn", alpha=0.1)),
-        ("gamma-02", replace(base, gamma_init=0.2)),
-        ("eta-05", replace(base, eta_max=0.5)),
-    ]
+    """Four preset arms x three seeds of the toy collapse experiment, timed once."""
+    preset = {name: cfg for arms in PRESETS.values() for name, cfg in arms}
+    arms = [(name, preset[name]) for name in ("bn-relu", "psbn-relu", "gamma-0.2", "eta-0.5")]
+    base = preset["bn-relu"]
     t0 = time.perf_counter()
     result = multi_round_experiment(arms, seeds=(0, 1, 2))
     return result, base, time.perf_counter() - t0
@@ -238,16 +234,16 @@ def test_08_toy_collapse_trends(toy_study):
     assert grew >= 2, f"sparsity grew in only {grew}/3 seeds"
 
     for s in seeds:
-        assert spars[("psbn", s, last)] <= spars[("bn-relu", s, last)], (
-            f"seed {s}: post-shift {spars[('psbn', s, last)]:.4f}"
+        assert spars[("psbn-relu", s, last)] <= spars[("bn-relu", s, last)], (
+            f"seed {s}: post-shift {spars[('psbn-relu', s, last)]:.4f}"
             f" > plain {spars[('bn-relu', s, last)]:.4f}"
         )
 
     def mean_final(arm):
         return sum(spars[(arm, s, last)] for s in seeds) / len(seeds)
 
-    assert mean_final("gamma-02") >= mean_final("bn-relu")
-    assert mean_final("eta-05") >= mean_final("bn-relu")
+    assert mean_final("gamma-0.2") >= mean_final("bn-relu")
+    assert mean_final("eta-0.5") >= mean_final("bn-relu")
     assert elapsed < 600.0, f"study took {elapsed:.1f}s, budget 600s"
 
 
@@ -256,7 +252,7 @@ def test_09_pruning_collapsed_units_is_neutral(toy_study):
     t0 = time.perf_counter()
     # psbn too: its collapsed units still emit a constant, which pruning
     # must carry into the next layer's bias
-    for arm in ("bn-relu", "psbn"):
+    for arm in ("bn-relu", "psbn-relu"):
         for seed in (0, 1, 2):
             model, _, _ = result.runs[(arm, seed)]
             ds = dataset_for(replace(base, seed=seed))

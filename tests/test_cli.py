@@ -489,7 +489,10 @@ class TestTrain:
         res = run_cli(self.ARGS + ["--norm", "bn", "--alpha", "0.1"], cwd=tmp_path)
         assert res.returncode == 2, res.stderr
 
-    @pytest.mark.parametrize("flag, value", [("--wd", "nan"), ("--gamma-init", "inf"), ("--threshold", "-1")])
+    # --wd 10 at the default eta_max 0.1 would scale every parameter by 1 - 0.1*10 = 0 at the first step
+    @pytest.mark.parametrize(
+        "flag, value", [("--wd", "nan"), ("--wd", "10"), ("--gamma-init", "inf"), ("--threshold", "-1")]
+    )
     def test_non_finite_or_negative_value_is_config_error(self, tmp_path, flag, value):
         res = run_cli(self.ARGS + [flag, value], cwd=tmp_path)
         assert res.returncode == 2, res.stderr

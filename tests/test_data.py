@@ -1,10 +1,10 @@
-"""Synthetic dataset: geometry of the class means, splits, label shuffling."""
+"""Synthetic dataset: geometry of the class means, splits."""
 
 import numpy as np
 import pytest
 
 from collapse_lab.errors import ConfigError
-from collapse_lab.net.data import class_means, make_synthetic_dataset, shuffle_labels
+from collapse_lab.net.data import class_means, make_synthetic_dataset
 
 
 class TestClassMeans:
@@ -70,29 +70,3 @@ class TestMakeDataset:
         with pytest.raises(ConfigError):
             make_synthetic_dataset(5, 3, 100, seed=0)
 
-
-class TestShuffleLabels:
-    def test_multiset_preserved(self):
-        ds = make_synthetic_dataset(5, 8, 100, seed=2)
-        shuffled = shuffle_labels(ds, seed=7)
-        assert np.array_equal(np.bincount(shuffled.y_train), np.bincount(ds.y_train))
-        # a constant predictor scores exactly the class fraction either way
-        assert np.mean(shuffled.y_train == 0) == np.mean(ds.y_train == 0) == 0.2
-
-    def test_actually_permutes(self):
-        ds = make_synthetic_dataset(5, 8, 100, seed=2)
-        shuffled = shuffle_labels(ds, seed=7)
-        assert not np.array_equal(shuffled.y_train, ds.y_train)
-
-    def test_validation_untouched(self):
-        ds = make_synthetic_dataset(5, 8, 100, seed=2)
-        shuffled = shuffle_labels(ds, seed=7)
-        assert shuffled.y_val is ds.y_val
-        assert shuffled.x_val is ds.x_val
-        assert shuffled.x_train is ds.x_train
-
-    def test_deterministic(self):
-        ds = make_synthetic_dataset(5, 8, 100, seed=2)
-        a = shuffle_labels(ds, seed=7)
-        b = shuffle_labels(ds, seed=7)
-        assert np.array_equal(a.y_train, b.y_train)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from collapse_lab import mc
 from collapse_lab.analytic import _ndtr as ndtr
 from collapse_lab.analytic import drift_prediction
 from collapse_lab.dists import Normal, PointMass, Uniform
@@ -27,8 +28,8 @@ from collapse_lab.mc import (
     _BLOCK,
     _drift_chunk,
     _fires,
-    update_step,
 )
+from collapse_lab.net.train import sgd_step
 from collapse_lab.sparsity import COLLAPSE_THRESHOLD
 
 FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -41,72 +42,68 @@ def cfg_with(**kw) -> UpdateConfig:
 
 
 def step(gamma, beta, x_hat, grad, cfg):
-    """update_step with its gate evaluated by _fires, as sgd_trajectory calls it."""
-    return update_step(_fires(gamma, beta, x_hat, cfg.alpha), x_hat, grad, cfg.eta)
+    """One sgd_trajectory step on the (gamma, beta) store: gradients g*H and x_hat*g*H, H from _fires, then sgd_step."""
+    state = np.stack([gamma, beta])
+    d_beta = grad * _fires(gamma, beta, x_hat, cfg.alpha)
+    sgd_step(state, np.zeros_like(state), np.stack([x_hat * d_beta, d_beta]), cfg.eta, 0.0, cfg.weight_decay)
+    return state[0], state[1]
 
 
 class TestUpdateStep:
     def test_active_unit(self):
         # pre-activations 1*0.5 + 0.1 = 0.6 and 2*0.25 + 0 = 0.5 are > 0, so both fire
-        dg, db = step(
+        gamma, beta, x_hat, grad = (
             np.array([1.0, 2.0]), np.array([0.1, 0.0]), np.array([0.5, 0.25]), np.array([2.0, -1.0]),
-            cfg_with(eta=0.1),
         )
-        assert db.tolist() == [-0.2, 0.1]
-        assert dg.tolist() == [-0.1, 0.025]
+        assert _fires(gamma, beta, x_hat, 0.0).tolist() == [True, True]
+        g2, b2 = step(gamma, beta, x_hat, grad, cfg_with(eta=0.1))
+        assert b2.tolist() == [0.1 - 0.1 * 2.0, 0.1]
+        assert g2.tolist() == [1.0 - 0.1 * (0.5 * 2.0), 2.0 + 0.1 * 0.25]
 
     def test_dead_unit(self):
-        dg, db = step(
+        # dead units get no gradient: at lambda = 0 their state keeps every bit
+        gamma, beta, x_hat, grad = (
             np.array([1.0, 0.5]), np.array([-2.0, 0.1]), np.array([0.5, -1.0]), np.array([2.0, 3.0]),
-            cfg_with(eta=0.1),
         )
-        assert db.tolist() == [0.0, 0.0] and dg.tolist() == [0.0, 0.0]
+        assert _fires(gamma, beta, x_hat, 0.0).tolist() == [False, False]
+        g2, b2 = step(gamma, beta, x_hat, grad, cfg_with(eta=0.1))
+        assert g2.tobytes() == gamma.tobytes() and b2.tobytes() == beta.tobytes()
 
     def test_exactly_zero_pre_activation(self):
         # 1*0.5 - 0.5 = 0 and H(0) = 0, so no update; the active neighbour still moves
-        dg, db = step(
+        gamma, beta, x_hat, grad = (
             np.array([1.0, 1.0]), np.array([-0.5, 0.5]), np.array([0.5, 0.5]), np.array([7.0, 7.0]),
-            cfg_with(eta=0.1),
         )
-        assert (dg[0], db[0]) == (0.0, 0.0)
-        assert db[1] == pytest.approx(-0.7) and dg[1] == 0.5 * db[1]
+        assert _fires(gamma, beta, x_hat, 0.0).tolist() == [False, True]
+        g2, b2 = step(gamma, beta, x_hat, grad, cfg_with(eta=0.1))
+        assert (g2[0], b2[0]) == (1.0, -0.5)
+        assert b2[1] == pytest.approx(0.5 - 0.7) and g2[1] == pytest.approx(1.0 - 0.35)
 
     def test_shift_enters_heaviside(self):
         # dead without the shift, active with it
-        args = (np.array([1.0]), np.array([-0.1]), np.array([0.0]), np.array([3.0]))
-        dg, db = step(*args, cfg_with(eta=0.1, alpha=0.0))
-        assert (dg[0], db[0]) == (0.0, 0.0)
-        dg, db = step(*args, cfg_with(eta=0.1, alpha=0.2))
-        assert db[0] == pytest.approx(-0.3) and dg[0] == 0.0
+        args = (np.array([1.0]), np.array([-0.1]), np.array([0.0]))
+        assert _fires(*args, 0.0).tolist() == [False]
+        assert _fires(*args, 0.2).tolist() == [True]
+        g2, b2 = step(*args, np.array([3.0]), cfg_with(eta=0.1, alpha=0.2))
+        assert b2[0] == pytest.approx(-0.4) and g2[0] == 1.0
 
     @given(cols=st.lists(st.tuples(FINITE, FINITE, FINITE, FINITE), min_size=1, max_size=8),
            alpha=st.floats(min_value=0.0, max_value=1.0))
     def test_coupling_identity(self, cols, alpha):
-        """delta_gamma = x_hat * delta_beta, exactly, active or not."""
+        """gamma's gradient is x_hat times beta's: one step from zero velocity moves beta by eta*g and gamma by
+        eta*(x_hat*g), bit for bit, where the gate holds, and neither elsewhere."""
         gamma, beta, x_hat, grad = (np.array(c) for c in zip(*cols))
-        dg, db = step(gamma, beta, x_hat, grad, cfg_with(eta=0.05, alpha=alpha))
+        g2, b2 = step(gamma, beta, x_hat, grad, cfg_with(eta=0.05, alpha=alpha))
         active = gamma * x_hat + beta + alpha > 0
-        assert np.all(dg[~active] == 0.0) and np.all(db[~active] == 0.0)
-        assert np.array_equal(db[active], -0.05 * grad[active])
-        assert np.array_equal(dg, x_hat * db)
+        assert np.array_equal(g2[~active], gamma[~active]) and np.array_equal(b2[~active], beta[~active])
+        assert np.array_equal(b2[active], beta[active] - 0.05 * grad[active])
+        assert np.array_equal(g2[active], gamma[active] - 0.05 * (x_hat[active] * grad[active]))
 
     @given(cols=st.lists(st.tuples(FINITE, FINITE, FINITE, FINITE), min_size=1, max_size=8))
     def test_zero_eta_never_moves(self, cols):
         gamma, beta, x_hat, grad = (np.array(c) for c in zip(*cols))
-        dg, db = step(gamma, beta, x_hat, grad, cfg_with(eta=0.0))
-        assert np.all(dg == 0.0) and np.all(db == 0.0)
-
-    @given(cols=st.lists(st.tuples(FINITE, FINITE, FINITE, FINITE), min_size=1, max_size=8),
-           alpha=st.floats(min_value=0.0, max_value=1.0))
-    def test_true_gate_is_the_firing_subset(self, cols, alpha):
-        """A caller that kept only firing neurons passes True: the same bits as the gate on that subset."""
-        gamma, beta, x_hat, grad = (np.array(c) for c in zip(*cols))
-        cfg = cfg_with(eta=0.05, alpha=alpha)
-        fires = _fires(gamma, beta, x_hat, alpha)
-        want = step(gamma[fires], beta[fires], x_hat[fires], grad[fires], cfg)
-        got = update_step(True, x_hat[fires], grad[fires], cfg.eta)
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
+        g2, b2 = step(gamma, beta, x_hat, grad, cfg_with(eta=0.0))
+        assert np.array_equal(g2, gamma) and np.array_equal(b2, beta)
 
 
 class TestConfigs:
@@ -390,7 +387,9 @@ class TestFrozenDrift:
             for cfg in cfgs:
                 # every noise kind reads the noise stream from its start
                 grad = cfg.noise_dist.sample(np.random.Generator(np.random.PCG64(noise)), size)
-                d_gamma, d_beta = update_step(fires, x_hat, grad, cfg.eta)
+                # the gated one-step rule, written out here as the reference
+                d_beta = np.where(fires, -cfg.eta * grad, 0.0)
+                d_gamma = x_hat * d_beta
                 twins = []
                 for sign in (1.0, -1.0):
                     with np.errstate(divide="ignore", invalid="ignore"):
@@ -429,7 +428,8 @@ class TestFrozenDrift:
 
 def scalar_loop(gamma0, beta0, steps, cfg):
     """The rule one neuron at a time in plain floats, reading the draws in
-    the order sgd_trajectory does: blocks of 8192 // N steps, x then g."""
+    the order sgd_trajectory does: blocks of 8192 // N steps, x then g;
+    gamma moves by eta * (x * g), as sgd_step forms it."""
     gamma, beta = list(gamma0), list(beta0)
     n, shrink = len(gamma), 1.0 - cfg.eta * cfg.weight_decay
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed])))
@@ -441,9 +441,8 @@ def scalar_loop(gamma0, beta0, steps, cfg):
         for x_row, g_row in zip(xs, gs):
             for i in range(n):
                 if gamma[i] * x_row[i] + beta[i] + cfg.alpha > 0:
-                    d_beta = -cfg.eta * g_row[i]
-                    gamma[i] += x_row[i] * d_beta
-                    beta[i] += d_beta
+                    gamma[i] -= cfg.eta * (x_row[i] * g_row[i])
+                    beta[i] -= cfg.eta * g_row[i]
                 gamma[i] *= shrink
                 beta[i] *= shrink
         done += block
@@ -480,6 +479,18 @@ class TestSgdTrajectory:
         steps = 9000 if n == 1 else 3000
         _, gamma, beta = sgd_trajectory(gamma0, beta0, steps, cfg, stride=steps)
         assert (gamma[-1].tolist(), beta[-1].tolist()) == scalar_loop(gamma0, beta0, steps, cfg)
+
+    def test_one_sgd_step_per_step(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[3:])
+            return sgd_step(*args)
+
+        monkeypatch.setattr(mc, "sgd_step", counted)
+        cfg = cfg_with(eta=0.05, weight_decay=0.01, seed=3)
+        sgd_trajectory([1.0, 0.5], [0.1, -0.1], 25, cfg, stride=10)
+        assert calls == [(0.05, 0.0, 0.01)] * 25
 
     def test_dead_zone_ratio_invariance(self):
         """A unit far below the activation edge only feels decay: beta/gamma
@@ -542,6 +553,16 @@ class TestSgdTrajectory:
 
 class TestDecayTrajectory:
     CFG = UpdateConfig(eta=0.1, c=0.0, weight_decay=0.01, alpha=0.1, seed=0)
+
+    def test_bit_equal_to_sgd_trajectory_at_zero_noise(self):
+        """At c = 0 every gradient is 0, so the ensemble route's step is the decay alone: on the README's
+        decay example both routes record the same gamma and beta, bit for bit, up to reactivation."""
+        result = decay_trajectory((1.0, -1.1), self.CFG, steps=20_000)
+        assert result.reactivation_step == 2397
+        steps, gamma, beta = sgd_trajectory(1.0, -1.1, result.reactivation_step, self.CFG)
+        assert steps.tolist() == [r.step for r in result.records]
+        assert gamma[:, 0].tobytes() == np.array([r.gamma for r in result.records]).tobytes()
+        assert beta[:, 0].tobytes() == np.array([r.beta for r in result.records]).tobytes()
 
     def test_first_increment(self):
         # (eta*lambda / (1 - eta*lambda)) * alpha / gamma0 with gamma0 = 1
